@@ -86,6 +86,7 @@ from repro.server.schema import (
     DeriveMetricRequest,
     DerivedMetricCreated,
     DiffRequest,
+    EncodedJson,
     EndpointDef,
     EnsembleRequest,
     HotPathRequest,
@@ -543,7 +544,9 @@ class AnalysisApp:
 
         The payload is a JSON-ready dict, a :class:`RawBody` for the
         non-JSON ``/metrics`` endpoint, or a :class:`BinaryBody` when
-        the request negotiated the columnar table encoding.  Headers
+        the request negotiated the columnar table encoding.  A JSON
+        ``/table`` dict is an :class:`EncodedJson` that also carries its
+        wire bytes, encoded once per cache fill.  Headers
         always carry ``X-Trace-Id``; requests on deprecated unversioned
         aliases also get ``Deprecation`` and a ``Link`` to the
         successor path.  *request_headers* (a dict or an
@@ -982,10 +985,11 @@ class AnalysisApp:
                     generation=handle.generation,
                 )
                 # both encodings are derived once and cached together:
-                # a columnar hit is a pure byte write, a JSON hit skips
-                # the row materialization
+                # a hit of either is a pure byte write
                 cached = {
-                    "payload": snapshot.to_json_payload(handle.sid),
+                    "payload": EncodedJson(
+                        snapshot.to_json_payload(handle.sid)
+                    ),
                     "columnar": encode_columnar(snapshot),
                 }
                 self.cache.put(key, cached)

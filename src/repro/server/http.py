@@ -17,7 +17,6 @@ to see the server in its own three views.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import signal
@@ -26,13 +25,13 @@ import uuid
 import zlib
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from repro.obs import install, save_self_profile, span, uninstall
+from repro.obs import install, save_self_profile, uninstall
 from repro.server.app import (
     DEFAULT_MAX_BODY,
     DEFAULT_MAX_INFLIGHT,
     AnalysisApp,
 )
-from repro.server.schema import BinaryBody, RawBody
+from repro.server.schema import BinaryBody, EncodedJson, RawBody, json_body
 from repro.server.sessions import WORKLOADS
 
 __all__ = ["AnalysisRequestHandler", "AnalysisServer", "build_server", "main"]
@@ -54,6 +53,12 @@ class AnalysisRequestHandler(BaseHTTPRequestHandler):
     #: premise of the bounded body-drain logic below (every response
     #: carries an explicit Content-Length, so 1.1 framing is satisfied)
     protocol_version = "HTTP/1.1"
+
+    #: TCP_NODELAY on every connection: the stdlib writes the headers
+    #: and the body in two sends, and with Nagle on the body waits for
+    #: the client's delayed ACK (~40 ms) whenever a keep-alive client
+    #: sends its next request only after reading the last response
+    disable_nagle_algorithm = True
 
     #: largest unread body remainder we will drain to keep a connection
     #: reusable; anything bigger closes the connection instead
@@ -93,13 +98,13 @@ class AnalysisRequestHandler(BaseHTTPRequestHandler):
         self.close_connection = True
         if served == 0:
             return True
-        body = json.dumps({"error": {
+        body = json_body({"error": {
             "status": 421,
             "code": "misrouted",
             "message": "this connection was routed for another session; "
                        "reconnect to reach the owning worker",
             "trace_id": uuid.uuid4().hex[:16],
-        }}, sort_keys=True).encode("utf-8")
+        }})
         self.send_response(421)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -158,8 +163,8 @@ class AnalysisRequestHandler(BaseHTTPRequestHandler):
             body = payload.text.encode("utf-8")
         else:
             content_type = "application/json"
-            with span("server.encode"):
-                body = json.dumps(payload, sort_keys=True).encode("utf-8")
+            body = (payload.data if isinstance(payload, EncodedJson)
+                    else json_body(payload))
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))

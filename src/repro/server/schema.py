@@ -27,15 +27,18 @@ byte-identical body plus a ``Deprecation`` header (see
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field, fields as dc_fields
 from typing import Any, ClassVar
 
 from repro.errors import BadRequest
+from repro.obs import span
 
 __all__ = [
     "API_VERSION",
     "BinaryBody",
     "ENDPOINTS",
+    "EncodedJson",
     "EndpointDef",
     "FieldSpec",
     "Operation",
@@ -60,6 +63,7 @@ __all__ = [
     "SortRequest",
     "SortResponse",
     "TableRequest",
+    "json_body",
     "parse_fields",
 ]
 
@@ -108,6 +112,29 @@ class BinaryBody:
             "content_type": self.content_type,
             "base64": base64.b64encode(self.data).decode("ascii"),
         }
+
+
+def json_body(payload: dict) -> bytes:
+    """The JSON wire encoding of *payload*: sorted keys, UTF-8."""
+    with span("server.encode"):
+        return json.dumps(payload, sort_keys=True).encode("utf-8")
+
+
+class EncodedJson(dict):
+    """A JSON payload that carries its wire encoding, made once.
+
+    Cached ``/table`` payloads are encoded when the render cache is
+    filled, so a JSON hit is a byte write like a columnar hit.  To
+    in-process callers it is the payload dict itself; ``data`` is
+    exactly :func:`json_body` of that dict.  Never mutate one: the bytes
+    are not re-derived.
+    """
+
+    __slots__ = ("data",)
+
+    def __init__(self, payload: dict) -> None:
+        super().__init__(payload)
+        self.data = json_body(payload)
 
 
 # --------------------------------------------------------------------- #

@@ -6,13 +6,18 @@ socket — the next request on the same keep-alive connection then parsed
 the tail of the previous body as its request line, corrupting the
 connection.  The fix drains a bounded remainder (connection stays
 usable) or, past the drain limit, answers ``Connection: close``.
+
+Also the keep-alive stall: back-to-back small requests on one
+connection must not wait out the client's delayed ACK.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import socket
 import threading
+import time
 
 import pytest
 
@@ -134,3 +139,49 @@ class TestOversizedBodyKeepAlive:
             srv.shutdown()
             srv.server_close()
             thread.join(timeout=scaled(10))
+
+
+class TestNoDelayedAckStall:
+    """The handler writes headers and body in two sends.  With Nagle on,
+    the second send waits for the client's delayed ACK (~40 ms) whenever
+    the client sends its next request only after reading the last
+    response, so 40 back-to-back small requests took ~1.8 s."""
+
+    def test_back_to_back_cache_hits_do_not_stall(self, server):
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=scaled(10))
+        path = "/v1/sessions/s1/hotpath"
+        try:
+            conn.request("GET", path)  # fills the render cache
+            first = conn.getresponse()
+            first.read()
+            assert first.status == 200
+            hits = server.app.cache.hits
+            t0 = time.perf_counter()
+            for _ in range(40):
+                conn.request("GET", path)
+                response = conn.getresponse()
+                response.read()
+                assert response.status == 200
+                assert not response.will_close
+            elapsed = time.perf_counter() - t0
+        finally:
+            conn.close()
+        assert server.app.cache.hits == hits + 40
+        assert elapsed < scaled(1.0), f"40 keep-alive requests: {elapsed:.2f} s"
+
+    def test_accepted_socket_has_nodelay(self, server):
+        seen = []
+
+        class Probe(AnalysisRequestHandler):
+            def handle(self):
+                seen.append(self.connection.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY))
+                super().handle()
+
+        server.RequestHandlerClass = Probe
+        with _connect(server) as sock:
+            sock.sendall(_request_bytes("GET", "/v1/healthz"))
+            status, _h, _body, _e = _read_response(sock)
+        assert status == 200
+        assert seen and all(seen), seen

@@ -11,11 +11,11 @@ import threading
 
 import pytest
 
+from repro.errors import DeadlineExceeded
 from repro.hpcprof import database
 from repro.hpcprof.experiment import Experiment
 from repro.server import AnalysisApp
 from repro.server.deadline import Deadline, checkpoint, deadline_scope
-from repro.server.errors import DeadlineExceeded
 from repro.server.sessions import SessionRegistry
 from repro.sim.workloads import fig1
 from repro.testing import FakeClock, patched, slow_call

@@ -2,19 +2,22 @@
 
 The codec itself (framing, dtype handling, malformed-frame taxonomy),
 the ``Accept`` negotiation through the app, JSON/columnar parity on the
-served payloads, and cache invalidation of the pre-encoded frame when a
-mutation bumps the session generation.
+served payloads, cache invalidation of the pre-encoded frame when a
+mutation bumps the session generation, and the pre-encoded JSON body
+read off a real socket.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 
 import numpy as np
 import pytest
 
 from repro.errors import BadRequest
-from repro.server import AnalysisApp
+from repro.server import AnalysisApp, build_server
 from repro.server.schema import BinaryBody
 from repro.server.wire import (
     COLUMNAR_CONTENT_TYPE,
@@ -23,6 +26,7 @@ from repro.server.wire import (
     decode_columnar,
     encode_columnar,
 )
+from tests.server.conftest import scaled
 
 COLUMNAR_HEADERS = {"Accept": COLUMNAR_CONTENT_TYPE}
 
@@ -227,3 +231,71 @@ class TestTableEndpoint:
         )
         assert status == 400
         assert payload["error"]["code"] == "bad-view-kind"
+
+
+# --------------------------------------------------------------------- #
+# the JSON table body on the wire
+# --------------------------------------------------------------------- #
+@pytest.fixture
+def served():
+    server = build_server(workload="fig1", nranks=2, seed=7, cache_size=8)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=scaled(10))
+
+
+class TestJsonTableBytes:
+    """A JSON ``/table`` body is encoded once per cache fill; the bytes a
+    socket reads must stay exactly the sorted-key dump of the dict the
+    in-process ``handle`` returns, on a fill and on every later hit."""
+
+    PATH = "/v1/sessions/s1/table?view=cct&depth=3"
+
+    #: the request run before the measured fetch, per case
+    SETUP = {
+        "miss": [],
+        "hit": [("GET", PATH, None)],
+        "after-flatten": [("GET", PATH, None),
+                          ("POST", "/v1/sessions/s1/flatten", None)],
+        "after-derive": [("GET", PATH, None),
+                         ("POST", "/v1/sessions/s1/metrics",
+                          {"name": "work2", "formula": "$0 * 2"})],
+    }
+
+    @pytest.mark.parametrize("case", list(SETUP))
+    def test_socket_body_equals_handle_dump(self, served, case) -> None:
+        app = served.app
+        host, port = served.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=scaled(10))
+        try:
+            for method, path, body in self.SETUP[case]:
+                data = json.dumps(body).encode() if body is not None else None
+                conn.request(method, path, body=data)
+                response = conn.getresponse()
+                response.read()
+                assert response.status in (200, 201), (method, path)
+            hits, misses = app.cache.hits, app.cache.misses
+            conn.request("GET", self.PATH)
+            response = conn.getresponse()
+            wire = response.read()
+        finally:
+            conn.close()
+        assert response.status == 200
+        assert response.getheader("Content-Type") == "application/json"
+        # a flatten or a new metric invalidates the entry: refilled, too
+        if case == "hit":
+            assert (app.cache.hits, app.cache.misses) == (hits + 1, misses)
+        else:
+            assert (app.cache.hits, app.cache.misses) == (hits, misses + 1)
+        status, payload = app.handle("GET", self.PATH)
+        assert status == 200
+        assert wire == json.dumps(payload, sort_keys=True).encode("utf-8")
+        if case == "after-derive":
+            assert "work2 (I)" in {c["name"] for c in payload["columns"]}
+        if case == "after-flatten":
+            assert payload["generation"] == 1

@@ -3,7 +3,9 @@
 
 Starts a 2-worker :class:`~repro.server.pool.ServerPool`, serves one
 JSON render, one columnar table (decoded and checked against the JSON
-table), and one aggregated ``/stats``, then shuts down cleanly.  The
+table), 20 back-to-back hot paths on one keep-alive connection (which
+must not stall on delayed ACKs), and one aggregated ``/stats``, then
+shuts down cleanly.  The
 deep lifecycle coverage (crash restart, adoption, chaos) lives in
 ``tests/server/test_pool.py``; this script only proves the forked
 serving path works at all on this machine, in a few seconds, inside the
@@ -14,8 +16,10 @@ All timeouts honor ``REPRO_TEST_TIMEOUT_SCALE``.
 
 from __future__ import annotations
 
+import http.client
 import os
 import sys
+import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -25,6 +29,9 @@ from repro.server.client import RetryingClient  # noqa: E402
 from repro.server.pool import ServerPool  # noqa: E402
 from repro.server.wire import COLUMNAR_CONTENT_TYPE  # noqa: E402
 
+#: back-to-back requests of the keep-alive probe
+KEEPALIVE_REQUESTS = 20
+
 
 def scaled(seconds: float) -> float:
     try:
@@ -32,6 +39,35 @@ def scaled(seconds: float) -> float:
     except ValueError:
         scale = 1.0
     return seconds * (scale if scale > 0 else 1.0)
+
+
+def keepalive_probe(host: str, port: int) -> float:
+    """Seconds for back-to-back small requests on one connection.
+
+    The connection reaches its worker as a passed fd; with Nagle on
+    there, each response body waits out the client's delayed ACK
+    (~40 ms), so the bound below fails.
+    """
+    conn = http.client.HTTPConnection(host, port, timeout=scaled(30))
+    path = "/v1/sessions/s1/hotpath"
+    try:
+        conn.request("GET", path)  # routes the connection, fills the cache
+        first = conn.getresponse()
+        first.read()
+        assert first.status == 200, first.status
+        t0 = time.perf_counter()
+        for _ in range(KEEPALIVE_REQUESTS):
+            conn.request("GET", path)
+            response = conn.getresponse()
+            response.read()
+            assert response.status == 200, response.status
+            assert not response.will_close, "worker closed the connection"
+        elapsed = time.perf_counter() - t0
+    finally:
+        conn.close()
+    assert elapsed < scaled(0.5), (
+        f"{KEEPALIVE_REQUESTS} keep-alive requests took {elapsed:.2f} s")
+    return elapsed
 
 
 def main() -> int:
@@ -60,14 +96,18 @@ def main() -> int:
                      if k != "session"}
         assert as_cols.payload == reference, "columnar/JSON table mismatch"
 
+        stall_s = keepalive_probe(host, port)
+
         stats = client.get("/v1/stats").payload
-        # the render + both table fetches (healthz/stats are answered by
-        # the pool parent and do not count against worker endpoints)
-        assert stats["requests"]["total"] >= 3, stats
+        # the render, both table fetches and the probe (healthz/stats are
+        # answered by the pool parent and do not count against workers)
+        assert stats["requests"]["total"] >= 3 + KEEPALIVE_REQUESTS, stats
         assert all(w["alive"] for w in stats["pool"]["workers"]), stats
         rows = as_cols.payload["row_count"]
         print(f"pool smoke OK: 2 workers at {host}:{port}, "
               f"{rows}-row table served as JSON and columnar, "
+              f"{KEEPALIVE_REQUESTS} keep-alive requests in "
+              f"{stall_s * 1e3:.0f} ms, "
               f"{stats['requests']['total']} requests aggregated")
         return 0
     finally:
