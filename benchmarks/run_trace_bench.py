@@ -2,21 +2,25 @@
 """Record the trace layer's numbers in ``BENCH_trace.json``.
 
 One measurement with its budgets enforced *in the run* so they cannot
-silently regress: **windowed query latency vs window width** on a
+silently regress: **windowed read latency vs window width** on a
 ~100k-event time-partitioned store.
 
 Eight ranks of a rank-imbalanced uniform call tree run in trace mode
 with fine slicing (~100k timestamped events), land in a chunked
 ``.rpstore`` with 64 time partitions, and a fresh subprocess opens the
-store and times the same composed query (match-all + sort + limit)
-over windows of increasing width — 1%, 5%, 25% and 100% of the trace
-span — reporting per-width median latency over repeated runs.
+store and times, over windows of increasing width — 1%, 5%, 25% and
+100% of the trace span — three reads: the same composed query
+(match-all + sort + limit), the flame slab of the last rank (the
+slowest: its events span the whole trace, so every window holds some),
+and the 16-bin idleness series, reporting per-width median latency over repeated runs.
 
 Budgets:
 
-* every width's median must stay under ``WINDOW_BUDGET_S`` (250 ms) —
-  partition pruning plus pre-aggregated chunk slabs make narrow
-  windows cheap and the full window no worse than the untimed query;
+* every width's median, for each of the three reads, must stay under
+  ``WINDOW_BUDGET_S`` (250 ms) — partition pruning plus pre-aggregated
+  chunk slabs make narrow windows cheap and the full window no worse
+  than the untimed query, and the array-at-a-time kernels keep the
+  flame slab and the series within the same budget;
 * narrow windows (< 25% of the span) must touch **fewer chunks than
   the store holds** — the pruning guarantee, asserted from the store's
   own ``chunks_touched`` counter;
@@ -60,7 +64,18 @@ WIDTHS = (0.01, 0.05, 0.25, 1.0)
 _CHILD = r"""
 import json, resource, statistics, sys, time
 from repro.query import query, run_query
-from repro.trace import open_trace
+from repro.trace import flame_slab, idleness_series, open_trace
+
+
+def median_s(fn, repeats):
+    fn()  # warm
+    samples = []
+    for _ in range(repeats):
+        s = time.perf_counter()
+        fn()
+        samples.append(time.perf_counter() - s)
+    return statistics.median(samples), max(samples)
+
 
 store_path, widths_json, repeats = sys.argv[1], sys.argv[2], int(sys.argv[3])
 widths = json.loads(widths_json)
@@ -73,29 +88,33 @@ span = t1 - t0
 run_query(query("**/*").window(None, None).sort(metric).limit(50), store)
 rss_open = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
+rank = store.nranks - 1
 out = {"n_events": store.n_events, "chunks_total": store.chunks_total,
-       "nranks": store.nranks, "widths": {}}
+       "nranks": store.nranks, "flame_rank": rank, "widths": {}}
 for width in widths:
     lo = t0 if width >= 1.0 else t0 + 0.4 * span
     hi = min(t1, lo + width * span)
     if width >= 1.0:
         hi = t1
     q = query("**/*").window(lo, hi).sort(metric).limit(50)
-    run_query(q, store)  # warm
     store.reset_counters()
-    run_query(q, store)
+    result = run_query(q, store)
     touched = store.chunks_touched
-    samples = []
-    for _ in range(repeats):
-        s = time.perf_counter()
-        result = run_query(q, store)
-        samples.append(time.perf_counter() - s)
+    query_s, query_max_s = median_s(lambda: run_query(q, store), repeats)
+    slab = flame_slab(store, rank=rank, t0=lo, t1=hi)
+    flame_s, _ = median_s(
+        lambda: flame_slab(store, rank=rank, t0=lo, t1=hi), repeats)
+    series_s, _ = median_s(
+        lambda: idleness_series(store, lo, hi, bins=16), repeats)
     out["widths"][str(width)] = {
         "window_s": hi - lo,
         "rows": result.row_count,
         "chunks_touched": touched,
-        "median_s": statistics.median(samples),
-        "max_s": max(samples),
+        "median_s": query_s,
+        "max_s": query_max_s,
+        "flame_spans": slab["span_count"],
+        "flame_median_s": flame_s,
+        "series_median_s": series_s,
     }
 out["rss_open_kib"] = rss_open
 out["peak_rss_kib"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -136,10 +155,12 @@ def bench_windows(workdir: str, repeats: int) -> dict:
     out["budget_s"] = WINDOW_BUDGET_S
 
     failures = [
-        f"width {width}: median {stats['median_s'] * 1e3:.1f} ms "
+        f"width {width}: {read} median {stats[key] * 1e3:.1f} ms "
         f"> budget {WINDOW_BUDGET_S * 1e3:.0f} ms"
         for width, stats in out["widths"].items()
-        if stats["median_s"] > WINDOW_BUDGET_S
+        for read, key in (("query", "median_s"), ("flame", "flame_median_s"),
+                          ("series", "series_median_s"))
+        if stats[key] > WINDOW_BUDGET_S
     ]
     if failures:
         raise SystemExit("window latency budget blown:\n  "
@@ -180,12 +201,14 @@ def main(argv: list[str] | None = None) -> int:
     out.write_text(json.dumps(report, indent=2) + "\n")
 
     w = report["windows"]
-    print(f"\nwindowed query latency on the {w['n_events']}-event "
-          f"{w['chunks_total']}-chunk store "
+    print(f"\nwindowed read latency on the {w['n_events']}-event "
+          f"{w['chunks_total']}-chunk store, medians "
           f"(budget {WINDOW_BUDGET_S * 1e3:.0f} ms each):")
     for width, stats in w["widths"].items():
         print(f"  {float(width) * 100:5.0f}% span "
-              f"{stats['median_s'] * 1e3:7.2f} ms median  "
+              f"query {stats['median_s'] * 1e3:7.2f} ms  "
+              f"flame {stats['flame_median_s'] * 1e3:7.2f} ms  "
+              f"series {stats['series_median_s'] * 1e3:7.2f} ms  "
               f"{stats['chunks_touched']:3d}/{w['chunks_total']} chunks  "
               f"{stats['rows']:5d} rows")
     print(f"RSS {w['rss_ratio']}x post-open "

@@ -105,7 +105,7 @@ class MetricEngine:
             # preloaded (typically memory-mapped) column matrices: the
             # caller guarantees rows follow this same preorder walk, so
             # the per-node dict gather is skipped entirely and the
-            # matrices can stay on disk (``numpy.memmap`` pages them in
+            # matrices can stay on disk (the file mapping pages them in
             # per kernel touch) — the out-of-core store's engine path
             raw, inclusive, exclusive = matrices
             for matrix, label in (

@@ -183,8 +183,10 @@ class StoreWriter:
 # reading
 # --------------------------------------------------------------------- #
 class ColumnStore:
-    """Open handle on a store directory: manifest + lazy memmaps.
+    """Open handle on a store directory: manifest + lazy read-only maps.
 
+    Matrices are plain ``ndarray`` views of read-only file mappings (the
+    data stays on disk; element access skips the ``np.memmap`` subclass).
     ``release()`` drops the cached memory-mapped arrays; it is GC-safe —
     an in-flight render holding a matrix keeps that mapping alive until
     the array is collected, so eviction never invalidates live readers.
@@ -222,7 +224,7 @@ class ColumnStore:
                                 ) from None
         self.manifest = manifest
         self._matrices: tuple[np.ndarray, ...] | None = None
-        self._rank_maps: dict[tuple[int, str], np.memmap] = {}
+        self._rank_maps: dict[tuple[int, str], np.ndarray] = {}
         self._closed = False
 
     # ------------------------------------------------------------------ #
@@ -234,7 +236,7 @@ class ColumnStore:
     def closed(self) -> bool:
         return self._closed
 
-    def _open_map(self, rel: str, shape: tuple[int, int]) -> np.memmap:
+    def _open_map(self, rel: str, shape: tuple[int, int]) -> np.ndarray:
         full = os.path.join(self.path, rel)
         expected = shape[0] * shape[1] * _DTYPE.itemsize
         try:
@@ -247,7 +249,8 @@ class ColumnStore:
                 f"corrupt store {self.path}: {rel} is {actual} bytes, "
                 f"expected {expected}"
             )
-        return np.memmap(full, dtype=_DTYPE, mode="r", shape=shape)
+        return np.memmap(full, dtype=_DTYPE, mode="r",
+                         shape=shape).view(np.ndarray)
 
     def matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The three read-only mmap engine matrices (raw, incl, excl)."""
@@ -262,7 +265,7 @@ class ColumnStore:
             )
         return self._matrices  # type: ignore[return-value]
 
-    def rank_matrix(self, mid: int, flavor: str) -> np.memmap:
+    def rank_matrix(self, mid: int, flavor: str) -> np.ndarray:
         """Read-only ``(nranks x nnodes)`` matrix of one metric/flavor."""
         if self._closed:
             raise DatabaseError(f"store {self.path} is closed")
@@ -426,7 +429,7 @@ class StoreExperiment(Experiment):
         self.store.close()
 
 
-def _streaming_moments(matrix: np.memmap):
+def _streaming_moments(matrix: np.ndarray):
     """Sequential per-node Welford over rank rows, one row resident.
 
     Bit-identical to ``_welford_chunk`` on the dense transpose — the

@@ -32,6 +32,7 @@ import math
 import numpy as np
 
 from repro.errors import TraceError
+from repro.obs.spans import traced
 from repro.server.wire import TableSnapshot
 from repro.trace.model import check_window
 
@@ -45,6 +46,7 @@ def _duration_seconds(source, ticks: np.ndarray) -> np.ndarray:
     return ticks[:, tm].astype(np.float64) * unit
 
 
+@traced("trace.flame-slab")
 def flame_slab(
     source,
     rank: int = 0,
@@ -58,8 +60,13 @@ def flame_slab(
     Returns ``{"rank", "t0", "t1", "metric", "depths": [[span, ...],
     ...], "span_count", "truncated"}`` where each span is
     ``{"name", "file", "begin", "end", "value"}`` (value = the span's
-    exact metric total, ticks x resolution).  ``depths[d]`` lists the
-    spans at call-path depth ``d`` in time order.
+    exact metric total, int64 ticks x resolution).  ``depths[d]`` lists
+    the spans at call-path depth ``d`` in time order.
+
+    Spans close in (closing event, depth) order — a span at depth ``d``
+    closes at the first event after its run, or at the end of the
+    window — and the first ``max_spans`` to close are kept; the rest
+    are counted in ``truncated``.
     """
     if max_spans < 1:
         raise TraceError(f"max_spans must be >= 1, got {max_spans}")
@@ -71,64 +78,76 @@ def flame_slab(
     )
     resolution = source.resolutions[mid]
     times, ctx_ids, ticks = source.events_window(rank, t0, t1)
-    durs = _duration_seconds(source, ticks)
-    contexts = source.contexts
-    paths = [contexts[int(ci)][0] for ci in ctx_ids]
+    ends = times + _duration_seconds(source, ticks)
+    event_ticks = ticks[:, mid]
 
+    # prefix ids: one integer per distinct call-path prefix at each
+    # depth of the contexts this window uses; -1 past a path's leaf
+    used, inverse = np.unique(ctx_ids, return_inverse=True)
+    paths = [source.contexts[int(ci)][0] for ci in used]
     max_depth = max((len(p) for p in paths), default=0)
-    depth_spans: list[list[dict]] = [[] for _ in range(max_depth)]
-    # open[d] = [frames-prefix, begin, end, tick_total]
-    open_spans: list[list | None] = [None] * max_depth
-    span_count = 0
-    truncated = 0
+    prefix_of = np.full((max_depth, len(used)), -1, dtype=np.int64)
+    prefix_ids: dict[tuple, int] = {}
+    frames: list = []  # prefix id -> the frame it ends in
+    for u, path in enumerate(paths):
+        for d in range(len(path)):
+            pid = prefix_ids.get(path[: d + 1])
+            if pid is None:
+                pid = prefix_ids[path[: d + 1]] = len(frames)
+                frames.append(path[d])
+            prefix_of[d, u] = pid
+    prefix = prefix_of[:, inverse]
 
-    def close(d: int) -> None:
-        nonlocal span_count, truncated
-        span = open_spans[d]
-        open_spans[d] = None
-        if span is None:
-            return
-        if span_count >= max_spans:
-            truncated += 1
-            return
-        frame = span[0][d]
-        depth_spans[d].append(
+    # a span at depth d is a run of consecutive events with one prefix
+    # id; it closes at the event after its last one (len(times) at the
+    # window end), so (closing event, depth) is its closing-order key
+    depth_runs = []
+    for d in range(max_depth):
+        row = prefix[d]
+        at = np.flatnonzero(row >= 0)
+        run_start = np.ones(len(at), dtype=bool)
+        run_start[1:] = (at[1:] != at[:-1] + 1) | (row[at[1:]] != row[at[:-1]])
+        starts = np.flatnonzero(run_start)
+        last = np.append(at[starts[1:] - 1], at[-1]) if len(at) else at
+        depth_runs.append((at, starts, (last + 1) * max_depth + d))
+
+    kept = [len(starts) for _at, starts, _key in depth_runs]
+    total = sum(kept)
+    if total > max_spans:
+        keys = np.concatenate([key for _at, _starts, key in depth_runs])
+        cutoff = np.partition(keys, max_spans - 1)[max_spans - 1]
+        # a depth's spans close in time order: the kept ones are a prefix
+        kept = [int(np.count_nonzero(key <= cutoff))
+                for _at, _starts, key in depth_runs]
+
+    depth_spans: list[list[dict]] = []
+    for d, (at, starts, _key) in enumerate(depth_runs):
+        k = kept[d]
+        if not k:
+            depth_spans.append([])
+            continue
+        first = at[starts[:k]]
+        span_end = np.maximum.reduceat(ends[at], starts)[:k]
+        span_ticks = np.add.reduceat(event_ticks[at], starts)[:k]
+        span_frames = [frames[pid] for pid in prefix[d, first].tolist()]
+        depth_spans.append([
             {
                 "name": frame.proc,
                 "file": frame.file,
-                "begin": span[1],
-                "end": span[2],
-                "value": int(span[3]) * resolution,
+                "begin": begin,
+                "end": end,
+                "value": value,
             }
-        )
-        span_count += 1
-
-    prev_path: tuple | None = None
-    for i in range(len(times)):
-        p = paths[i]
-        begin = float(times[i])
-        end = begin + float(durs[i])
-        event_ticks = int(ticks[i, mid])
-        for d in range(len(p)):
-            span = open_spans[d]
-            if (
-                span is not None
-                and prev_path is not None
-                and len(prev_path) > d
-                and prev_path[: d + 1] == p[: d + 1]
-            ):
-                span[2] = max(span[2], end)
-                span[3] += event_ticks
-            else:
-                close(d)
-                open_spans[d] = [p, begin, end, event_ticks]
-        for d in range(len(p), max_depth):
-            close(d)
-        prev_path = p
-    for d in range(max_depth):
-        close(d)
+            for frame, begin, end, value in zip(
+                span_frames,
+                times[first].tolist(),
+                span_end.tolist(),
+                (span_ticks.astype(np.float64) * resolution).tolist(),
+            )
+        ])
 
     lo, hi = check_window(t0, t1)
+    span_count = sum(kept)
     return {
         "rank": rank,
         "t0": None if math.isinf(lo) else lo,
@@ -136,7 +155,7 @@ def flame_slab(
         "metric": metrics.by_id(mid).name,
         "event_count": int(len(times)),
         "span_count": span_count,
-        "truncated": truncated,
+        "truncated": total - span_count,
         "depths": depth_spans,
     }
 
@@ -172,6 +191,7 @@ def flame_snapshot(slab: dict) -> TableSnapshot:
     )
 
 
+@traced("trace.idleness-series")
 def idleness_series(
     source,
     t0: float | None = None,
@@ -181,54 +201,68 @@ def idleness_series(
     """Time-binned busy/idleness/imbalance over all ranks of a window.
 
     Each event's time extent is distributed across the bins it overlaps
-    (proportionally), yielding per-rank busy seconds per bin; the
-    reductions are ``idleness = 1 - mean/max`` and ``imbalance =
-    max/mean - 1`` (0 where the bin is empty).
+    (proportionally), yielding per-rank busy seconds per bin: an event
+    within one bin adds its whole clipped extent there, an event
+    crossing bin edges adds its overlap with each bin.  The reductions
+    are ``idleness = 1 - mean/max`` and ``imbalance = max/mean - 1`` (0
+    where the bin is empty).
     """
     if bins < 1:
         raise TraceError(f"bins must be >= 1, got {bins}")
     lo, hi = check_window(t0, t1)
+    if math.isinf(lo) and source.t_begin is None:
+        raise TraceError("cannot bin an empty trace without bounds")
+    unbounded = math.isinf(hi)
+    if unbounded and source.t_end is None:
+        raise TraceError("cannot bin an empty trace without bounds")
+    # each rank's events are fetched once; an unbounded window extends to
+    # the extent of the last events of the whole stream, so it fetches
+    # everything and cuts the window start locally (times are sorted)
+    events = []
+    extent = -math.inf
+    for r in range(source.nranks):
+        times, _ctx, ticks = source.events_window(
+            r, None if unbounded else t0, t1
+        )
+        ends = times + _duration_seconds(source, ticks)
+        if unbounded and len(times):
+            extent = max(extent, float(np.max(ends)))
+            cut = int(np.searchsorted(times, lo, side="left"))
+            times, ends = times[cut:], ends[cut:]
+        events.append((times, ends))
     if math.isinf(lo):
-        if source.t_begin is None:
-            raise TraceError("cannot bin an empty trace without bounds")
         lo = float(source.t_begin)
-    if math.isinf(hi):
-        if source.t_end is None:
-            raise TraceError("cannot bin an empty trace without bounds")
+    if unbounded:
         # include the extent of the last events
-        hi = float(source.t_end)
-        for r in range(source.nranks):
-            times, _ctx, ticks = source.events_window(r, None, None)
-            if len(times):
-                durs = _duration_seconds(source, ticks)
-                hi = max(hi, float(np.max(times + durs)))
+        hi = max(float(source.t_end), extent)
     if not hi > lo:
         hi = lo + 1.0
     edges = np.linspace(lo, hi, bins + 1)
     width = (hi - lo) / bins
 
     busy = np.zeros((source.nranks, bins), dtype=np.float64)
-    for r in range(source.nranks):
-        times, _ctx, ticks = source.events_window(r, t0, t1)
-        if not len(times):
-            continue
-        durs = _duration_seconds(source, ticks)
+    for r, (times, ends) in enumerate(events):
         begins = np.clip(times, lo, hi)
-        ends = np.clip(times + durs, lo, hi)
+        ends = np.clip(ends, lo, hi)
+        live = ends > begins
+        begins, ends = begins[live], ends[live]
+        if not len(begins):
+            continue
         first = np.clip(((begins - lo) / width).astype(np.int64), 0, bins - 1)
         last = np.clip(((ends - lo) / width).astype(np.int64), 0, bins - 1)
-        for i in range(len(times)):
-            b0, b1 = int(first[i]), int(last[i])
-            if ends[i] <= begins[i]:
-                continue
-            if b0 == b1:
-                busy[r, b0] += ends[i] - begins[i]
-                continue
-            for b in range(b0, b1 + 1):
-                seg_lo = max(begins[i], edges[b])
-                seg_hi = min(ends[i], edges[b + 1])
-                if seg_hi > seg_lo:
-                    busy[r, b] += seg_hi - seg_lo
+        # event-major (event, bin) pairs: each bin then receives the same
+        # float additions, in the same order, as an event-by-event loop
+        count = last - first + 1
+        event = np.repeat(np.arange(len(count)), count)
+        b = first[event] + (
+            np.arange(len(event)) - np.repeat(np.cumsum(count) - count, count)
+        )
+        seg_lo = np.maximum(begins[event], edges[b])
+        seg_hi = np.minimum(ends[event], edges[b + 1])
+        single = (count == 1)[event]
+        amount = np.where(single, (ends - begins)[event], seg_hi - seg_lo)
+        keep = single | (seg_hi > seg_lo)
+        np.add.at(busy[r], b[keep], amount[keep])
 
     mean = busy.mean(axis=0)
     peak = busy.max(axis=0)

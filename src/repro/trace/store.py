@@ -18,7 +18,7 @@ Chunking follows the hypertable idea: events land in the partition
 ``floor(t / chunk_duration)`` and each partition carries a
 pre-aggregated ``(nranks, n_contexts, n_metrics)`` int64 tick slab.  A
 window query touches only the chunks whose *recorded* time bounds
-overlap the window: fully-covered chunks are answered from the mmap'd
+overlap the window: fully-covered chunks are answered from the mapped
 slab without reading a single event, and only the (at most two) edge
 chunks read their event arrays.  Because slabs and event ticks are
 integers, slab-answered and event-answered chunks compose exactly —
@@ -47,6 +47,7 @@ import numpy as np
 from repro.errors import DatabaseError, TraceCorrupt, TraceError
 from repro.core.metrics import MetricTable
 from repro.hpcrun.profile_data import Frame
+from repro.obs.spans import traced
 from repro.testing.faults import crash_point, register_crash_points
 from repro.trace.model import (
     TraceSet,
@@ -286,13 +287,13 @@ def open_trace(path: str) -> "TraceStore":
 
 
 class _Chunk:
-    """One partition: manifest entry + lazily-verified lazy mmaps."""
+    """One partition: manifest entry + lazily-verified lazy mappings."""
 
     __slots__ = (
         "index", "t_lo", "t_hi", "n_events",
         "events_file", "events_bytes", "events_crc32",
         "slab_file", "slab_bytes", "slab_crc32",
-        "_events", "_slab", "_events_ok", "_slab_ok",
+        "_events", "_slab", "_by_rank",
     )
 
     def __init__(self, entry: dict) -> None:
@@ -317,16 +318,19 @@ class _Chunk:
             )
         self._events = None
         self._slab = None
-        self._events_ok = False
-        self._slab_ok = False
+        #: ``(order, cuts)``: event indices grouped by rank (time order
+        #: kept within a rank); rank r's are ``order[cuts[r]:cuts[r+1]]``
+        self._by_rank = None
 
 
 class TraceStore:
     """Reader over a committed time-partitioned trace store.
 
-    Chunk slabs and event arrays open as file-backed mmaps on first
-    touch (after a one-time CRC verification), so resident memory stays
-    flat no matter how many events the trace holds.
+    Each chunk file is mapped read-only on first touch and CRC-verified
+    over that one mapping; its slab and event arrays are plain
+    ``ndarray`` views of the mapping (file-backed, never copied to the
+    heap), so resident memory stays flat no matter how many events the
+    trace holds.
     :attr:`chunks_touched` counts the partitions a query actually
     opened — the pruning guarantee the benchmark asserts.
     """
@@ -428,20 +432,26 @@ class TraceStore:
                 f"(truncated or stray write)"
             )
 
-    def _verified_mmap(self, fname: str, expected_crc: int) -> np.ndarray:
-        full = os.path.join(self.path, fname)
-        with open(full, "rb") as fh:
-            data = fh.read()
-        if zlib.crc32(data) != expected_crc:
+    def _verified_map(self, fname: str, expected_crc: int) -> np.ndarray:
+        """One read-only mapping of *fname*, CRC-checked in place.
+
+        The bytes come back as a plain ``uint8`` view of the mapping
+        (``.base`` leads to the ``mmap.mmap``): element access skips the
+        ``np.memmap`` subclass, and the mapping lives exactly as long as
+        some array derived from it does.
+        """
+        raw = np.memmap(os.path.join(self.path, fname), dtype=np.uint8,
+                        mode="r").view(np.ndarray)
+        if zlib.crc32(raw) != expected_crc:
             raise TraceCorrupt(f"{fname} fails its manifest CRC32")
-        return np.memmap(full, dtype=np.uint8, mode="r")
+        return raw
 
     # ------------------------------------------------------------------ #
     # chunk access
     # ------------------------------------------------------------------ #
     def _chunk_events(self, chunk: _Chunk):
         if chunk._events is None:
-            raw = self._verified_mmap(chunk.events_file, chunk.events_crc32)
+            raw = self._verified_map(chunk.events_file, chunk.events_crc32)
             n = chunk.n_events
             m = len(self.metrics)
             need = n * 8 * (3 + m)
@@ -469,7 +479,7 @@ class TraceStore:
 
     def _chunk_slab(self, chunk: _Chunk) -> np.ndarray:
         if chunk._slab is None:
-            raw = self._verified_mmap(chunk.slab_file, chunk.slab_crc32)
+            raw = self._verified_map(chunk.slab_file, chunk.slab_crc32)
             shape = (self.nranks, len(self.contexts), len(self.metrics))
             need = int(np.prod(shape)) * 8
             if len(raw) != need:
@@ -478,6 +488,16 @@ class TraceStore:
                 )
             chunk._slab = raw.view(_IDS_DTYPE).reshape(shape)
         return chunk._slab
+
+    def _rank_index(self, chunk: _Chunk) -> tuple[np.ndarray, np.ndarray]:
+        """The chunk's events grouped by rank, built once per chunk."""
+        if chunk._by_rank is None:
+            ranks = self._chunk_events(chunk)[1]
+            order = np.argsort(ranks, kind="stable")
+            cuts = np.zeros(self.nranks + 1, dtype=np.int64)
+            np.cumsum(np.bincount(ranks, minlength=self.nranks), out=cuts[1:])
+            chunk._by_rank = (order, cuts)
+        return chunk._by_rank
 
     def _overlapping(self, lo: float, hi: float):
         for chunk in self._chunks:
@@ -491,6 +511,7 @@ class TraceStore:
     # ------------------------------------------------------------------ #
     # windowing (the same protocol as TraceSet)
     # ------------------------------------------------------------------ #
+    @traced("trace.window-ticks")
     def window_ticks(
         self, t0: float | None = None, t1: float | None = None
     ) -> np.ndarray:
@@ -514,21 +535,30 @@ class TraceStore:
             np.add.at(out, (ranks[mask], ctx[mask]), ticks[mask])
         return out
 
+    @traced("trace.events-window")
     def events_window(
         self, rank: int, t0: float | None = None, t1: float | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One rank's events in a window: ``(times, ctx ids, ticks)``."""
+        """One rank's events in a window: ``(times, ctx ids, ticks)``.
+
+        Each overlapping chunk contributes its slice of the rank index;
+        only a chunk the window covers partially filters by time.
+        """
         if not (0 <= rank < self.nranks):
             raise TraceError(f"rank {rank} out of range [0, {self.nranks})")
         lo, hi = check_window(t0, t1)
         times_parts, ctx_parts, tick_parts = [], [], []
         for chunk in self._overlapping(lo, hi):
             self.chunks_touched += 1
-            times, ranks, ctx, ticks = self._chunk_events(chunk)
-            mask = (ranks == rank) & (times >= lo) & (times < hi)
-            times_parts.append(times[mask])
-            ctx_parts.append(ctx[mask])
-            tick_parts.append(ticks[mask])
+            times, _ranks, ctx, ticks = self._chunk_events(chunk)
+            order, cuts = self._rank_index(chunk)
+            sel = order[cuts[rank]:cuts[rank + 1]]
+            if not (lo <= chunk.t_lo and chunk.t_hi < hi):
+                at = times[sel]
+                sel = sel[(at >= lo) & (at < hi)]
+            times_parts.append(times[sel])
+            ctx_parts.append(ctx[sel])
+            tick_parts.append(ticks[sel])
         if not times_parts:
             return (
                 np.zeros(0),
@@ -616,6 +646,7 @@ class TraceStore:
         for chunk in self._chunks:
             chunk._events = None
             chunk._slab = None
+            chunk._by_rank = None
         self._skeleton_exp = None
 
     def __enter__(self) -> "TraceStore":

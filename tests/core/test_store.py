@@ -19,6 +19,7 @@ from repro.hpcprof import database
 from repro.hpcprof.experiment import Experiment
 from repro.sim.workloads import fig1
 from repro.viewer.table import render_view
+from tests.file_backing import is_file_backed
 
 
 @pytest.fixture()
@@ -39,8 +40,8 @@ class TestCreateOpen:
             assert render_view(a) == render_view(b)
 
     def test_engine_is_memory_mapped(self, store_exp):
-        assert isinstance(store_exp.engine.raw, np.memmap)
-        assert isinstance(store_exp.engine.inclusive, np.memmap)
+        assert is_file_backed(store_exp.engine.raw)
+        assert is_file_backed(store_exp.engine.inclusive)
 
     def test_rank_vectors_survive(self, experiment, store_exp):
         for orig, stored in zip(experiment.cct.walk(), store_exp.cct.walk()):
@@ -149,10 +150,10 @@ class TestLifecycle:
         assert render_view(store_exp.views()[0]) == before
 
     def test_mutation_falls_back_to_gathered_engine(self, store_exp):
-        assert isinstance(store_exp.engine.raw, np.memmap)
+        assert is_file_backed(store_exp.engine.raw)
         store_exp.add_derived_metric("double", "2 * $0")
         engine = store_exp.engine
-        assert not isinstance(engine.raw, np.memmap)
+        assert not is_file_backed(engine.raw)
         # and the derived column actually renders
         assert "double" in render_view(store_exp.views()[2])
 

@@ -23,6 +23,7 @@ from repro.hpcprof import binio, database
 from repro.hpcprof.experiment import Experiment
 from repro.hpcprof.merge import merge_experiments, merge_rank_files
 from repro.viewer.table import TableOptions, render_view
+from tests.file_backing import is_file_backed
 from tests.props.strategies import NUM_METRICS, cct_experiments
 
 _OPTS = TableOptions(max_rows=200, name_width=56)
@@ -60,7 +61,7 @@ def test_store_round_trip_is_bit_identical(data):
                 assert dict(a.inclusive) == dict(b.inclusive)
             assert _renders(exp) == _renders(store_exp)
             # the store engine really is the mmap one, not a fallback
-            assert isinstance(store_exp.engine.raw, np.memmap)
+            assert is_file_backed(store_exp.engine.raw)
             for mid in range(NUM_METRICS):
                 a = exp.hot_path(metrics.by_id(mid).name)
                 b = store_exp.hot_path(metrics.by_id(mid).name)

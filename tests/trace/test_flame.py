@@ -90,3 +90,21 @@ def test_idleness_rises_for_stragglers(straggler_traces):
 def test_idleness_series_validates_bins(fig1_traces):
     with pytest.raises(TraceError):
         idleness_series(fig1_traces, bins=0)
+
+
+def test_trace_read_path_records_spans(fig1_store):
+    """With a tracer installed, the store scans and both kernels show up
+    as ``trace.*`` spans, nested under the kernel that called them."""
+    from repro.obs import install, uninstall
+
+    tracer = install()
+    try:
+        fig1_store.window_ticks()
+        flame_slab(fig1_store, rank=0)
+        idleness_series(fig1_store, bins=4)
+    finally:
+        uninstall()
+    paths = set(tracer.snapshot())
+    assert ("trace.window-ticks",) in paths
+    assert ("trace.flame-slab", "trace.events-window") in paths
+    assert ("trace.idleness-series", "trace.events-window") in paths

@@ -13,6 +13,7 @@ import pytest
 from repro.errors import TraceCorrupt, TraceError
 from repro.trace import create_trace_store, is_trace_path, open_trace
 from repro.trace.store import TRACE_MANIFEST
+from tests.file_backing import is_file_backed
 
 
 def test_create_writes_manifest_chunks_and_skeleton(fig1_store):
@@ -100,6 +101,22 @@ def test_covered_chunks_use_slab_fast_path(fig1_store, fig1_traces):
         _times, ctx, ticks = fig1_store.events_window(rank)
         np.add.at(by_events[rank], ctx, ticks)
     assert np.array_equal(whole, by_events)
+
+
+def test_chunk_arrays_are_file_backed_views(fig1_store):
+    """Chunk slabs and event arrays read straight from the mapping: plain
+    ndarrays (no np.memmap subclass), read-only, no resident copy."""
+    fig1_store.window_ticks(None, None)
+    for chunk in fig1_store._chunks:
+        arrays = (fig1_store._chunk_slab(chunk),
+                  *fig1_store._chunk_events(chunk))
+        for array in arrays:
+            assert type(array) is np.ndarray
+            assert not array.flags.writeable
+            assert is_file_backed(array)
+    # a window's event arrays are gathered copies, detached from the file
+    times, ctx, ticks = fig1_store.events_window(0)
+    assert not any(is_file_backed(a) for a in (times, ctx, ticks))
 
 
 def test_events_window_checks_rank(fig1_store):
