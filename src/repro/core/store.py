@@ -55,6 +55,7 @@ __all__ = [
     "create_store",
     "is_store_path",
     "open_store",
+    "store_size_bytes",
 ]
 
 STORE_EXTENSION = ".rpstore"
@@ -179,6 +180,15 @@ class StoreWriter:
         return manifest
 
 
+def store_size_bytes(path: str) -> int:
+    """Total size of the files under a store directory, without opening it."""
+    total = 0
+    for base, _dirs, files in os.walk(path):
+        for name in files:
+            total += os.path.getsize(os.path.join(base, name))
+    return total
+
+
 # --------------------------------------------------------------------- #
 # reading
 # --------------------------------------------------------------------- #
@@ -283,11 +293,7 @@ class ColumnStore:
 
     def size_bytes(self) -> int:
         """Total on-disk footprint of the store's files."""
-        total = 0
-        for base, _dirs, files in os.walk(self.path):
-            for name in files:
-                total += os.path.getsize(os.path.join(base, name))
-        return total
+        return store_size_bytes(self.path)
 
     # ------------------------------------------------------------------ #
     def release(self) -> None:

@@ -53,6 +53,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from repro.errors import CorpusCorrupt, CorpusError, DatabaseError, ProfilePinned
+from repro.obs.spans import span
 from repro.testing.faults import crash_point, register_crash_points
 
 from .journal import Journal
@@ -564,12 +565,15 @@ class CorpusCatalog:
         return dict(meta)
 
     def _validated_payload(self, data: bytes, salvage: bool) -> bytes:
-        """Upload admission: the PR 3 salvage loader is the gatekeeper.
+        """Upload admission: one strict decode is the gatekeeper.
 
-        A clean database passes through byte-identical.  A corrupt one
-        is refused (strict default) or — with *salvage* — re-serialized
-        from whatever the salvage loader recovered, so the corpus never
-        stores torn payload bytes.
+        A binary upload is stored verbatim iff it decodes strictly and
+        ends exactly at its last frame (``loads_binary(exact=True)``) —
+        the streams a salvage load would report clean.  Anything else
+        is refused with the salvage loader's report (strict default)
+        or — with *salvage* — re-serialized from whatever the salvage
+        loader recovered, so the corpus never stores a payload that a
+        strict load cannot open.
         """
         from repro.hpcprof import binio, recovery
 
@@ -579,16 +583,19 @@ class CorpusCatalog:
 
             exp = db.loads(data, origin="<upload>")
             return binio.dumps_binary(exp)
-        report = recovery.probe_bytes(data, origin="<upload>")
-        if report.clean:
-            return data
+        with span("corpus.admit"):
+            try:
+                binio.loads_binary(data, exact=True)
+                return data
+            except DatabaseError:
+                salvaged = recovery.salvage_loads(data, origin="<upload>")
         if not salvage:
             raise DatabaseError(
-                f"upload failed validation ({report.summary()}); "
+                f"upload failed validation "
+                f"({salvaged.load_report.summary()}); "
                 "pass salvage=true to ingest the recovered prefix"
             )
-        exp = recovery.salvage_loads(data, origin="<upload>")
-        return binio.dumps_binary(exp)
+        return binio.dumps_binary(salvaged)
 
     # ------------------------------------------------------------------ #
     # ingestion

@@ -18,11 +18,13 @@ sweeps, scaling studies) — into one supergraph:
   detection in :mod:`repro.core.ensemble`.
 
 Members may be in-memory :class:`~repro.hpcprof.experiment.Experiment`
-objects or paths (``.xml`` / ``.rpdb`` / ``.rpstore``).  Paths are
-streamed one at a time through two passes — graft, then measure — so a
-hundred-profile ensemble never holds more than one decoded member plus
-the union skeleton and the matrices, checked against the same
-working-set budget as :func:`~repro.hpcprof.merge.merge_rank_files`.
+objects or paths (``.xml`` / ``.rpdb`` / ``.rpstore``).  Each path is
+decoded exactly once, in the graft pass, which records the member's
+values beside the union nodes they land on; the measure pass scatters
+those records into the matrices.  A hundred-profile ensemble never
+holds more than one decoded member (or one member's record) plus the
+union skeleton and the matrices, checked against the same working-set
+budget as :func:`~repro.hpcprof.merge.merge_rank_files`.
 Member experiments are never mutated: the canonical model and the union
 tree are built fresh, and structure grafting only grows the canonical
 side.
@@ -46,8 +48,8 @@ from repro.hpcprof.merge import (
     _NODE_COST,
     _budget_check,
     _graft_mapped,
+    _GraftRecords,
     _metric_signature,
-    _walk_aligned_mapped,
     map_structure,
 )
 from repro.hpcstruct.model import StructureModel
@@ -206,23 +208,25 @@ def align_members(
 ) -> Alignment:
     """Align N experiments (objects or paths) into one :class:`Alignment`.
 
-    Two streaming passes over the member list, mirroring
-    :func:`~repro.hpcprof.merge.merge_rank_files`:
+    Two passes over the member list, sharing
+    :func:`~repro.hpcprof.merge.merge_rank_files`'s reducer:
 
     1. **graft** — each member's structure is united into a fresh
        canonical model and its CCT grafted into the union tree (raw
-       sums), then one Eq. 1/2 attribution pass;
-    2. **measure** — each member is walked again aligned to the union;
-       its per-scope raw/inclusive/exclusive values fill one row of the
-       per-metric matrices.
+       sums), recording the member's per-scope raw/inclusive/exclusive
+       values beside the union nodes (spilled to a temporary file);
+       then one Eq. 1/2 attribution pass;
+    2. **measure** — each member's record is scattered into one row of
+       the per-metric matrices.
 
-    Path members are decoded one at a time in each pass, so the working
-    set is one member plus the union skeleton and the matrices —
-    checked against *working_set_bytes*, failing loudly when exceeded.
-    All members must carry the same RAW metric signature
-    (:class:`~repro.errors.MetricError` otherwise).
+    Path members are decoded exactly once, one at a time, so the
+    working set is one member (or one member's record) plus the union
+    skeleton and the matrices — checked against *working_set_bytes*,
+    failing loudly when exceeded.  All members must carry the same RAW
+    metric signature (:class:`~repro.errors.MetricError` otherwise).
     """
     from repro.hpcprof.experiment import Experiment
+    from repro.obs.spans import span
 
     members = list(members)
     if len(members) < 2:
@@ -234,66 +238,73 @@ def align_members(
     union = CCT()
     metrics: MetricTable | None = None
     signature: tuple | None = None
+    records: _GraftRecords | None = None
     names: list[str] = []
+    union_nodes = 1
     max_file = 0
     peak = 0
 
-    # pass 1: graft every member into the union skeleton
-    for i, source in enumerate(members):
-        exp, release, nbytes = _load_member(source, strict=strict)
-        try:
-            if metrics is None:
-                metrics = exp.metrics.copy()
-                signature = _metric_signature(metrics)
-            elif _metric_signature(exp.metrics) != signature:
-                raise MetricError(
-                    f"cannot align member {i} ({exp.name!r}): metric table "
-                    f"differs from member 0 ({names[0]!r})"
+    try:
+        # pass 1: graft every member into the union skeleton, recording
+        # its values on the way
+        with span("hpcprof.reduce.graft"):
+            for i, source in enumerate(members):
+                exp, release, nbytes = _load_member(source, strict=strict)
+                try:
+                    if metrics is None:
+                        metrics = exp.metrics.copy()
+                        signature = _metric_signature(metrics)
+                        records = _GraftRecords(
+                            [d.mid for d in metrics
+                             if d.kind is MetricKind.RAW],
+                            FLAVORS,
+                        )
+                    elif _metric_signature(exp.metrics) != signature:
+                        raise MetricError(
+                            f"cannot align member {i} ({exp.name!r}): metric "
+                            f"table differs from member 0 ({names[0]!r})"
+                        )
+                    names.append(exp.name or f"member-{i}")
+                    mapping = map_structure(canonical, exp.structure)
+                    union_nodes += _graft_mapped(
+                        union.root, exp.cct.root, mapping, records
+                    )
+                    records.commit()
+                finally:
+                    if release is not None:
+                        release()
+                del exp
+                max_file = max(max_file, nbytes)
+                estimate = (
+                    union_nodes * _NODE_COST
+                    + max_file * _DECODE_EXPANSION
+                    + records.max_bytes
                 )
-            names.append(exp.name or f"member-{i}")
-            mapping = map_structure(canonical, exp.structure)
-            _graft_mapped(union.root, exp.cct.root, mapping)
-        finally:
-            if release is not None:
-                release()
-        max_file = max(max_file, nbytes)
-        estimate = len(union) * _NODE_COST + max_file * _DECODE_EXPANSION
-        peak = max(peak, estimate)
-        _budget_check(estimate, working_set_bytes, "align")
-    attribute(union)
+                peak = max(peak, estimate)
+                _budget_check(estimate, working_set_bytes, "align")
+            attribute(union)
 
-    # pass 2: stream members again, filling one matrix row each
-    nodes = list(union.walk())
-    rows = {node.uid: row for row, node in enumerate(nodes)}
-    n = len(nodes)
-    mids = [d.mid for d in metrics if d.kind is MetricKind.RAW]
-    matrices = {
-        (mid, flavor): np.zeros((len(members), n))
-        for mid in mids
-        for flavor in FLAVORS
-    }
-    matrix_bytes = len(matrices) * len(members) * n * 8
-    estimate = n * _NODE_COST + max_file * _DECODE_EXPANSION + matrix_bytes
-    peak = max(peak, estimate)
-    _budget_check(estimate, working_set_bytes, "measure")
+        # pass 2: scatter each member's record into its matrix rows
+        with span("hpcprof.reduce.measure"):
+            nodes = list(union.walk())
+            n = len(nodes)
+            mids = [d.mid for d in metrics if d.kind is MetricKind.RAW]
+            matrices = {
+                key: np.zeros((len(members), n)) for key in records.columns
+            }
+            matrix_bytes = len(matrices) * len(members) * n * 8
+            estimate = n * _NODE_COST + matrix_bytes + records.max_bytes
+            peak = max(peak, estimate)
+            _budget_check(estimate, working_set_bytes, "measure")
 
-    for i, source in enumerate(members):
-        exp, release, _ = _load_member(source, strict=strict)
-        try:
-            mapping = map_structure(canonical, exp.structure)
-
-            def sink(cnode, rnode, i=i):
-                row = rows[cnode.uid]
-                for mid in mids:
-                    for flavor in FLAVORS:
-                        value = getattr(rnode, flavor).get(mid, 0.0)
-                        if value != 0.0:
-                            matrices[(mid, flavor)][i, row] += value
-
-            _walk_aligned_mapped(union.root, exp.cct.root, mapping, sink)
-        finally:
-            if release is not None:
-                release()
+            records.index(nodes)
+            for i in range(len(members)):
+                records.scatter(
+                    i, [matrices[key][i] for key in records.columns]
+                )
+    finally:
+        if records is not None:
+            records.close()
 
     union_exp = Experiment(name, metrics, canonical, union)
     report = AlignmentReport(

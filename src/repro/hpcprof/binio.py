@@ -440,12 +440,14 @@ def read_cct(
     by_id: list[StructureNode],
     *,
     errors: list[str] | None = None,
-) -> tuple[CCT, list[tuple[CCTNode, list[tuple[int, int, float]]]]]:
+) -> tuple[CCT, list[tuple[CCTNode, list[tuple[int, int, float]]]], int]:
     """Read the preorder CCT stream iteratively.
 
-    Returns the tree plus the stored summary overlays ``(node, [(flavor,
-    mid, value), ...])``; the caller re-applies them after attribution so
-    stored summary columns survive the Eq. 1/2 recomputation.  *errors*
+    Returns the tree, the stored summary overlays ``(node, [(flavor,
+    mid, value), ...])`` — the caller re-applies them after attribution
+    so stored summary columns survive the Eq. 1/2 recomputation — and
+    the number of nodes parsed, so callers need not walk the tree to
+    count it.  *errors*
     enables salvage mode exactly as in :func:`read_structure`: records
     are parsed completely before the node is attached, and the first
     malformed record ends the recovered prefix.
@@ -486,8 +488,10 @@ def read_cct(
         return node, nchildren
 
     stack: list[list] = []
+    count = 0
     try:
         root, nchildren = read_one(None)
+        count = 1
         stack.append([root, nchildren])
         while stack:
             top = stack[-1]
@@ -496,12 +500,13 @@ def read_cct(
                 continue
             top[1] -= 1
             child, n = read_one(top[0])
+            count += 1
             stack.append([child, n])
     except (DatabaseError, *MALFORMED_EXCEPTIONS) as exc:
         if errors is None:
             raise
         errors.append(f"cct: {exc!r}")
-    return cct, stored
+    return cct, stored, count
 
 
 def apply_summaries(
@@ -520,7 +525,9 @@ def apply_summaries(
 # --------------------------------------------------------------------- #
 # reading
 # --------------------------------------------------------------------- #
-def loads_binary(data: bytes, verify_checksums: bool = True) -> Experiment:
+def loads_binary(
+    data: bytes, verify_checksums: bool = True, exact: bool = False
+) -> Experiment:
     """Deserialize, converting any malformed-input failure to DatabaseError.
 
     Fuzzing showed single-byte corruption can surface as IndexError (bad
@@ -531,9 +538,15 @@ def loads_binary(data: bytes, verify_checksums: bool = True) -> Experiment:
 
     *verify_checksums* (v2 only) can be switched off to measure the CRC
     cost in isolation — production callers always leave it on.
+
+    *exact* also refuses bytes past the end of the database: a v2 stream
+    must end with a zero-length END frame at ``len(data)``, and a v1
+    decode must consume every byte.  This is the corpus admission rule —
+    exactly the streams a salvage load reports clean.
     """
     try:
-        return _loads_binary(data, verify_checksums=verify_checksums)
+        return _loads_binary(data, verify_checksums=verify_checksums,
+                             exact=exact)
     except DatabaseError:
         raise
     except MALFORMED_EXCEPTIONS as exc:
@@ -583,7 +596,7 @@ def _decode_v1(reader: _Reader) -> Experiment:
     strings = read_strings(reader)
     metrics = read_metrics(reader, strings)
     model, by_id = read_structure(reader, strings)
-    cct, stored = read_cct(reader, by_id)
+    cct, stored, _count = read_cct(reader, by_id)
     return _finish_experiment(name, metrics, model, cct, stored)
 
 
@@ -607,10 +620,10 @@ def _decode_v2(sections) -> Experiment:
         )
     cct_reader = sections[SEC_CCT]
     (declared_cct,) = cct_reader.unpack("<I")
-    cct, stored = read_cct(cct_reader, by_id)
-    if len(cct) != declared_cct:
+    cct, stored, count = read_cct(cct_reader, by_id)
+    if count != declared_cct:
         raise DatabaseError(
-            f"CCT section declares {declared_cct} nodes, parsed {len(cct)}"
+            f"CCT section declares {declared_cct} nodes, parsed {count}"
         )
     return _finish_experiment(name, metrics, model, cct, stored)
 
@@ -622,15 +635,25 @@ def _finish_experiment(name, metrics, model, cct, stored) -> Experiment:
     return Experiment(name, metrics, model, cct)
 
 
-def _loads_binary(data: bytes, verify_checksums: bool = True) -> Experiment:
+def _loads_binary(
+    data: bytes, verify_checksums: bool = True, exact: bool = False
+) -> Experiment:
     version = read_header(data)
     if version == _V1:
-        return _decode_v1(_Reader(data, pos=6))
-    return _decode_v2(_read_v2_sections(data, verify_checksums))
+        reader = _Reader(data, pos=6)
+        exp = _decode_v1(reader)
+        if exact and reader.remaining:
+            raise DatabaseError(
+                f"{reader.remaining} trailing bytes after the database"
+            )
+        return exp
+    return _decode_v2(_read_v2_sections(data, verify_checksums, exact))
 
 
 def _check_metric_refs(cct: CCT, stored, metrics: MetricTable) -> None:
-    """Every metric id the tree references must exist in the table."""
+    """Every metric id the tree references must exist in the table, and
+    stored summary overlays may only target SUMMARY metrics — an overlay
+    on any other metric would overwrite an attributed value."""
     nmetrics = len(metrics)
     for node in cct.walk():
         for mid in node.raw:
@@ -640,14 +663,29 @@ def _check_metric_refs(cct: CCT, stored, metrics: MetricTable) -> None:
         for _flavor, mid, _value in summaries:
             if not 0 <= mid < nmetrics:
                 raise DatabaseError(f"CCT references unknown metric id {mid}")
+            if metrics.by_id(mid).kind is not MetricKind.SUMMARY:
+                raise DatabaseError(
+                    f"CCT stores a summary overlay on non-summary metric "
+                    f"id {mid}"
+                )
 
 
-def _read_v2_sections(data: bytes, verify_checksums: bool) -> dict[int, _Reader]:
-    """Slice a framed stream into per-section readers, verifying CRCs."""
+def _read_v2_sections(
+    data: bytes, verify_checksums: bool, exact: bool = False
+) -> dict[int, _Reader]:
+    """Slice a framed stream into per-section readers, verifying CRCs.
+
+    With *exact*, the END frame must be empty and end the data.
+    """
     sections: dict[int, _Reader] = {}
     saw_end = False
     for section_id, _header_at, payload_at, end in section_frames(data):
         if section_id == SEC_END:
+            if exact and (end != payload_at or end != len(data)):
+                raise DatabaseError(
+                    f"database does not end at its END frame "
+                    f"({len(data) - payload_at} bytes after the frame header)"
+                )
             saw_end = True
             break
         if section_id in sections or section_id not in SECTION_NAMES:

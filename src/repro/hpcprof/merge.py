@@ -15,7 +15,9 @@ experiment analyses from the paper:
 
 from __future__ import annotations
 
+import operator
 import os
+import tempfile
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -272,19 +274,29 @@ def remap_cct(cct: CCT, mapping: dict[int, StructureNode]) -> CCT:
 
 
 def _graft_mapped(
-    dst: CCTNode, src: CCTNode, mapping: dict[int, StructureNode]
-) -> None:
+    dst: CCTNode,
+    src: CCTNode,
+    mapping: dict[int, StructureNode],
+    sink=None,
+) -> int:
     """:func:`_graft`, but matching scopes through a structure mapping.
 
     Node creation happens in child order (the descent stack order does
     not affect attachment order), and raw sums accumulate in the same
     traversal order as ``merge_ccts`` over remapped trees — the property
     that makes the streaming merge bit-identical to the in-memory one.
+
+    *sink*, when given, is called as ``sink(union_node, member_node)``
+    for every member node in visit order (a preorder walk of the member
+    tree).  Returns the number of union nodes created.
     """
+    created = 0
     stack = [(dst, src)]
     while stack:
         dnode, snode = stack.pop()
         add_into(dnode.raw, snode.raw)
+        if sink is not None:
+            sink(dnode, snode)
         for child in snode.children:
             struct = (
                 mapping[child.struct.uid] if child.struct is not None else None
@@ -299,32 +311,107 @@ def _graft_mapped(
                 mine = CCTNode(
                     child.kind, struct=struct, line=child.line, parent=dnode
                 )
+                created += 1
             stack.append((mine, child))
+    return created
 
 
-def _walk_aligned_mapped(
-    combined: CCTNode,
-    rank_root: CCTNode,
-    mapping: dict[int, StructureNode],
-    sink,
-) -> None:
-    """:func:`_walk_aligned` across models, aligning by mapped keys."""
-    stack = [(combined, rank_root)]
-    while stack:
-        cnode, rnode = stack.pop()
-        sink(cnode, rnode)
-        for child in rnode.children:
-            struct = (
-                mapping[child.struct.uid] if child.struct is not None else None
-            )
-            key = (
-                child.kind.value,
-                struct.uid if struct is not None else 0,
-                child.line,
-            )
-            mine = cnode._child_index.get(key)
-            if mine is not None:
-                stack.append((mine, child))
+class _GraftRecords:
+    """Member values captured during the graft pass, for the measure pass.
+
+    The graft visits every member node next to the union node it lands
+    on.  Recording the union node's uid and the member node's values per
+    column ``(mid, flavor)`` there means the measure pass never decodes
+    a member again: it reads the record back and scatters it into the
+    member's matrix row.  The visit order is the order a second aligned
+    walk would see, and :func:`numpy.add.at` applies additions
+    unbuffered in index order, so every cell receives the same float
+    additions in the same order as a per-node ``+=`` walk.
+
+    Records live in preallocated int64/float64 arrays (reused across
+    members, grown only for a member larger than any before it) and are
+    appended, one member after another, to a single anonymous temporary
+    file: a thousand-rank merge's records add up to its rank matrices,
+    so they stay on disk like the matrices do.  The file needs no fsync
+    and vanishes on :meth:`close` or on a crash.
+    """
+
+    def __init__(self, mids: Sequence[int], flavors: Sequence[str]) -> None:
+        self.columns = [(mid, flavor) for mid in mids for flavor in flavors]
+        self._getters = [
+            (operator.attrgetter(flavor), mid)
+            for mid, flavor in self.columns
+        ]
+        self.width = len(self.columns)
+        self._file = tempfile.TemporaryFile()
+        self._extents: list[tuple[int, int]] = []  # (offset, nodes)
+        self._uids = np.empty(0, dtype=np.int64)
+        self._values = np.empty(0)
+        self._k = 0
+        #: bytes of the largest member record so far
+        self.max_bytes = 0
+        self._sorted_uids: np.ndarray | None = None
+        self._order: np.ndarray | None = None
+
+    def _grow(self) -> None:
+        cap = max(64, 2 * len(self._uids))
+        uids = np.empty(cap, dtype=np.int64)
+        values = np.empty(cap * self.width)
+        uids[: self._k] = self._uids[: self._k]
+        values[: self._k * self.width] = self._values[: self._k * self.width]
+        self._uids, self._values = uids, values
+
+    def __call__(self, unode: CCTNode, mnode: CCTNode) -> None:
+        """The :func:`_graft_mapped` sink: record one member node."""
+        k = self._k
+        if k == len(self._uids):
+            self._grow()
+        self._uids[k] = unode.uid
+        at = k * self.width
+        values = self._values
+        for get, mid in self._getters:
+            values[at] = get(mnode).get(mid, 0.0)
+            at += 1
+        self._k = k + 1
+
+    def commit(self) -> None:
+        """Spill the record of the member just grafted."""
+        k = self._k
+        self._extents.append((self._file.tell(), k))
+        self._file.write(memoryview(self._uids[:k]))
+        self._file.write(memoryview(self._values[: k * self.width]))
+        self._k = 0
+        self.max_bytes = max(self.max_bytes, k * (8 + 8 * self.width))
+
+    def index(self, nodes: Sequence[CCTNode]) -> None:
+        """Map union uids to rows of *nodes* (the matrix row order)."""
+        uids = np.fromiter(
+            (node.uid for node in nodes), dtype=np.int64, count=len(nodes)
+        )
+        self._order = np.argsort(uids)
+        self._sorted_uids = uids[self._order]
+
+    def scatter(self, member: int, outs: Sequence[np.ndarray]) -> None:
+        """Add *member*'s recorded values into *outs*, one row per column.
+
+        ``outs[j]`` is the float64 row (length = union nodes) receiving
+        column ``self.columns[j]``; zero values are skipped, exactly as
+        the sparse per-node walk skipped them.
+        """
+        offset, k = self._extents[member]
+        uids = np.empty(k, dtype=np.int64)
+        values = np.empty((k, self.width))
+        self._file.seek(offset)
+        self._file.readinto(memoryview(uids).cast("B"))
+        self._file.readinto(memoryview(values).cast("B"))
+        rows = self._order[np.searchsorted(self._sorted_uids, uids)]
+        for j, out in enumerate(outs):
+            column = values[:, j]
+            nonzero = column != 0.0
+            np.add.at(out, rows[nonzero], column[nonzero])
+
+    def close(self) -> None:
+        self._file.close()
 
 
 def _metric_signature(metrics: MetricTable) -> tuple:
@@ -476,24 +563,28 @@ def merge_rank_files(
 ) -> MergeReport:
     """Fold N single-rank databases into one mmap-backed column store.
 
-    Two streaming passes, neither of which ever holds more than one
-    decoded rank plus the combined skeleton and O(scopes x metrics)
-    accumulators (checked against *working_set_bytes*):
+    Each database is decoded exactly once.  Two passes, neither of which
+    ever holds more than one decoded rank (or one rank's record) plus
+    the combined skeleton and O(scopes x metrics) accumulators (checked
+    against *working_set_bytes*):
 
     1. **graft** — each database is loaded (streaming reader), its
        structure united into the canonical model, and its CCT grafted
-       into the combined tree in rank order; then one Eq. 1/2
-       attribution pass over the union.
-    2. **measure** — each database is re-streamed; its per-scope values
-       become one contiguous row of the on-disk ``(nranks x nnodes)``
-       rank matrices, and the summary accumulators advance by the exact
+       into the combined tree in rank order, recording each rank node's
+       inclusive/exclusive values beside the union node it landed on
+       (spilled to a temporary file); then one Eq. 1/2 attribution pass
+       over the union.
+    2. **measure** — each rank's record is read back and scattered into
+       one contiguous row of the on-disk ``(nranks x nnodes)`` rank
+       matrices, and the summary accumulators advance by the exact
        Welford recurrence.
 
     The result is bit-identical to ``merge_experiments(...,
     summarize=...)`` over the same files — the differential suite pins
     raw sums, attribution, summary columns, and rendered tables.
     """
-    from repro.core.store import StoreWriter, open_store
+    from repro.core.store import StoreWriter, store_size_bytes
+    from repro.obs.spans import span
 
     paths = list(paths)
     if not paths:
@@ -504,105 +595,115 @@ def merge_rank_files(
     canonical: StructureModel | None = None
     metrics: MetricTable | None = None
     signature: tuple | None = None
+    records: _GraftRecords | None = None
+    flavors = ("inclusive", "exclusive")
     merged_name = name
+    union_nodes = 1
     max_file = 0
     peak = 0
 
-    # pass 1: graft every rank tree into the combined skeleton
-    for path in paths:
-        exp = _load_rank(path, strict=strict)
-        if exp.rank_ccts:
-            raise DatabaseError(
-                f"{path}: merge inputs must be single-rank databases "
-                f"(this one holds {len(exp.rank_ccts)} rank trees)"
+    try:
+        # pass 1: graft every rank tree into the combined skeleton,
+        # recording each rank's values on the way
+        with span("hpcprof.reduce.graft"):
+            for path in paths:
+                exp = _load_rank(path, strict=strict)
+                if exp.rank_ccts:
+                    raise DatabaseError(
+                        f"{path}: merge inputs must be single-rank databases "
+                        f"(this one holds {len(exp.rank_ccts)} rank trees)"
+                    )
+                if metrics is None:
+                    metrics = exp.metrics
+                    signature = _metric_signature(metrics)
+                    canonical = exp.structure
+                    if merged_name is None:
+                        merged_name = exp.name
+                    records = _GraftRecords(
+                        [d.mid for d in metrics if d.kind is MetricKind.RAW],
+                        flavors,
+                    )
+                elif _metric_signature(exp.metrics) != signature:
+                    raise DatabaseError(
+                        f"{path}: metric table differs from {paths[0]}"
+                    )
+                mapping = map_structure(canonical, exp.structure)
+                union_nodes += _graft_mapped(
+                    combined.root, exp.cct.root, mapping, records
+                )
+                records.commit()
+                del exp
+                max_file = max(max_file, os.path.getsize(path))
+                estimate = (
+                    union_nodes * _NODE_COST
+                    + max_file * _DECODE_EXPANSION
+                    + records.max_bytes
+                )
+                peak = max(peak, estimate)
+                _budget_check(estimate, working_set_bytes, "graft")
+            attribute(combined)
+
+        # pass 2: scatter the records into matrices + exact Welford
+        # summaries
+        with span("hpcprof.reduce.measure"):
+            nodes = list(combined.walk())
+            n = len(nodes)
+            nranks = len(paths)
+            mids = [d.mid for d in metrics if d.kind is MetricKind.RAW]
+            summary_mids = _summary_mids(
+                metrics, summarize
+            ) if summarize else []
+
+            maps = {
+                key: writer.create_rank_matrix(*key, nranks, n)
+                for key in records.columns
+            }
+            cols = {key: np.zeros(n) for key in maps}
+            acc = {
+                (mid, flavor): [
+                    np.zeros(n),                    # mean
+                    np.zeros(n),                    # m2
+                    np.full(n, np.inf),             # min
+                    np.full(n, -np.inf),            # max
+                    np.zeros(n, dtype=bool),        # nonzero mask
+                ]
+                for mid in summary_mids
+                for flavor in flavors
+            }
+            accumulator_bytes = (len(maps) + 5 * len(acc)) * n * 8
+            estimate = (
+                n * _NODE_COST + accumulator_bytes + records.max_bytes
             )
-        if metrics is None:
-            metrics = exp.metrics
-            signature = _metric_signature(metrics)
-            canonical = exp.structure
-            if merged_name is None:
-                merged_name = exp.name
-        elif _metric_signature(exp.metrics) != signature:
-            raise DatabaseError(
-                f"{path}: metric table differs from {paths[0]}"
-            )
-        mapping = map_structure(canonical, exp.structure)
-        _graft_mapped(combined.root, exp.cct.root, mapping)
-        max_file = max(max_file, os.path.getsize(path))
-        estimate = len(combined) * _NODE_COST + max_file * _DECODE_EXPANSION
-        peak = max(peak, estimate)
-        _budget_check(estimate, working_set_bytes, "graft")
-    attribute(combined)
+            peak = max(peak, estimate)
+            _budget_check(estimate, working_set_bytes, "measure")
 
-    # pass 2: stream ranks again for matrices + exact Welford summaries
-    nodes = list(combined.walk())
-    index = {node.uid: row for row, node in enumerate(nodes)}
-    n = len(nodes)
-    nranks = len(paths)
-    mids = [d.mid for d in metrics if d.kind is MetricKind.RAW]
-    summary_mids = _summary_mids(
-        metrics, summarize
-    ) if summarize else []
-    flavors = ("inclusive", "exclusive")
+            records.index(nodes)
+            outs = [cols[key] for key in records.columns]
+            for r in range(nranks):
+                for buf in outs:
+                    buf[:] = 0.0
+                records.scatter(r, outs)
+                for key, mm in maps.items():
+                    x = cols[key]
+                    mm[r, :] = x
+                    stats = acc.get(key)
+                    if stats is not None:
+                        mean, m2, minimum, maximum, nonzero = stats
+                        # element-wise identical to _welford_chunk's
+                        # column step
+                        delta = x - mean
+                        mean += delta / (r + 1)
+                        m2 += delta * (x - mean)
+                        np.minimum(minimum, x, out=minimum)
+                        np.maximum(maximum, x, out=maximum)
+                        nonzero |= x != 0.0
 
-    maps = {
-        (mid, flavor): writer.create_rank_matrix(mid, flavor, nranks, n)
-        for mid in mids
-        for flavor in flavors
-    }
-    cols = {key: np.zeros(n) for key in maps}
-    acc = {
-        (mid, flavor): [
-            np.zeros(n),                    # mean
-            np.zeros(n),                    # m2
-            np.full(n, np.inf),             # min
-            np.full(n, -np.inf),            # max
-            np.zeros(n, dtype=bool),        # nonzero mask
-        ]
-        for mid in summary_mids
-        for flavor in flavors
-    }
-    accumulator_bytes = (len(maps) + 5 * len(acc)) * n * 8
-    estimate = (
-        n * _NODE_COST + max_file * _DECODE_EXPANSION + accumulator_bytes
-    )
-    peak = max(peak, estimate)
-    _budget_check(estimate, working_set_bytes, "measure")
-
-    for r, path in enumerate(paths):
-        exp = _load_rank(path, strict=strict)
-        mapping = map_structure(canonical, exp.structure)
-        for buf in cols.values():
-            buf[:] = 0.0
-
-        def sink(cnode, rnode):
-            row = index[cnode.uid]
-            for mid in mids:
-                value = rnode.inclusive.get(mid, 0.0)
-                if value != 0.0:
-                    cols[(mid, "inclusive")][row] += value
-                value = rnode.exclusive.get(mid, 0.0)
-                if value != 0.0:
-                    cols[(mid, "exclusive")][row] += value
-
-        _walk_aligned_mapped(combined.root, exp.cct.root, mapping, sink)
-        for key, mm in maps.items():
-            x = cols[key]
-            mm[r, :] = x
-            stats = acc.get(key)
-            if stats is not None:
-                mean, m2, minimum, maximum, nonzero = stats
-                # element-wise identical to _welford_chunk's column step
-                delta = x - mean
-                mean += delta / (r + 1)
-                m2 += delta * (x - mean)
-                np.minimum(minimum, x, out=minimum)
-                np.maximum(maximum, x, out=maximum)
-                nonzero |= x != 0.0
-
-    for mm in maps.values():
-        mm.flush()
-    maps.clear()
+            for mm in maps.values():
+                mm.flush()
+            maps.clear()
+    finally:
+        if records is not None:
+            records.close()
 
     # finalize: register + write summary columns, then seal the store
     from repro.hpcprof.experiment import Experiment
@@ -640,7 +741,6 @@ def merge_rank_files(
             "peak_estimate_bytes": peak,
         },
     )
-    store_bytes = open_store(out_path).store.size_bytes()
     return MergeReport(
         out_path=out_path,
         nranks=nranks,
@@ -650,5 +750,5 @@ def merge_rank_files(
         working_set_bytes=working_set_bytes,
         peak_estimate_bytes=peak,
         skeleton_bytes=skeleton_bytes,
-        store_bytes=store_bytes,
+        store_bytes=store_size_bytes(out_path),
     )

@@ -246,13 +246,14 @@ def salvage_loads(data: bytes, origin: str = "<bytes>") -> Experiment:
 
 
 def probe_bytes(data: bytes, origin: str = "<bytes>") -> LoadReport:
-    """Admission check: what would a salvage load of *data* recover?
+    """What would a salvage load of *data* recover?
 
     Runs the full salvage pipeline and returns only its
     :class:`LoadReport` — ``report.clean`` is True iff a strict load
-    would accept *data* byte-for-byte.  The corpus ingestion path uses
-    this as its upload gatekeeper: clean payloads are stored verbatim,
-    dirty ones are refused or (opt-in) re-serialized from the salvage.
+    would accept *data* byte-for-byte, ending exactly at its last frame
+    (``binio.loads_binary(data, exact=True)``).  Corpus admission runs
+    that strict decode itself and consults the salvage report only for
+    payloads it refuses (the refusal message, or the opt-in salvage).
     Raises :class:`DatabaseError` only for data that is not a binary
     experiment database at all.
     """
@@ -379,7 +380,8 @@ def _salvage_v1(data: bytes, report: LoadReport) -> Experiment:
             raise DatabaseError(stage_errors[0])
         stage = "cct"
         stage_errors = []
-        cct, stored = binio.read_cct(reader, by_id, errors=stage_errors)
+        cct, stored, _count = binio.read_cct(reader, by_id,
+                                             errors=stage_errors)
         if stage_errors:
             report.errors.extend(stage_errors)
             report.sections_truncated.append("cct")
@@ -458,6 +460,10 @@ def _salvage_v2(data: bytes, report: LoadReport) -> Experiment:
     cct = CCT()
     stored: list = []
     declared_cct: int | None = None
+    # a declared node count the parse disagrees with: the section's
+    # records are all there (so it is not truncated), but a strict load
+    # refuses the stream, so the report must not call it clean
+    count_errors: list[str] = []
 
     for sid in _SECTION_ORDER:
         label = SECTION_NAMES[sid]
@@ -488,7 +494,7 @@ def _salvage_v2(data: bytes, report: LoadReport) -> Experiment:
             report.metrics_recovered = len(metrics)
         elif sid == SEC_STRUCTURE:
             try:
-                (_declared,) = reader.unpack("<I")
+                (declared,) = reader.unpack("<I")
             except DatabaseError as exc:
                 report.errors.append(f"structure: {exc!r}")
             else:
@@ -496,6 +502,11 @@ def _salvage_v2(data: bytes, report: LoadReport) -> Experiment:
                 model, by_id = binio.read_structure(reader, strings,
                                                     errors=stage_errors)
                 report.errors.extend(stage_errors)
+                if not stage_errors and len(by_id) != declared:
+                    count_errors.append(
+                        f"structure: section declares {declared} nodes, "
+                        f"parsed {len(by_id)}"
+                    )
             report.structure_nodes_recovered = len(by_id)
         elif sid == SEC_CCT:
             try:
@@ -504,9 +515,14 @@ def _salvage_v2(data: bytes, report: LoadReport) -> Experiment:
                 report.errors.append(f"cct: {exc!r}")
             else:
                 stage_errors = []
-                cct, stored = binio.read_cct(reader, by_id,
-                                             errors=stage_errors)
+                cct, stored, count = binio.read_cct(reader, by_id,
+                                                    errors=stage_errors)
                 report.errors.extend(stage_errors)
+                if not stage_errors and count != declared_cct:
+                    count_errors.append(
+                        f"cct: section declares {declared_cct} nodes, "
+                        f"parsed {count}"
+                    )
         salvaged_fully = len(report.errors) == before and not truncated
         if salvaged_fully:
             recovered_bytes += _FRAME_HEADER.size + len(payload)
@@ -514,6 +530,7 @@ def _salvage_v2(data: bytes, report: LoadReport) -> Experiment:
             report.sections_truncated.append(label)
             recovered_bytes += _FRAME_HEADER.size + reader.pos
 
+    report.errors.extend(count_errors)
     report.nodes_declared = declared_cct
     report.nodes_recovered = len(cct)
     report.bytes_recovered = max(report.bytes_recovered, recovered_bytes)

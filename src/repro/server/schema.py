@@ -552,10 +552,11 @@ class CorpusUploadRequest(_Request):
 
     The payload comes from exactly one of ``data`` (a base64-encoded
     ``.rpdb``) or ``path`` (a server-side database file or ``.rpstore``
-    directory).  Uploads are validated through the salvage loader
-    before anything is journaled: a corrupt payload is refused unless
-    ``salvage`` is set, in which case the recovered prefix is
-    re-serialized and stored clean.
+    directory).  Uploads are validated by one strict decode before
+    anything is journaled: a payload a strict load refuses (or one with
+    bytes past its end) is refused unless ``salvage`` is set, in which
+    case the salvage loader's recovered prefix is re-serialized and
+    stored clean.
     """
 
     name: str | None
@@ -1135,7 +1136,7 @@ ENDPOINTS: tuple[EndpointDef, ...] = (
         Operation("POST", "_ep_corpus_upload",
                   "ingest one profile (base64 .rpdb payload or a "
                   "server-side file/store path): staged, validated by "
-                  "the salvage loader, fsynced, journaled — crash-safe "
+                  "a strict decode, fsynced, journaled — crash-safe "
                   "at every instruction boundary",
                   request=CorpusUploadRequest, response=ProfileIngested,
                   status=201,

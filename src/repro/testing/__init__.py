@@ -15,6 +15,7 @@ from repro.testing.faults import (
     flaky,
     frame_boundaries,
     patched,
+    replace_section,
     slow_call,
     truncate,
 )
@@ -29,6 +30,7 @@ __all__ = [
     "flaky",
     "frame_boundaries",
     "patched",
+    "replace_section",
     "slow_call",
     "truncate",
 ]

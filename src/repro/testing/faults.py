@@ -16,6 +16,8 @@ The injectors are deliberately tiny and stdlib-only:
   corruption of a serialized database;
 * :func:`frame_boundaries` — the v2 section-frame offsets of a database,
   for exhaustive boundary truncation;
+* :func:`replace_section` — swap one v2 section's payload, re-framed
+  with a valid CRC, for crafted corruption the checksums cannot see;
 * :func:`patched` — a context-managed attribute swap (monkeypatching
   without pytest, usable inside helper processes and Hypothesis bodies);
 * :func:`failing` / :func:`flaky` — callables that raise (always, or the
@@ -37,6 +39,7 @@ from __future__ import annotations
 import os
 import random
 import signal
+import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -60,6 +63,7 @@ __all__ = [
     "frame_boundaries",
     "patched",
     "register_crash_points",
+    "replace_section",
     "slow_call",
     "truncate",
 ]
@@ -103,6 +107,22 @@ def frame_boundaries(data: bytes) -> list[int]:
     for _sid, header, payload, end in binio.section_frames(data):
         offsets.update((header, payload, end))
     return sorted(o for o in offsets if 0 <= o <= len(data))
+
+
+def replace_section(data: bytes, section_id: int, payload: bytes) -> bytes:
+    """*data* with one v2 section's payload swapped for *payload*.
+
+    The frame gets the new length and a matching CRC, so the result is
+    a well-framed stream whose corruption only a semantic check can
+    catch — the crafted inputs that probe what the strict loader and
+    the salvage report agree on.
+    """
+    out = bytearray(data[:6])
+    for sid, header, payload_at, end in binio.section_frames(data):
+        body = payload if sid == section_id else data[payload_at:end]
+        out += binio._FRAME_HEADER.pack(sid, len(body), zlib.crc32(body))
+        out += body
+    return bytes(out)
 
 
 # --------------------------------------------------------------------- #

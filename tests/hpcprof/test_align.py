@@ -120,3 +120,33 @@ def test_members_are_not_mutated():
     align_members([a, b])
     assert [(n.kind, n.line, dict(n.raw)) for n in a.cct.walk()] == before
     assert len(a.metrics) == metrics_before
+
+
+def test_each_path_member_decoded_once(tmp_path, monkeypatch):
+    """One decode per ``.rpdb`` member and one store open (one skeleton
+    decode) per ``.rpstore`` member; in-memory members decode nothing."""
+    from repro.core import store
+    from repro.hpcprof import binio
+    from repro.hpcprof.merge import merge_rank_files
+    from repro.sim.scale import generate_rank_files
+
+    paths = generate_rank_files(str(tmp_path / "ranks"), 3,
+                                fanout=2, depth=2)
+    store_path = str(tmp_path / "m.rpstore")
+    merge_rank_files(paths, store_path)
+    in_memory = database.load(paths[0])
+
+    opened, stores, decodes = [], [], []
+    real_open, real_decode = binio.read_binary_streaming, binio._decode_v2
+    real_store = store.open_store
+    monkeypatch.setattr(binio, "read_binary_streaming",
+                        lambda path: opened.append(path) or real_open(path))
+    monkeypatch.setattr(binio, "_decode_v2",
+                        lambda s: decodes.append(1) or real_decode(s))
+    monkeypatch.setattr(store, "open_store",
+                        lambda path: stores.append(path) or real_store(path))
+    alignment = align_members(paths + [store_path, in_memory])
+    assert alignment.n_members == 5
+    assert opened == paths + [store.ColumnStore(store_path).skeleton_path]
+    assert stores == [store_path]
+    assert len(decodes) == len(paths) + 1

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import struct
+
 import pytest
 
 from repro.core.errors import DatabaseError
 from repro.core.metrics import MetricKind
-from repro.hpcprof import binio, database, xmlio
+from repro.hpcprof import binio, database, recovery, xmlio
 from repro.hpcprof.experiment import Experiment
 from repro.sim.workloads import fig1
+from repro.testing import replace_section
 from tests.hpcprof.test_merge import make_rank_program
 
 
@@ -139,3 +142,69 @@ class TestDispatch:
             xmlio.loads_xml(b"<CallPathExperiment><oops></CallPathExperiment>")
         with pytest.raises(DatabaseError):
             xmlio.loads_xml(b"<SomethingElse/>")
+
+
+# --------------------------------------------------------------------- #
+# crafted, CRC-valid payloads the strict loader must refuse
+# --------------------------------------------------------------------- #
+def overlay_on_raw_metric(blob: bytes, value: float = 12345.0) -> bytes:
+    """*blob* whose CCT root carries a stored summary overlay
+    ``(inclusive, mid 0, value)`` on metric 0, re-framed CRC-valid."""
+    frames = {sid: (at, end) for sid, _h, at, end in binio.section_frames(blob)}
+    at, end = frames[binio.SEC_CCT]
+    payload = blob[at:end]
+    head = struct.Struct("<BIIHH")
+    pos = 4  # past the declared node count
+    kind, sid, line, nraw, nsummary = head.unpack_from(payload, pos)
+    raw_end = pos + head.size + nraw * struct.calcsize("<Id")
+    crafted = (
+        payload[:pos]
+        + head.pack(kind, sid, line, nraw, nsummary + 1)
+        + payload[pos + head.size:raw_end]
+        + struct.pack("<BId", 0, 0, value)
+        + payload[raw_end:]
+    )
+    return replace_section(blob, binio.SEC_CCT, crafted)
+
+
+def structure_count_overstated(blob: bytes, extra: int = 3) -> bytes:
+    """*blob* whose structure section declares *extra* more nodes than
+    it holds, re-framed CRC-valid."""
+    frames = {sid: (at, end) for sid, _h, at, end in binio.section_frames(blob)}
+    at, end = frames[binio.SEC_STRUCTURE]
+    (declared,) = struct.unpack_from("<I", blob, at)
+    crafted = struct.pack("<I", declared + extra) + blob[at + 4:end]
+    return replace_section(blob, binio.SEC_STRUCTURE, crafted)
+
+
+class TestCraftedPayloads:
+    def test_summary_overlay_on_raw_metric_is_refused(self):
+        exp = Experiment.from_program(fig1.build())
+        assert exp.metrics.by_id(0).kind is MetricKind.RAW
+        assert exp.cct.root.inclusive[0] == 10.0
+        crafted = overlay_on_raw_metric(binio.dumps_binary(exp))
+        with pytest.raises(DatabaseError, match="non-summary metric"):
+            binio.loads_binary(crafted)
+        # salvage drops the same overlay, so the stream is not clean
+        salvaged = recovery.salvage_loads(crafted)
+        assert not salvaged.load_report.clean
+        assert salvaged.load_report.values_dropped == 1
+        assert salvaged.cct.root.inclusive[0] == 10.0
+
+    def test_structure_count_mismatch_is_unclean(self):
+        blob = binio.dumps_binary(Experiment.from_program(fig1.build()))
+        crafted = structure_count_overstated(blob)
+        with pytest.raises(DatabaseError, match="structure section declares"):
+            binio.loads_binary(crafted)
+        report = recovery.probe_bytes(crafted)
+        assert not report.clean
+        assert any("declares" in err for err in report.errors)
+
+    def test_exact_end_refuses_trailing_bytes(self):
+        exp = Experiment.from_program(fig1.build())
+        for version in (1, 2):
+            blob = binio.dumps_binary(exp, version=version)
+            binio.loads_binary(blob, exact=True)
+            binio.loads_binary(blob + b"\0")  # lenient by default
+            with pytest.raises(DatabaseError, match="trailing|END frame"):
+                binio.loads_binary(blob + b"\0", exact=True)

@@ -84,6 +84,37 @@ class TestMergeRankFiles:
             merge_rank_files(rank_paths, str(tmp_path / "m.rpstore"),
                              working_set_bytes=1024)
 
+    def test_each_rank_file_decoded_once(self, rank_paths, tmp_path,
+                                         monkeypatch):
+        from repro.hpcprof import binio
+
+        opened, decodes = [], []
+        real_open, real_decode = binio.read_binary_streaming, binio._decode_v2
+        monkeypatch.setattr(binio, "read_binary_streaming",
+                            lambda path: opened.append(path) or real_open(path))
+        monkeypatch.setattr(binio, "_decode_v2",
+                            lambda s: decodes.append(1) or real_decode(s))
+        merge_rank_files(rank_paths, str(tmp_path / "m.rpstore"))
+        assert opened == rank_paths
+        assert len(decodes) == len(rank_paths)
+
+    def test_store_bytes_without_reopening(self, rank_paths, tmp_path,
+                                           monkeypatch):
+        from repro.core import store
+
+        def refuse(path):
+            raise AssertionError("merge_rank_files re-opened its output")
+
+        monkeypatch.setattr(store, "open_store", refuse)
+        out = str(tmp_path / "m.rpstore")
+        report = merge_rank_files(rank_paths, out)
+        walked = sum(
+            os.path.getsize(os.path.join(base, name))
+            for base, _dirs, files in os.walk(out)
+            for name in files
+        )
+        assert report.store_bytes == walked
+
     def test_multi_rank_input_rejected(self, tmp_path, monkeypatch):
         # serialization never writes rank trees, so the guard can only
         # trip on an in-process loader handing back a multi-rank
