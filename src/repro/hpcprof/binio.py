@@ -70,6 +70,7 @@ __all__ = [
     "read_binary_streaming",
     "dumps_binary",
     "loads_binary",
+    "loads_basis",
     "StreamingDatabase",
     "FORMAT_VERSION",
     "section_frames",
@@ -608,6 +609,19 @@ def _decode_v2(sections) -> Experiment:
     with a ``__getitem__`` yielding positioned readers.
     """
     name = sections[SEC_NAME].read_str()
+    strings, metrics, model, by_id = _decode_v2_basis(sections)
+    cct_reader = sections[SEC_CCT]
+    (declared_cct,) = cct_reader.unpack("<I")
+    cct, stored, count = read_cct(cct_reader, by_id)
+    if count != declared_cct:
+        raise DatabaseError(
+            f"CCT section declares {declared_cct} nodes, parsed {count}"
+        )
+    return _finish_experiment(name, metrics, model, cct, stored)
+
+
+def _decode_v2_basis(sections):
+    """The string table, metric table and structure of framed sections."""
     strings = read_strings(sections[SEC_STRINGS])
     metrics = read_metrics(sections[SEC_METRICS], strings)
     struct_reader = sections[SEC_STRUCTURE]
@@ -618,14 +632,25 @@ def _decode_v2(sections) -> Experiment:
             f"structure section declares {declared_struct} nodes, "
             f"parsed {len(by_id)}"
         )
-    cct_reader = sections[SEC_CCT]
-    (declared_cct,) = cct_reader.unpack("<I")
-    cct, stored, count = read_cct(cct_reader, by_id)
-    if count != declared_cct:
-        raise DatabaseError(
-            f"CCT section declares {declared_cct} nodes, parsed {count}"
-        )
-    return _finish_experiment(name, metrics, model, cct, stored)
+    return strings, metrics, model, by_id
+
+
+def loads_basis(data: bytes) -> tuple[MetricTable, StructureModel]:
+    """Only the metric table and structure model of a framed v2 database.
+
+    The CCT section is CRC-checked like every other but neither decoded
+    nor attributed: this is what correlating new profiles against a
+    stored experiment's structure needs.  Malformed input raises
+    :class:`DatabaseError`, as in :func:`loads_binary`.
+    """
+    try:
+        sections = _read_v2_sections(data, verify_checksums=True)
+        _strings, metrics, model, _by_id = _decode_v2_basis(sections)
+        return metrics, model
+    except DatabaseError:
+        raise
+    except MALFORMED_EXCEPTIONS as exc:
+        raise DatabaseError(f"malformed binary database: {exc!r}") from exc
 
 
 def _finish_experiment(name, metrics, model, cct, stored) -> Experiment:

@@ -26,12 +26,15 @@ Fusion rules (Section III-A, III-D of the paper):
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.core.cct import CCT, CCTNode
+from repro.core.metrics import MetricValues, add_into
 from repro.errors import CorrelationError
 from repro.hpcrun.profile_data import Frame, ProfileData
 from repro.hpcstruct.model import StructKind, StructureModel, StructureNode
 
-__all__ = ["Correlator", "correlate"]
+__all__ = ["Correlator", "correlate", "rank_tree"]
 
 _UNKNOWN_MODULE = "<unknown load module>"
 
@@ -41,8 +44,9 @@ class Correlator:
 
     Correlating several profiles against the same ``Correlator`` merges
     them into a single CCT with summed raw costs (the multi-thread /
-    multi-rank union).  For per-rank analysis, correlate each profile into
-    its own CCT and combine with :mod:`repro.hpcprof.merge`.
+    multi-rank union).  :meth:`add_rank` builds the same union with
+    :func:`~repro.hpcprof.merge.merge_ccts`' exact per-rank sums and
+    keeps what :func:`rank_tree` needs to rebuild each rank's own tree.
     """
 
     def __init__(self, structure: StructureModel) -> None:
@@ -55,9 +59,34 @@ class Correlator:
     def add_profile(self, profile: ProfileData) -> None:
         """Fuse one profile's call paths into the CCT."""
         for frames, leaf_line, costs in profile.paths():
-            node = self._insert_path(frames)
-            self._attribute_leaf(node, leaf_line, costs)
+            self._leaf(self._insert_path(frames), leaf_line).add_raw(costs)
         self.cct.invalidate_caches()  # shape and raw values changed
+
+    def add_rank(self, profile: ProfileData) -> list[tuple[CCTNode, MetricValues]]:
+        """Fuse one rank's paths into the union, summing per rank first.
+
+        Each leaf's costs are summed in a per-rank buffer in
+        ``profile.paths()`` order, then added into the union leaf once,
+        so the union's raw values, key order and child order equal
+        :func:`~repro.hpcprof.merge.merge_ccts` over per-rank trees
+        added in the same rank order.  Procedures resolve afresh for
+        every rank, as a per-rank correlator would.
+
+        Returns the rank's ``(union leaf, raw sum)`` pairs in first-touch
+        order — the input of :func:`rank_tree`.
+        """
+        self._proc_cache = {}
+        sums: dict[int, tuple[CCTNode, MetricValues]] = {}
+        for scope, leaf_line, costs in self._frame_scopes(profile):
+            leaf = self._leaf(scope, leaf_line)
+            entry = sums.get(leaf.uid)
+            if entry is None:
+                entry = sums[leaf.uid] = (leaf, {})
+            add_into(entry[1], costs)
+        for leaf, raw in sums.values():
+            add_into(leaf.raw, raw)
+        self.cct.invalidate_caches()
+        return list(sums.values())
 
     # ------------------------------------------------------------------ #
     def _resolve_proc(self, frame: Frame) -> StructureNode:
@@ -102,14 +131,56 @@ class Correlator:
             caller_proc = callee_proc
         return node
 
-    def _attribute_leaf(self, frame_node: CCTNode, line: int, costs) -> None:
+    def _frame_scopes(self, profile: ProfileData):
+        """``(frame scope, leaf line, costs)`` in ``profile.paths()`` order.
+
+        Walks the call-path trie instead of re-inserting every path: a
+        trie node's frame scope is resolved once, when the first context
+        below it is, so scopes are created in the order and with the
+        procedure resolutions :meth:`_insert_path` would produce.
+        """
+        if profile.root.leaf_costs:
+            raise CorrelationError("empty call path")
+        # entries: [trie node, parent entry, frame scope once resolved]
+        stack = [[child, None, None]
+                 for child in reversed(profile.root.children.values())]
+        while stack:
+            entry = stack.pop()
+            node = entry[0]
+            if node.leaf_costs:
+                scope = entry[2] or self._resolve_scope(entry)
+                for line, costs in node.leaf_costs.items():
+                    yield scope, line, costs
+            for child in reversed(node.children.values()):
+                stack.append([child, entry, None])
+
+    def _resolve_scope(self, entry: list) -> CCTNode:
+        """The frame scope of a trie entry, resolving unresolved parents."""
+        chain = []
+        while entry is not None and entry[2] is None:
+            chain.append(entry)
+            entry = entry[1]
+        scope = entry[2] if entry is not None else None
+        for entry in reversed(chain):
+            frame = entry[0].frame
+            proc = self._resolve_proc(frame)
+            if scope is None:
+                scope = self.cct.root.ensure_frame(proc)
+            else:
+                caller = scope.struct
+                anchor = self._descend_loops(scope, caller, frame.call_line)
+                site = anchor.ensure_call_site(frame.call_line, struct=caller)
+                scope = site.ensure_frame(proc)
+            entry[2] = scope
+        return scope
+
+    def _leaf(self, frame_node: CCTNode, line: int) -> CCTNode:
+        """Create/visit the scope a sample at *line* of a frame lands on."""
         proc = frame_node.struct
         anchor = self._descend_loops(frame_node, proc, line)
         if line in self._call_line_set(proc):
-            leaf = anchor.ensure_call_site(line, struct=proc)
-        else:
-            leaf = anchor.ensure_statement(line, struct=proc)
-        leaf.add_raw(dict(costs))
+            return anchor.ensure_call_site(line, struct=proc)
+        return anchor.ensure_statement(line, struct=proc)
 
 
 def correlate(profile: ProfileData, structure: StructureModel) -> CCT:
@@ -117,3 +188,28 @@ def correlate(profile: ProfileData, structure: StructureModel) -> CCT:
     correlator = Correlator(structure)
     correlator.add_profile(profile)
     return correlator.cct
+
+
+def rank_tree(leaves: Sequence[tuple[CCTNode, MetricValues]]) -> CCT:
+    """One rank's own (unattributed) CCT from :meth:`Correlator.add_rank`.
+
+    Copies each leaf's path from the union root in first-touch order and
+    gives the leaf its rank sum: the nodes, child order and raw values a
+    separate correlator builds from the same profile.
+    """
+    cct = CCT()
+    copies: dict[int, CCTNode] = {}
+    for leaf, raw in leaves:
+        chain = []
+        node = leaf
+        while node.parent is not None and node.uid not in copies:
+            chain.append(node)
+            node = node.parent
+        mine = copies.get(node.uid, cct.root)
+        for src in reversed(chain):
+            mine = CCTNode(src.kind, struct=src.struct, line=src.line,
+                           parent=mine)
+            copies[src.uid] = mine
+        mine.raw = dict(raw)
+    cct.invalidate_caches()
+    return cct

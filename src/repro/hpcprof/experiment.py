@@ -19,6 +19,7 @@ This is the primary entry point of the library's public API::
 
 from __future__ import annotations
 
+import threading
 from typing import Sequence
 
 import numpy as np
@@ -33,8 +34,8 @@ from repro.core.flat import FlatView
 from repro.core.hotpath import DEFAULT_THRESHOLD, HotPathResult, hot_path
 from repro.core.metrics import MetricDescriptor, MetricFlavor, MetricSpec, MetricTable
 from repro.core.views import View, ViewNode
-from repro.hpcprof.correlate import Correlator
-from repro.hpcprof.merge import collect_rank_vectors, merge_ccts
+from repro.hpcprof.correlate import Correlator, rank_tree
+from repro.hpcprof.merge import collect_rank_vectors
 from repro.hpcprof.summarize import SummaryIds, summarize_ranks
 from repro.hpcrun.profile_data import ProfileData
 from repro.hpcstruct.model import StructureModel
@@ -57,9 +58,28 @@ class Experiment:
         self.metrics = metrics
         self.structure = structure
         self.cct = cct
-        #: per-rank trees, retained for parallel runs (None for serial)
-        self.rank_ccts: list[CCT] | None = list(rank_ccts) if rank_ccts else None
+        self._rank_ccts: list[CCT] | None = list(rank_ccts) if rank_ccts else None
+        #: per-rank ``Correlator.add_rank`` leaves, until the trees are built
+        self._rank_leaves: list | None = None
+        self._rank_lock = threading.Lock()
         self._summaries: dict[int, SummaryIds] = {}
+
+    @property
+    def rank_ccts(self) -> list[CCT] | None:
+        """Per-rank trees of a parallel run (None for serial).
+
+        :meth:`from_profiles` builds them from the union on first read;
+        concurrent first readers build them once.
+        """
+        if self._rank_leaves is not None:
+            with self._rank_lock:
+                if self._rank_leaves is not None:
+                    trees = [rank_tree(leaves) for leaves in self._rank_leaves]
+                    for tree in trees:
+                        attribute(tree)
+                    self._rank_ccts = trees
+                    self._rank_leaves = None
+        return self._rank_ccts
 
     @property
     def engine(self):
@@ -83,15 +103,7 @@ class Experiment:
         name: str = "",
     ) -> "Experiment":
         """Correlate one profile into an experiment (serial run)."""
-        correlator = Correlator(structure)
-        correlator.add_profile(profile)
-        attribute(correlator.cct)
-        return cls(
-            name or profile.program or "experiment",
-            profile.metrics,
-            structure,
-            correlator.cct,
-        )
+        return cls._correlated([profile], structure, name, keep_ranks=False)
 
     @classmethod
     def from_profiles(
@@ -100,27 +112,35 @@ class Experiment:
         structure: StructureModel,
         name: str = "",
     ) -> "Experiment":
-        """Correlate per-rank profiles and merge them (parallel run).
+        """Correlate per-rank profiles into their union (parallel run).
 
-        Each rank gets its own CCT (retained for per-rank analyses such as
-        load-imbalance charts); the experiment's main tree is their union.
+        One correlator fuses every rank's paths, in rank order, straight
+        into the union tree, which is attributed once.  The values equal
+        correlating each rank on its own and merging with
+        :func:`~repro.hpcprof.merge.merge_ccts`, bit for bit.  The
+        per-rank trees (for load-imbalance charts and summaries) are
+        built only when :attr:`rank_ccts` is first read.
         """
         if not profiles:
             raise MetricError("need at least one profile")
-        rank_ccts: list[CCT] = []
-        for profile in profiles:
-            correlator = Correlator(structure)
-            correlator.add_profile(profile)
-            attribute(correlator.cct)
-            rank_ccts.append(correlator.cct)
-        combined = merge_ccts(rank_ccts)
-        return cls(
+        return cls._correlated(profiles, structure, name, keep_ranks=True)
+
+    @classmethod
+    def _correlated(cls, profiles, structure, name, keep_ranks: bool):
+        """The one construction path: the union of *profiles*, attributed,
+        with deferred rank trees when *keep_ranks*."""
+        correlator = Correlator(structure)
+        rank_leaves = [correlator.add_rank(profile) for profile in profiles]
+        attribute(correlator.cct)
+        exp = cls(
             name or profiles[0].program or "experiment",
             profiles[0].metrics,
             structure,
-            combined,
-            rank_ccts=rank_ccts,
+            correlator.cct,
         )
+        if keep_ranks:
+            exp._rank_leaves = rank_leaves
+        return exp
 
     @classmethod
     def from_sampler(
@@ -272,7 +292,10 @@ class Experiment:
 
     @property
     def nranks(self) -> int:
-        return len(self.rank_ccts) if self.rank_ccts else 1
+        pending = self._rank_leaves
+        if pending is not None:
+            return len(pending)
+        return len(self._rank_ccts) if self._rank_ccts else 1
 
     def rank_experiment(self, rank: int) -> "Experiment":
         """A single rank's tree as its own experiment (drill into one

@@ -68,8 +68,10 @@ def trace_spmd(
     Each rank runs its own simulated clock from zero, so rank-dependent
     costs show up directly as skewed timelines (late-rank idleness) and
     the program's sequential statement order shows up as phases.
-    ``traces.window_experiment(None, None)`` is the run's untimed
-    experiment, exactly.
+    ``traces.window_experiment(None, None)`` goes through the same
+    :meth:`~repro.hpcprof.experiment.Experiment.from_profiles` as
+    :func:`spmd_experiment`: it has the untimed run's scopes, with each
+    cost quantized to integer ticks of its metric's resolution.
     """
     from repro.trace.model import TraceSet
 

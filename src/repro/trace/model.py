@@ -4,7 +4,8 @@ A profile answers *where* time went; a trace also answers *when*.  This
 module holds the in-memory trace model: per-rank streams of timestamped
 call-path samples (:class:`TraceData`) and the multi-rank bundle
 (:class:`TraceSet`) that materializes time-windowed CCTs through the
-exact same correlation pipeline the untimed profiles use.
+same construction path the untimed profiles use
+(:meth:`~repro.hpcprof.experiment.Experiment.from_profiles`).
 
 Exactness is the load-bearing design decision.  Windowed results must
 be **bit-identical** whether they are computed from in-memory events or
@@ -28,13 +29,14 @@ pin.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.errors import TraceError
 from repro.core.metrics import MetricTable
 from repro.hpcrun.profile_data import Frame, ProfileData
+from repro.obs.spans import span, traced
 
 __all__ = [
     "DEFAULT_RESOLUTION",
@@ -43,6 +45,7 @@ __all__ = [
     "TraceSet",
     "materialize_profile",
     "quantize",
+    "window_experiment",
 ]
 
 #: Default cost resolution: one tick is 2**-20 metric units.  Dyadic on
@@ -85,16 +88,11 @@ def materialize_profile(
     partition-of-windows) agree bit for bit.
     """
     profile = ProfileData(metrics, rank=rank, program=program)
-    n_metrics = ticks.shape[1] if ticks.ndim == 2 else 0
-    for ci, (frames, leaf_line) in enumerate(contexts):
-        row = ticks[ci]
-        costs: dict[int, float] = {}
-        for mid in range(n_metrics):
-            t = int(row[mid])
-            if t:
-                costs[mid] = t * resolutions[mid]
-        if costs:
-            profile.add_sample(frames, leaf_line, costs)
+    rows = np.flatnonzero(ticks.any(axis=1))
+    for ci, row in zip(rows.tolist(), ticks[rows].tolist()):
+        frames, leaf_line = contexts[ci]
+        costs = {mid: t * resolutions[mid] for mid, t in enumerate(row) if t}
+        profile.add_sample(frames, leaf_line, costs)
     return profile
 
 
@@ -427,30 +425,17 @@ class TraceSet:
         )
 
     # ------------------------------------------------------------------ #
-    def window_profiles(
-        self, t0: float | None = None, t1: float | None = None
-    ) -> list[ProfileData]:
-        """Per-rank untimed profiles restricted to a window."""
-        ticks = self.window_ticks(t0, t1)
-        return [
-            materialize_profile(
-                ticks[r],
-                self.contexts,
-                self.metrics,
-                self.resolutions,
-                rank=self.traces[r].rank,
-                program=self.program,
-            )
-            for r in range(self.nranks)
-        ]
+    @traced("trace.skeleton-basis")
+    def skeleton_basis(self):
+        """``(metrics, structure)`` that window experiments are built on;
+        the in-memory trace holds both, so nothing is read."""
+        return self.metrics, self.structure
 
     def window_experiment(
         self, t0: float | None = None, t1: float | None = None
     ):
         """The CCT experiment of the window — the trace query backend."""
-        return experiment_from_profiles(
-            self.window_profiles(t0, t1), self.structure, self.name
-        )
+        return window_experiment(self, t0, t1)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -459,17 +444,30 @@ class TraceSet:
         )
 
 
-def experiment_from_profiles(profiles: Iterable[ProfileData], structure, name: str):
+def window_experiment(source, t0: float | None, t1: float | None):
     """One shared construction path for windowed experiments.
 
     Both the in-memory :class:`TraceSet` and the chunked
     :class:`~repro.trace.store.TraceStore` funnel through here, so the
     two backends cannot drift in how a window becomes an
-    :class:`~repro.hpcprof.experiment.Experiment`.
+    :class:`~repro.hpcprof.experiment.Experiment`: the exact tick sums
+    of ``source.window_ticks`` materialize into one profile per rank,
+    which :meth:`~repro.hpcprof.experiment.Experiment.from_profiles`
+    correlates straight into the union tree (a single-rank trace gives a
+    serial experiment).  Per-rank trees are built only if read.
     """
     from repro.hpcprof.experiment import Experiment
 
-    profiles = list(profiles)
-    if len(profiles) == 1:
-        return Experiment.from_profile(profiles[0], structure, name)
-    return Experiment.from_profiles(profiles, structure, name)
+    ticks = source.window_ticks(t0, t1)
+    metrics, structure = source.skeleton_basis()
+    with span("trace.window-experiment"):
+        profiles = [
+            materialize_profile(ticks[r], source.contexts, metrics,
+                                source.resolutions, rank=r,
+                                program=source.program)
+            for r in range(source.nranks)
+        ]
+        if len(profiles) == 1:
+            return Experiment.from_profile(profiles[0], structure,
+                                           source.name)
+        return Experiment.from_profiles(profiles, structure, source.name)

@@ -49,12 +49,7 @@ from repro.core.metrics import MetricTable
 from repro.hpcrun.profile_data import Frame
 from repro.obs.spans import traced
 from repro.testing.faults import crash_point, register_crash_points
-from repro.trace.model import (
-    TraceSet,
-    check_window,
-    experiment_from_profiles,
-    materialize_profile,
-)
+from repro.trace.model import TraceSet, check_window, window_experiment
 
 __all__ = [
     "TRACE_DIR_NAME",
@@ -407,6 +402,7 @@ class TraceStore:
         self.chunks_total = len(self._chunks)
         self.chunks_touched = 0
         self._skeleton_exp = None
+        self._basis = None
 
         # fail fast on missing/truncated files; content CRCs are lazy
         for chunk in self._chunks:
@@ -574,47 +570,48 @@ class TraceStore:
     # ------------------------------------------------------------------ #
     # materialization
     # ------------------------------------------------------------------ #
+    def _skeleton_data(self) -> bytes:
+        with open(os.path.join(self.path, SKELETON_NAME), "rb") as fh:
+            data = fh.read()
+        if zlib.crc32(data) != self._skeleton_crc32:
+            raise TraceCorrupt(f"{SKELETON_NAME} fails its manifest CRC32")
+        return data
+
     @property
     def skeleton(self):
         """The whole-trace experiment saved at write time (lazy)."""
         if self._skeleton_exp is None:
             from repro.hpcprof import database
 
-            with open(os.path.join(self.path, SKELETON_NAME), "rb") as fh:
-                data = fh.read()
-            if zlib.crc32(data) != self._skeleton_crc32:
-                raise TraceCorrupt(f"{SKELETON_NAME} fails its manifest CRC32")
             try:
-                self._skeleton_exp = database.loads(data)
+                self._skeleton_exp = database.loads(self._skeleton_data())
             except DatabaseError as exc:
                 raise TraceCorrupt(f"{SKELETON_NAME} is unreadable: {exc}")
         return self._skeleton_exp
 
-    def window_profiles(
-        self, t0: float | None = None, t1: float | None = None
-    ):
-        ticks = self.window_ticks(t0, t1)
-        metrics = self.skeleton.metrics
-        return [
-            materialize_profile(
-                ticks[r],
-                self.contexts,
-                metrics,
-                self.resolutions,
-                rank=r,
-                program=self.program,
-            )
-            for r in range(self.nranks)
-        ]
+    @traced("trace.skeleton-basis")
+    def skeleton_basis(self):
+        """``(metrics, structure)`` of the skeleton, read once.
+
+        Window experiments need only these two sections, so the
+        skeleton's CCT is neither decoded nor attributed; the whole file
+        still passes the manifest CRC32 first.
+        """
+        if self._basis is None:
+            from repro.hpcprof import binio
+
+            try:
+                self._basis = binio.loads_basis(self._skeleton_data())
+            except DatabaseError as exc:
+                raise TraceCorrupt(f"{SKELETON_NAME} is unreadable: {exc}")
+        return self._basis
 
     def window_experiment(
         self, t0: float | None = None, t1: float | None = None
     ):
         """The CCT experiment of the window, built exactly like the
-        in-memory path (same correlate pipeline, same tick sums)."""
-        return experiment_from_profiles(
-            self.window_profiles(t0, t1), self.skeleton.structure, self.name
-        )
+        in-memory path (same construction, same tick sums)."""
+        return window_experiment(self, t0, t1)
 
     def info(self) -> dict:
         """A JSON-friendly summary of the store's layout."""
@@ -648,6 +645,7 @@ class TraceStore:
             chunk._slab = None
             chunk._by_rank = None
         self._skeleton_exp = None
+        self._basis = None
 
     def __enter__(self) -> "TraceStore":
         return self

@@ -9,6 +9,9 @@ works on this machine:
 2. the trace lands in a time-partitioned ``.rpstore`` whose windowed
    query answers are **bit-identical** to the in-memory trace, and a
    narrow window provably touches fewer chunks than the store holds;
+   the store's full and half windows equal, ``float.hex`` by
+   ``float.hex`` on every node, the per-rank reference (each rank
+   correlated and attributed on its own, then ``merge_ccts``);
 3. killing the store writer before the manifest commit leaves nothing
    that opens as a store (manifest-last crash safety);
 4. ``POST /v1/trace`` serves a flame slab over the store, the columnar
@@ -34,6 +37,9 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
+from repro.core.attribution import attribute  # noqa: E402
+from repro.hpcprof.correlate import correlate  # noqa: E402
+from repro.hpcprof.merge import merge_ccts  # noqa: E402
 from repro.query import query, run_query  # noqa: E402
 from repro.server import AnalysisApp  # noqa: E402
 from repro.server.wire import COLUMNAR_CONTENT_TYPE, decode_columnar  # noqa: E402
@@ -41,6 +47,7 @@ from repro.sim.spmd import spmd_experiment, trace_spmd  # noqa: E402
 from repro.sim.workloads import fig1  # noqa: E402
 from repro.testing.faults import CrashPointHit, crashing_at  # noqa: E402
 from repro.trace import create_trace_store, is_trace_path  # noqa: E402
+from repro.trace.model import materialize_profile  # noqa: E402
 
 
 def build_traces():
@@ -73,8 +80,37 @@ def check_store(traces, tmp: str):
         f"mid-half window should prune chunks "
         f"(touched {store.chunks_touched}/{store.chunks_total})")
     touched, total = store.chunks_touched, store.chunks_total
+    for lo, hi in ((None, None), (t0, t1)):
+        check_window_tree(store, lo, hi)
     store.close()
     return path, len(want), touched, total
+
+
+def _signature(cct):
+    def hexed(values):
+        return [(mid, float(v).hex()) for mid, v in values.items()]
+
+    return [(n.key, [c.key for c in n.children], hexed(n.raw),
+             hexed(n.inclusive), hexed(n.exclusive)) for n in cct.walk()]
+
+
+def check_window_tree(store, t0, t1) -> None:
+    """The store's window tree equals the per-rank merge reference."""
+    metrics, structure = store.skeleton_basis()
+    ticks = store.window_ticks(t0, t1)
+    ranks = []
+    for r in range(store.nranks):
+        cct = correlate(materialize_profile(ticks[r], store.contexts,
+                                            metrics, store.resolutions),
+                        structure)
+        attribute(cct)
+        ranks.append(cct)
+    exp = store.window_experiment(t0, t1)
+    assert _signature(exp.cct) == _signature(merge_ccts(ranks)), (
+        f"window [{t0}, {t1}) tree diverged from the per-rank merge")
+    assert [_signature(c) for c in exp.rank_ccts] == \
+        [_signature(c) for c in ranks], (
+        f"window [{t0}, {t1}) rank trees diverged from per-rank correlation")
 
 
 def check_crash_safety(traces, tmp: str) -> None:
@@ -125,6 +161,7 @@ def main() -> int:
     print(f"trace smoke OK: {traces.n_events} events on "
           f"{traces.nranks} ranks, {rows} windowed rows bit-identical "
           f"in-memory vs chunked ({touched}/{total} chunks touched), "
+          f"full and half window trees == per-rank merge, "
           f"pre-commit crash leaves no store, /v1/trace JSON == columnar")
     return 0
 
