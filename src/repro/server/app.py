@@ -25,10 +25,15 @@ Request handling contract:
   which serves Prometheus text (a :class:`~repro.server.schema.RawBody`
   at this layer); failures carry the :mod:`repro.errors` taxonomy and
   *never* a traceback;
-* renders and hot-path queries are served through the LRU
-  :class:`~repro.server.cache.RenderCache`, keyed on
-  ``(session, generation, operation, view kind, sort spec, flatten
-  depth, threshold, render knobs)``;
+* wire negotiation and response caching live in one dispatcher, driven
+  by each :class:`~repro.server.schema.Operation`'s declared
+  ``encodings`` and ``cache`` key: it negotiates ``Accept`` once, serves
+  a session-scoped hit (tables, renders, hot paths, session queries)
+  from the LRU :class:`~repro.server.cache.RenderCache` as a byte
+  write, and on a miss encodes the handler's snapshot once, in the
+  negotiated encoding.  Keys are ``(session, generation, operation,
+  canonical request, encoding[, sort spec, flatten depth])``; handlers
+  only build snapshots;
 * mutations (derived metric, flatten, unflatten) bump the session
   generation and eagerly invalidate the session's cache entries;
 * per-endpoint request counters, latency aggregates, and latency
@@ -50,6 +55,7 @@ import threading
 import time
 import uuid
 from collections import OrderedDict
+from contextlib import nullcontext
 from typing import Callable
 from urllib.parse import parse_qsl, urlsplit
 
@@ -94,6 +100,7 @@ from repro.server.schema import (
     MetricList,
     MutationResponse,
     OpenSessionRequest,
+    Operation,
     PolicyResponse,
     ProfileDeleted,
     ProfileInfo,
@@ -110,6 +117,7 @@ from repro.server.schema import (
     SortRequest,
     SortResponse,
     TableRequest,
+    TableResult,
     TraceRequest,
 )
 from repro.server.sessions import (
@@ -120,11 +128,7 @@ from repro.server.sessions import (
     render_snapshot,
     table_snapshot,
 )
-from repro.server.wire import (
-    COLUMNAR_CONTENT_TYPE,
-    accepts_columnar,
-    encode_columnar,
-)
+from repro.server.wire import COLUMNAR_CONTENT_TYPE, accepts_columnar
 
 __all__ = [
     "AnalysisApp",
@@ -240,6 +244,49 @@ def _flavor(name: str | None, default: MetricFlavor) -> MetricFlavor:
             f"unknown metric flavor {name!r} (have: inclusive, exclusive)",
             code="bad-flavor",
         ) from None
+
+
+def _effective_sort(
+    handle: SessionHandle, req: TableRequest | RenderRequest
+) -> tuple[str | None, MetricFlavor, bool]:
+    """A table or render request's sort column: explicit request fields
+    override the session's sort state, which overrides the defaults."""
+    sort = handle.sort
+    flavor = _flavor(
+        req.flavor,
+        sort.flavor if sort is not None and req.metric is None
+        else MetricFlavor.INCLUSIVE,
+    )
+    metric = req.metric
+    if metric is None and sort is not None:
+        metric = sort.metric
+    descending = req.descending
+    if descending is None:
+        descending = sort.descending if sort is not None else True
+    return metric, flavor, descending
+
+
+def _query_table(result, generation: int, session: str = "",
+                 **extras) -> TableResult:
+    """A query result as a table response: the ``/table`` shape plus the
+    scope categories, encoded under the ``query.encode`` span."""
+    if result.categories:
+        extras = {"categories": list(result.categories), **extras}
+    return TableResult(result.to_snapshot(generation), session=session,
+                       extras=extras, encode_span="query.encode")
+
+
+def _encode(result: TableResult | dict,
+            columnar: bool) -> EncodedJson | BinaryBody:
+    """The negotiated wire body of a shaped handler's result.
+
+    A JSON-only result (a payload dict) answers every ``Accept``.
+    """
+    if not isinstance(result, TableResult):
+        return EncodedJson(result)
+    with (span(result.encode_span) if result.encode_span is not None
+          else nullcontext()):
+        return result.body(columnar)
 
 
 def _query_dict(query: str) -> dict:
@@ -545,8 +592,8 @@ class AnalysisApp:
         The payload is a JSON-ready dict, a :class:`RawBody` for the
         non-JSON ``/metrics`` endpoint, or a :class:`BinaryBody` when
         the request negotiated the columnar table encoding.  A JSON
-        ``/table`` dict is an :class:`EncodedJson` that also carries its
-        wire bytes, encoded once per cache fill.  Headers
+        table-shaped or cached response is an :class:`EncodedJson` that
+        also carries its wire bytes, encoded once per cache fill.  Headers
         always carry ``X-Trace-Id``; requests on deprecated unversioned
         aliases also get ``Deprecation`` and a ``Link`` to the
         successor path.  *request_headers* (a dict or an
@@ -573,10 +620,9 @@ class AnalysisApp:
                         f"{self.max_inflight}; retry with backoff",
                         retry_after=1.0,
                     )
-            handler, params, label = self._match(method, route_path)
+            op, params, label = self._match(method, route_path)
             if version is None:
                 self._mark_deprecated_alias(method, label, route_path, headers)
-            params["_accept"] = _header(request_headers, "Accept")
             with span(_REQUEST_SPAN_NAMES.get(label)
                       or f"server.request {label}"):
                 with span("server.decode"):
@@ -591,7 +637,15 @@ class AnalysisApp:
                     else None
                 )
                 with deadline_scope(deadline):
-                    status, payload = handler(params, body)
+                    if op.shared_path:
+                        status, payload = op.status, self._serve(
+                            op, params, body,
+                            _header(request_headers, "Accept"),
+                        )
+                    else:
+                        status, payload = getattr(self, op.handler)(
+                            params, body
+                        )
         except ApiError as exc:
             status, payload = exc.status, exc.to_payload(trace_id=trace_id)
         except ReproError as exc:
@@ -640,9 +694,7 @@ class AnalysisApp:
     # ------------------------------------------------------------------ #
     # routing
     # ------------------------------------------------------------------ #
-    def _match(
-        self, method: str, path: str
-    ) -> tuple[Callable[[dict, dict], tuple[int, dict]], dict, str]:
+    def _match(self, method: str, path: str) -> tuple[Operation, dict, str]:
         segments = tuple(s for s in path.split("/") if s)
         params: dict = {}
         endpoint = _STATIC_ROUTES.get(segments)
@@ -671,16 +723,54 @@ class AnalysisApp:
         if endpoint is None:
             raise NotFound(f"unknown endpoint {path!r}", code="unknown-endpoint")
         label = endpoint.path
-        candidates = {
-            op.method: getattr(self, op.handler) for op in endpoint.ops
-        }
-        handler = candidates.get(method.upper())
-        if handler is None:
-            raise MethodNotAllowed(
-                f"{method} not allowed on {label} "
-                f"(allowed: {', '.join(sorted(candidates))})"
-            )
-        return handler, params, label
+        upper = method.upper()
+        for op in endpoint.ops:
+            if op.method == upper:
+                return op, params, label
+        raise MethodNotAllowed(
+            f"{method} not allowed on {label} "
+            f"(allowed: {', '.join(sorted(endpoint.methods()))})"
+        )
+
+    # ------------------------------------------------------------------ #
+    # the shared negotiate / cache / encode path
+    # ------------------------------------------------------------------ #
+    def _serve(
+        self, op: Operation, params: dict, body: dict, accept: str | None
+    ) -> EncodedJson | BinaryBody:
+        """Serve an operation that declares encodings or a cache key.
+
+        ``Accept`` is negotiated once against ``op.encodings``, and the
+        handler's result is encoded only in the negotiated encoding.  A
+        session-scoped request is keyed, encoding included, under the
+        session lock, so the generation in its key is the one its
+        snapshot is built at; a hit is the body encoded when the entry
+        was filled.  Requests without a canonical form (corpus-form
+        queries, and operations that declare no cache) run the handler
+        every time.
+        """
+        columnar = (COLUMNAR_CONTENT_TYPE in op.encodings
+                    and accepts_columnar(accept))
+        handler = getattr(self, op.handler)
+        # a route-scoped session 404s before its body is validated
+        handle = self.registry.get(params["sid"]) if "sid" in params else None
+        req = op.request.from_body(body)
+        cache = op.cache
+        canonical = req.canonical() if cache is not None else None
+        if canonical is None:
+            return _encode(handler(handle, req), columnar)
+        if handle is None:
+            handle = self.registry.get(getattr(req, cache.session))
+        with handle.lock:
+            key = (handle.sid, handle.generation, cache.name, canonical,
+                   columnar)
+            if cache.view_state:
+                key += (handle.sort, handle.flatten_depth)
+            body = self.cache.get(key, op=cache.name)
+            if body is None:
+                body = _encode(handler(handle, req), columnar)
+                self.cache.put(key, body, op=cache.name)
+        return body
 
     # ------------------------------------------------------------------ #
     # stats
@@ -913,24 +1003,15 @@ class AnalysisApp:
             handle.sort = SortSpec(req.metric, flavor, req.descending)
             return 200, SortResponse(handle.sort.to_payload()).to_payload()
 
-    def _ep_hotpath(self, params: dict, body: dict) -> tuple[int, dict]:
-        handle = self.registry.get(params["sid"])
-        req = HotPathRequest.from_body(body)
-        kind = _view_kind(req.view)
+    def _ep_hotpath(self, handle: SessionHandle, req: HotPathRequest) -> dict:
         metric = req.metric
-        with handle.lock:
-            if metric is None and handle.sort is not None:
-                metric = handle.sort.metric
-            key = (handle.sid, handle.generation, "hotpath",
-                   kind.value, metric, req.threshold)
-            cached = self.cache.get(key)
-            if cached is None:
-                cached = hot_path_snapshot(
-                    handle.session, kind, metric=metric,
-                    threshold=req.threshold,
-                )
-                self.cache.put(key, cached)
-        return 200, HotPathResult(**cached).to_payload()
+        if metric is None and handle.sort is not None:
+            metric = handle.sort.metric
+        snapshot = hot_path_snapshot(
+            handle.session, _view_kind(req.view),
+            metric=metric, threshold=req.threshold,
+        )
+        return HotPathResult(**snapshot).to_payload()
 
     def _ep_flatten(self, params: dict, body: dict) -> tuple[int, dict]:
         return self._flatten_op(params["sid"], "flatten")
@@ -948,104 +1029,42 @@ class AnalysisApp:
         return 200, MutationResponse(depth, generation).to_payload()
 
     def _ep_table(
-        self, params: dict, body: dict
-    ) -> tuple[int, dict | BinaryBody]:
-        handle = self.registry.get(params["sid"])
-        req = TableRequest.from_body(body)
-        kind = _view_kind(req.view)
-        columnar = accepts_columnar(params.get("_accept"))
-        with handle.lock:
-            sort = handle.sort
-            flavor = _flavor(
-                req.flavor,
-                sort.flavor if sort is not None and req.metric is None
-                else MetricFlavor.INCLUSIVE,
-            )
-            metric = req.metric
-            if metric is None and sort is not None:
-                metric = sort.metric
-            descending = req.descending
-            if descending is None:
-                descending = sort.descending if sort is not None else True
-            key = (
-                handle.sid, handle.generation, "table", kind.value,
-                metric, flavor.value, descending, req.depth, req.max_rows,
-                handle.flatten_depth,
-            )
-            cached = self.cache.get(key)
-            if cached is None:
-                snapshot = table_snapshot(
-                    handle.session,
-                    kind,
-                    metric=metric,
-                    flavor=flavor,
-                    descending=descending,
-                    depth=req.depth,
-                    max_rows=req.max_rows,
-                    generation=handle.generation,
-                )
-                # both encodings are derived once and cached together:
-                # a hit of either is a pure byte write
-                cached = {
-                    "payload": EncodedJson(
-                        snapshot.to_json_payload(handle.sid)
-                    ),
-                    "columnar": encode_columnar(snapshot),
-                }
-                self.cache.put(key, cached)
-        if columnar:
-            return 200, BinaryBody(COLUMNAR_CONTENT_TYPE, cached["columnar"])
-        return 200, cached["payload"]
-
-    def _ep_render(self, params: dict, body: dict) -> tuple[int, dict]:
-        handle = self.registry.get(params["sid"])
-        req = RenderRequest.from_body(body)
-        kind = _view_kind(req.view)
-        with handle.lock:
-            # resolve the effective sort column: explicit request fields
-            # override the session's sort state, which overrides defaults
-            sort = handle.sort
-            flavor = _flavor(
-                req.flavor,
-                sort.flavor if sort is not None and req.metric is None
-                else MetricFlavor.INCLUSIVE,
-            )
-            metric = req.metric
-            if metric is None and sort is not None:
-                metric = sort.metric
-            descending = req.descending
-            if descending is None:
-                descending = sort.descending if sort is not None else True
-            key = (
-                handle.sid, handle.generation, "render", kind.value,
-                metric, flavor.value, descending, req.depth, req.hot_path,
-                req.threshold, req.max_rows, handle.flatten_depth,
-            )
-            cached = self.cache.get(key)
-            if cached is None:
-                cached = render_snapshot(
-                    handle.session,
-                    kind,
-                    metric=metric,
-                    flavor=flavor,
-                    descending=descending,
-                    depth=req.depth,
-                    hot_path=req.hot_path,
-                    threshold=req.threshold,
-                    max_rows=req.max_rows,
-                )
-                self.cache.put(key, cached)
-        resp = RenderResponse(
-            view=cached["view"],
-            text=cached["text"],
-            session=handle.sid,
-            hot_path=cached.get("hot_path"),
+        self, handle: SessionHandle, req: TableRequest
+    ) -> TableResult:
+        metric, flavor, descending = _effective_sort(handle, req)
+        snapshot = table_snapshot(
+            handle.session,
+            _view_kind(req.view),
+            metric=metric,
+            flavor=flavor,
+            descending=descending,
+            depth=req.depth,
+            max_rows=req.max_rows,
+            generation=handle.generation,
         )
-        return 200, resp.to_payload()
+        return TableResult(snapshot, session=handle.sid)
 
-    def _ep_diff(
-        self, params: dict, body: dict
-    ) -> tuple[int, dict | BinaryBody]:
+    def _ep_render(self, handle: SessionHandle, req: RenderRequest) -> dict:
+        metric, flavor, descending = _effective_sort(handle, req)
+        snapshot = render_snapshot(
+            handle.session,
+            _view_kind(req.view),
+            metric=metric,
+            flavor=flavor,
+            descending=descending,
+            depth=req.depth,
+            hot_path=req.hot_path,
+            threshold=req.threshold,
+            max_rows=req.max_rows,
+        )
+        return RenderResponse(
+            view=snapshot["view"],
+            text=snapshot["text"],
+            session=handle.sid,
+            hot_path=snapshot.get("hot_path"),
+        ).to_payload()
+
+    def _ep_diff(self, _handle: None, req: DiffRequest) -> TableResult:
         """Align N experiments and serve one diff view over the union.
 
         Stateless by design: members come either from database paths
@@ -1059,10 +1078,8 @@ class AnalysisApp:
         from repro.core.ensemble import align_experiments, detect_regressions
         from repro.viewer.session import ViewerSession
 
-        req = DiffRequest.from_body(body)
         kind = _view_kind(req.view)
         flavor = _flavor(req.flavor, MetricFlavor.INCLUSIVE)
-        columnar = accepts_columnar(params.get("_accept"))
         with ExitStack() as stack:
             cache_key = None
             if req.sessions is not None:
@@ -1126,19 +1143,14 @@ class AnalysisApp:
                 descending=req.descending, depth=req.depth,
                 max_rows=req.max_rows, generation=0,
             )
-        if columnar:
-            return 200, BinaryBody(
-                COLUMNAR_CONTENT_TYPE, encode_columnar(snapshot)
-            )
-        return 200, {
-            "diff": snapshot.to_json_payload("diff"),
+        return TableResult(snapshot, session="diff", nest="diff", extras={
             "members": list(ensemble.names),
             "baseline": b_label,
             "target": t_label,
             "factor": req.factor,
             "findings": [f.to_payload() for f in findings],
             "report": ensemble.alignment.report.to_payload(),
-        }
+        })
 
     def _ep_ensemble(self, params: dict, body: dict) -> tuple[int, dict]:
         """Open a persistent session over the union of N databases."""
@@ -1157,34 +1169,25 @@ class AnalysisApp:
     # query endpoint
     # ------------------------------------------------------------------ #
     def _ep_query(
-        self, params: dict, body: dict
-    ) -> tuple[int, dict | BinaryBody]:
+        self, handle: SessionHandle | None, req: QueryRequest
+    ) -> TableResult | dict:
         """Run a call-path query or a corpus diagnosis.
 
-        Single-target queries (a session, or one corpus profile)
-        negotiate the columnar wire format like ``/table``; the
-        corpus-sweep and diagnosis forms are JSON-only (their result is
-        per-profile, not one table).  Corpus forms stream profiles one
-        at a time and honor the request deadline between profiles.
+        The session form arrives with its session locked (the dispatcher
+        caches it per generation); its snapshot carries the generation
+        the query ran at.  The one-profile form is negotiated but not
+        cached; the corpus-sweep and diagnosis forms are JSON-only
+        (their result is per-profile, not one table).  Corpus forms
+        stream profiles one at a time and honor the request deadline
+        between profiles.
         """
+        from repro.query import run_query
         from repro.server.deadline import checkpoint
 
-        req = QueryRequest.from_body(body)
-        columnar = accepts_columnar(params.get("_accept"))
-
-        if req.session is not None:
-            from repro.query import Query, run_query
-
-            q = Query.from_spec(req.query)
-            handle = self.registry.get(req.session)
-            with handle.lock:
-                result = run_query(q, handle.session.experiment)
-            if columnar:
-                return 200, BinaryBody(
-                    COLUMNAR_CONTENT_TYPE,
-                    encode_columnar(result.to_snapshot(handle.generation)),
-                )
-            return 200, result.to_payload(handle.sid)
+        if handle is not None:
+            with span("query.evaluate"):
+                result = run_query(req.compiled, handle.session.experiment)
+            return _query_table(result, handle.generation, session=handle.sid)
 
         corpus = self._corpus_or_404()
         if req.diagnose:
@@ -1197,58 +1200,40 @@ class AnalysisApp:
                 drift_share=req.drift_share, salvage=req.salvage,
                 checkpoint=lambda: checkpoint("diagnose"),
             )
-            return 200, diagnosis.to_payload()
+            return diagnosis.to_payload()
 
-        from repro.query import Query, run_query
-
-        q = Query.from_spec(req.query)
-        if req.profile is not None:
-            experiment = corpus.load(
-                req.tenant, req.profile, salvage=req.salvage
-            )
+        def run_on(pid: str):
+            experiment = corpus.load(req.tenant, pid, salvage=req.salvage)
             try:
-                result = run_query(q, experiment)
+                with span("query.evaluate"):
+                    return run_query(req.compiled, experiment)
             finally:
                 release = getattr(experiment, "release", None)
                 if release is not None:
                     release()
-            if columnar:
-                return 200, BinaryBody(
-                    COLUMNAR_CONTENT_TYPE,
-                    encode_columnar(result.to_snapshot()),
-                )
-            payload = result.to_payload()
-            payload["tenant"] = req.tenant
-            payload["profile"] = req.profile
-            return 200, payload
+
+        if req.profile is not None:
+            return _query_table(run_on(req.profile), 0, tenant=req.tenant,
+                                profile=req.profile)
 
         # corpus sweep: the query runs over every committed profile of
         # the tenant, one streamed (and released) experiment at a time
         profiles = []
         for entry in corpus.list(req.tenant):
             checkpoint("query")
-            experiment = corpus.load(
-                req.tenant, entry.pid, salvage=req.salvage
-            )
-            try:
-                result = run_query(q, experiment)
-            finally:
-                release = getattr(experiment, "release", None)
-                if release is not None:
-                    release()
-            table = result.to_payload()
+            table = run_on(entry.pid).to_payload()
             table["profile"] = entry.pid
             if entry.group:
                 table["group"] = entry.group
             profiles.append(table)
-        return 200, {"tenant": req.tenant, "profiles": profiles}
+        return {"tenant": req.tenant, "profiles": profiles}
 
     # ------------------------------------------------------------------ #
     # trace endpoint
     # ------------------------------------------------------------------ #
     def _ep_trace(
-        self, params: dict, body: dict
-    ) -> tuple[int, dict | BinaryBody]:
+        self, _handle: None, req: TraceRequest
+    ) -> TableResult | dict:
         """Serve a windowed view over a time-partitioned trace store.
 
         Stateless by design: the store is opened, read, and closed per
@@ -1262,8 +1247,6 @@ class AnalysisApp:
         from repro.trace import flame_slab, flame_snapshot, idleness_series
         from repro.trace.store import open_trace
 
-        req = TraceRequest.from_body(body)
-        columnar = accepts_columnar(params.get("_accept"))
         with open_trace(req.path) as store:
             if req.view == "series":
                 series = idleness_series(
@@ -1272,23 +1255,17 @@ class AnalysisApp:
                 series["path"] = req.path
                 series["chunks_touched"] = store.chunks_touched
                 series["chunks_total"] = store.chunks_total
-                return 200, series
+                return series
             slab = flame_slab(
                 store, rank=req.rank, t0=req.t0, t1=req.t1,
                 metric=req.metric, max_spans=req.max_spans,
             )
-            snapshot = flame_snapshot(slab)
-            if columnar:
-                return 200, BinaryBody(
-                    COLUMNAR_CONTENT_TYPE, encode_columnar(snapshot)
-                )
-            payload = dict(slab)
-            payload["path"] = req.path
-            payload["rows"] = snapshot.to_rows()
-            payload["labels"] = list(snapshot.labels)
-            payload["chunks_touched"] = store.chunks_touched
-            payload["chunks_total"] = store.chunks_total
-            return 200, payload
+            extras = dict(slab)
+            extras["path"] = req.path
+            extras["chunks_touched"] = store.chunks_touched
+            extras["chunks_total"] = store.chunks_total
+            return TableResult(flame_snapshot(slab), extras=extras,
+                               layout="rows")
 
     # ------------------------------------------------------------------ #
     # corpus endpoints
@@ -1467,7 +1444,7 @@ def _merge_metrics_states(states: list[dict]) -> dict:
         "endpoints": endpoints,
         "shed": 0, "inflight": 0, "sessions": 0,
         "resident_scopes": 0, "evictions": 0,
-        "cache": {"entries": 0, "hits": 0, "misses": 0},
+        "cache": {"entries": 0, "hits": 0, "misses": 0, "operations": {}},
         "uptime_s": 0.0,
         "slow_observed": None,
     }
@@ -1490,6 +1467,12 @@ def _merge_metrics_states(states: list[dict]) -> dict:
         cache = state.get("cache", {})
         for key in ("entries", "hits", "misses"):
             merged["cache"][key] += cache.get(key, 0)
+        for op, counts in cache.get("operations", {}).items():
+            into = merged["cache"]["operations"].setdefault(
+                op, {"hits": 0, "misses": 0, "fills": 0}
+            )
+            for key in into:
+                into[key] += counts.get(key, 0)
         merged["uptime_s"] = max(merged["uptime_s"],
                                  state.get("uptime_s", 0.0))
         slow = state.get("slow_observed")
@@ -1515,6 +1498,7 @@ def prometheus_from_states(states: list[dict]) -> str:
         per_label.append((label, entry["count"], entry["errors"],
                           hist.cumulative(), hist.sum, hist.total))
     cache = state["cache"]
+    operations = sorted(cache.get("operations", {}).items())
     families: list[tuple[str, str, str, list]] = [
         (
             "repro_server_requests_total", "counter",
@@ -1581,6 +1565,15 @@ def prometheus_from_states(states: list[dict]) -> str:
             "repro_server_render_cache_misses_total", "counter",
             "Render cache misses.",
             [("", None, cache["misses"])],
+        ),
+        *(
+            (
+                f"repro_server_response_cache_{counter}_total", "counter",
+                f"Response cache {counter}, by cached operation.",
+                [("", {"operation": op}, counts[counter])
+                 for op, counts in operations],
+            )
+            for counter in ("hits", "misses", "fills")
         ),
         (
             "repro_server_uptime_seconds", "gauge",

@@ -264,6 +264,19 @@ def worker_main(ctrl: socket.socket, config: dict, slot: int) -> None:
 # --------------------------------------------------------------------- #
 # stats merging (the /stats analogue of prometheus_from_states)
 # --------------------------------------------------------------------- #
+def _sum_counters(into: dict, counters: dict) -> None:
+    """Add *counters* into *into*: numbers add, nested dicts (the cache's
+    per-operation counters) merge alike, anything else (e.g. a capacity
+    echoed as None) keeps its first value."""
+    for key, value in counters.items():
+        if isinstance(value, dict):
+            _sum_counters(into.setdefault(key, {}), value)
+        elif isinstance(value, (int, float)):
+            into[key] = into.get(key, 0) + value
+        else:
+            into.setdefault(key, value)
+
+
 def merge_stats_payloads(payloads: list[dict]) -> dict:
     """Sum per-worker ``/stats`` payloads into one pool-wide view.
 
@@ -291,11 +304,7 @@ def merge_stats_payloads(payloads: list[dict]) -> dict:
             merged["requests"][key] += payload.get("requests", {}).get(key, 0)
         for key in ("sessions", "resident_scopes", "evictions"):
             merged[key] += payload.get(key, 0)
-        for key, value in payload.get("cache", {}).items():
-            if isinstance(value, (int, float)):
-                merged["cache"][key] = merged["cache"].get(key, 0) + value
-            else:  # e.g. a capacity echoed as None
-                merged["cache"].setdefault(key, value)
+        _sum_counters(merged["cache"], payload.get("cache", {}))
         for label, entry in payload.get("endpoints", {}).items():
             into = endpoints.setdefault(label, {
                 "count": 0, "errors": 0,

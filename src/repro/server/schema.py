@@ -14,10 +14,11 @@ surface:
   cacheability but their shape is documented here for the generated
   reference;
 * **the endpoint registry** (:data:`ENDPOINTS`) — path templates,
-  methods, handler names, schemas, and doc strings; the application
-  builds its router from it, ``tools/gen_api_docs.py`` renders it into
-  ``docs/api.md``, and ``tools/gen_api_surface.py`` snapshots it into
-  the public-API drift test.
+  methods, handler names, schemas, response encodings, cache keys, and
+  doc strings; the application builds its router and its shared
+  negotiate/cache/encode path from it, ``tools/gen_api_docs.py``
+  renders it into ``docs/api.md``, and ``tools/gen_api_surface.py``
+  snapshots it into the public-API drift test.
 
 Versioning: the canonical mount point for every endpoint is
 ``/v1<path>``; the bare path is a deprecated alias that serves the
@@ -29,14 +30,21 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields as dc_fields
+from functools import cached_property
 from typing import Any, ClassVar
 
 from repro.errors import BadRequest
 from repro.obs import span
+from repro.server.wire import (
+    COLUMNAR_CONTENT_TYPE,
+    TableSnapshot,
+    encode_columnar,
+)
 
 __all__ = [
     "API_VERSION",
     "BinaryBody",
+    "CacheKey",
     "ENDPOINTS",
     "EncodedJson",
     "EndpointDef",
@@ -63,6 +71,7 @@ __all__ = [
     "SortRequest",
     "SortResponse",
     "TableRequest",
+    "TableResult",
     "json_body",
     "parse_fields",
 ]
@@ -72,6 +81,12 @@ API_VERSION = "v1"
 
 #: sentinel for fields with no default: omitting them is a 400
 REQUIRED = object()
+
+#: the default response media type
+JSON_CONTENT_TYPE = "application/json"
+
+#: what a table-shaped operation can answer with, default first
+TABLE_ENCODINGS = (JSON_CONTENT_TYPE, COLUMNAR_CONTENT_TYPE)
 
 
 # --------------------------------------------------------------------- #
@@ -123,9 +138,9 @@ def json_body(payload: dict) -> bytes:
 class EncodedJson(dict):
     """A JSON payload that carries its wire encoding, made once.
 
-    Cached ``/table`` payloads are encoded when the render cache is
-    filled, so a JSON hit is a byte write like a columnar hit.  To
-    in-process callers it is the payload dict itself; ``data`` is
+    The endpoint dispatcher encodes cached responses when the render
+    cache is filled, so a JSON hit is a byte write like a columnar hit.
+    To in-process callers it is the payload dict itself; ``data`` is
     exactly :func:`json_body` of that dict.  Never mutate one: the bytes
     are not re-derived.
     """
@@ -135,6 +150,44 @@ class EncodedJson(dict):
     def __init__(self, payload: dict) -> None:
         super().__init__(payload)
         self.data = json_body(payload)
+
+
+@dataclass(frozen=True)
+class TableResult:
+    """What a table-shaped handler returns: one snapshot plus JSON extras.
+
+    The handler builds the data; the dispatcher picks the encoding.  The
+    columnar body frames ``snapshot`` alone.  The JSON body is the
+    snapshot's table payload stamped with ``session`` (``layout
+    "table"``) or just its ``rows`` and ``labels`` (``layout "rows"``),
+    nested under ``nest`` when set, with the JSON-only ``extras``
+    merged on top.  ``encode_span`` names the span the encoding runs
+    under, if the operation wants one of its own.
+    """
+
+    snapshot: TableSnapshot
+    session: str = ""
+    extras: dict = field(default_factory=dict)
+    layout: str = "table"
+    nest: str | None = None
+    encode_span: str | None = None
+
+    def to_json_payload(self) -> dict:
+        if self.layout == "rows":
+            table = {"rows": self.snapshot.to_rows(),
+                     "labels": list(self.snapshot.labels)}
+        else:
+            table = self.snapshot.to_json_payload(self.session)
+        payload = {self.nest: table} if self.nest is not None else table
+        payload.update(self.extras)
+        return payload
+
+    def body(self, columnar: bool) -> "EncodedJson | BinaryBody":
+        """This result as one wire body, encoded now."""
+        if columnar:
+            return BinaryBody(COLUMNAR_CONTENT_TYPE,
+                              encode_columnar(self.snapshot))
+        return EncodedJson(self.to_json_payload())
 
 
 # --------------------------------------------------------------------- #
@@ -214,6 +267,12 @@ class _Request:
     @classmethod
     def from_body(cls, body: dict):
         return cls(**parse_fields(body, cls.FIELDS))
+
+    def canonical(self):
+        """The hashable form of this request in a response-cache key,
+        or None when this request form is not cached.  A frozen request
+        of scalar fields is its own canonical form."""
+        return self
 
 
 # --------------------------------------------------------------------- #
@@ -701,6 +760,30 @@ class QueryRequest(_Request):
             raise BadRequest("missing 'query' spec", code="bad-query")
         return cls(**base)
 
+    @cached_property
+    def compiled(self):
+        """The ``query`` spec as a :class:`repro.query.Query`, compiled
+        once per request (a bad spec raises ``QueryError``)."""
+        from repro.query import Query
+
+        with span("query.compile"):
+            return Query.from_spec(self.query)
+
+    def canonical(self):
+        """The compiled query for the session form; the corpus forms
+        have no session generation and are not cached.  A query the
+        spec parser let through with an unhashable selector is keyed by
+        its repr (``run_query`` rejects it, and failures are never
+        cached)."""
+        if self.session is None:
+            return None
+        q = self.compiled
+        try:
+            hash(q)
+        except TypeError:
+            return repr(q)
+        return q
+
 
 @dataclass(frozen=True)
 class TraceRequest(_Request):
@@ -1001,8 +1084,39 @@ class PolicyResponse(_Response):
 # the endpoint registry
 # --------------------------------------------------------------------- #
 @dataclass(frozen=True)
+class CacheKey:
+    """How the dispatcher caches a session-scoped operation's responses.
+
+    A response is cached in the render cache under ``(session id,
+    generation, name, canonical request, encoding)``, read under the
+    session lock; with ``view_state`` the key also carries the
+    session's sort spec and flatten depth, which the request resolves
+    against.  Every mutation bumps the generation and drops the
+    session's entries, so a stale entry is never served.  A fill is
+    encoded once, in the negotiated encoding, so a hit is a byte
+    write.
+    """
+
+    #: the operation's slot in the key, and its per-operation counter label
+    name: str
+    #: the request field naming the session; None: the route's ``<sid>``
+    session: str | None = None
+    #: the request resolves against the session's sort and flatten state
+    view_state: bool = True
+
+
+@dataclass(frozen=True)
 class Operation:
-    """One method on one endpoint."""
+    """One method on one endpoint.
+
+    Plain operations (``encodings`` is JSON only, no ``cache``) have
+    handlers ``(params, body) -> (status, payload)``.  The others go
+    through the dispatcher's shared path: it negotiates ``Accept``
+    against ``encodings``, serves cache hits, and encodes; their
+    handlers take ``(handle, request)`` — the locked session of a cached
+    request, else None — and return a :class:`TableResult` or, for a
+    JSON-only form, a payload dict.
+    """
 
     method: str
     handler: str                 #: AnalysisApp attribute name
@@ -1011,6 +1125,15 @@ class Operation:
     response: type | None = None #: response dataclass (None: raw/dict)
     status: int = 200
     errors: tuple[str, ...] = ()
+    #: response media types, negotiated from ``Accept``; default first
+    encodings: tuple[str, ...] = (JSON_CONTENT_TYPE,)
+    #: the response-cache key (None: never cached)
+    cache: CacheKey | None = None
+
+    @property
+    def shared_path(self) -> bool:
+        """Does the dispatcher negotiate, cache and encode for it?"""
+        return self.cache is not None or self.encodings != (JSON_CONTENT_TYPE,)
 
 
 @dataclass(frozen=True)
@@ -1028,6 +1151,13 @@ class EndpointDef:
 
     def methods(self) -> tuple[str, ...]:
         return tuple(op.method for op in self.ops)
+
+
+def _get_post(handler: str, summary: str, **kw) -> tuple[Operation, ...]:
+    """The GET and POST forms of one read operation: the same fields,
+    from the query string or the body."""
+    return tuple(Operation(method, handler, summary, **kw)
+                 for method in ("GET", "POST"))
 
 
 ENDPOINTS: tuple[EndpointDef, ...] = (
@@ -1049,77 +1179,45 @@ ENDPOINTS: tuple[EndpointDef, ...] = (
                   "service counters and latency histograms in Prometheus "
                   "text exposition format"),
     )),
-    EndpointDef("/diff", ops=(
-        Operation("GET", "_ep_diff",
-                  "align N experiments and serve a pairwise or "
-                  "baseline-vs-corpus diff view with regression findings "
-                  "(JSON rows, or the framed columnar encoding via Accept "
-                  "negotiation)",
-                  request=DiffRequest,
-                  errors=("bad-diff-members", "bad-metric", "bad-view-kind",
-                          "bad-flavor", "unknown-database",
-                          "unknown-session", "unknown-metric",
-                          "bad-database")),
-        Operation("POST", "_ep_diff",
-                  "align N experiments and serve a pairwise or "
-                  "baseline-vs-corpus diff view with regression findings "
-                  "(JSON rows, or the framed columnar encoding via Accept "
-                  "negotiation)",
-                  request=DiffRequest,
-                  errors=("bad-diff-members", "bad-metric", "bad-view-kind",
-                          "bad-flavor", "unknown-database",
-                          "unknown-session", "unknown-metric",
-                          "bad-database")),
+    EndpointDef("/diff", ops=_get_post(
+        "_ep_diff",
+        "align N experiments and serve a pairwise or baseline-vs-corpus "
+        "diff view with regression findings (JSON rows, or the framed "
+        "columnar encoding via Accept negotiation)",
+        request=DiffRequest, encodings=TABLE_ENCODINGS,
+        errors=("bad-diff-members", "bad-metric", "bad-view-kind",
+                "bad-flavor", "unknown-database", "unknown-session",
+                "unknown-metric", "bad-database"),
     )),
-    EndpointDef("/ensemble", ops=(
-        Operation("GET", "_ep_ensemble",
-                  "align N experiment databases into a union-CCT ensemble "
-                  "session with per-scope member statistics",
-                  request=EnsembleRequest, status=201,
-                  errors=("bad-diff-members", "bad-metric",
-                          "unknown-database", "bad-database")),
-        Operation("POST", "_ep_ensemble",
-                  "align N experiment databases into a union-CCT ensemble "
-                  "session with per-scope member statistics",
-                  request=EnsembleRequest, status=201,
-                  errors=("bad-diff-members", "bad-metric",
-                          "unknown-database", "bad-database")),
+    EndpointDef("/ensemble", ops=_get_post(
+        "_ep_ensemble",
+        "align N experiment databases into a union-CCT ensemble session "
+        "with per-scope member statistics",
+        request=EnsembleRequest, status=201,
+        errors=("bad-diff-members", "bad-metric", "unknown-database",
+                "bad-database"),
     )),
-    EndpointDef("/query", ops=(
-        Operation("GET", "_ep_query",
-                  "run a composable call-path query against an open "
-                  "session or the profile corpus, or a corpus-wide "
-                  "diagnosis (JSON rows, or the framed columnar encoding "
-                  "via Accept negotiation for single-target queries)",
-                  request=QueryRequest,
-                  errors=("bad-query", "unknown-session", "unknown-metric",
-                          "no-corpus", "unknown-profile", "bad-database")),
-        Operation("POST", "_ep_query",
-                  "run a composable call-path query against an open "
-                  "session or the profile corpus, or a corpus-wide "
-                  "diagnosis (JSON rows, or the framed columnar encoding "
-                  "via Accept negotiation for single-target queries)",
-                  request=QueryRequest,
-                  errors=("bad-query", "unknown-session", "unknown-metric",
-                          "no-corpus", "unknown-profile", "bad-database")),
+    EndpointDef("/query", ops=_get_post(
+        "_ep_query",
+        "run a composable call-path query against an open session or the "
+        "profile corpus, or a corpus-wide diagnosis (JSON rows, or the "
+        "framed columnar encoding via Accept negotiation for "
+        "single-target queries; session queries are served from the "
+        "render cache until the session mutates)",
+        request=QueryRequest, encodings=TABLE_ENCODINGS,
+        cache=CacheKey("query", session="session", view_state=False),
+        errors=("bad-query", "unknown-session", "unknown-metric",
+                "no-corpus", "unknown-profile", "bad-database"),
     )),
-    EndpointDef("/trace", ops=(
-        Operation("GET", "_ep_trace",
-                  "windowed views over a time-partitioned trace store: "
-                  "per-depth flame-chart span slabs (JSON rows, or the "
-                  "framed columnar encoding via Accept negotiation) or a "
-                  "time-binned idleness/imbalance series",
-                  request=TraceRequest,
-                  errors=("unknown-trace", "trace-error", "trace-corrupt",
-                          "bad-trace-view", "unknown-metric")),
-        Operation("POST", "_ep_trace",
-                  "windowed views over a time-partitioned trace store: "
-                  "per-depth flame-chart span slabs (JSON rows, or the "
-                  "framed columnar encoding via Accept negotiation) or a "
-                  "time-binned idleness/imbalance series",
-                  request=TraceRequest,
-                  errors=("unknown-trace", "trace-error", "trace-corrupt",
-                          "bad-trace-view", "unknown-metric")),
+    EndpointDef("/trace", ops=_get_post(
+        "_ep_trace",
+        "windowed views over a time-partitioned trace store: per-depth "
+        "flame-chart span slabs (JSON rows, or the framed columnar "
+        "encoding via Accept negotiation) or a time-binned "
+        "idleness/imbalance series",
+        request=TraceRequest, encodings=TABLE_ENCODINGS,
+        errors=("unknown-trace", "trace-error", "trace-corrupt",
+                "bad-trace-view", "unknown-metric"),
     )),
     EndpointDef("/corpus", ops=(
         Operation("GET", "_ep_corpus_info",
@@ -1217,15 +1315,11 @@ ENDPOINTS: tuple[EndpointDef, ...] = (
                   request=SortRequest, response=SortResponse,
                   errors=("unknown-session", "unknown-metric", "bad-flavor")),
     )),
-    EndpointDef("/sessions/<sid>/hotpath", ops=(
-        Operation("GET", "_ep_hotpath", "hot path analysis (Eq. 3)",
-                  request=HotPathRequest, response=HotPathResult,
-                  errors=("unknown-session", "bad-view-kind",
-                          "unknown-metric")),
-        Operation("POST", "_ep_hotpath", "hot path analysis (Eq. 3)",
-                  request=HotPathRequest, response=HotPathResult,
-                  errors=("unknown-session", "bad-view-kind",
-                          "unknown-metric")),
+    EndpointDef("/sessions/<sid>/hotpath", ops=_get_post(
+        "_ep_hotpath", "hot path analysis (Eq. 3)",
+        request=HotPathRequest, response=HotPathResult,
+        cache=CacheKey("hotpath"),
+        errors=("unknown-session", "bad-view-kind", "unknown-metric"),
     )),
     EndpointDef("/sessions/<sid>/flatten", ops=(
         Operation("POST", "_ep_flatten",
@@ -1238,28 +1332,20 @@ ENDPOINTS: tuple[EndpointDef, ...] = (
                   response=MutationResponse,
                   errors=("unknown-session", "bad-view-operation")),
     )),
-    EndpointDef("/sessions/<sid>/table", ops=(
-        Operation("GET", "_ep_table",
-                  "one view as a data table (JSON rows, or the framed "
-                  "columnar encoding via Accept negotiation)",
-                  request=TableRequest,
-                  errors=("unknown-session", "bad-view-kind", "bad-flavor",
-                          "unknown-metric", "no-metrics")),
-        Operation("POST", "_ep_table",
-                  "one view as a data table (JSON rows, or the framed "
-                  "columnar encoding via Accept negotiation)",
-                  request=TableRequest,
-                  errors=("unknown-session", "bad-view-kind", "bad-flavor",
-                          "unknown-metric", "no-metrics")),
+    EndpointDef("/sessions/<sid>/table", ops=_get_post(
+        "_ep_table",
+        "one view as a data table (JSON rows, or the framed columnar "
+        "encoding via Accept negotiation)",
+        request=TableRequest, encodings=TABLE_ENCODINGS,
+        cache=CacheKey("table"),
+        errors=("unknown-session", "bad-view-kind", "bad-flavor",
+                "unknown-metric", "no-metrics"),
     )),
-    EndpointDef("/sessions/<sid>/render", ops=(
-        Operation("GET", "_ep_render", "render one view as a tree-table",
-                  request=RenderRequest, response=RenderResponse,
-                  errors=("unknown-session", "bad-view-kind", "bad-flavor",
-                          "unknown-metric", "no-metrics")),
-        Operation("POST", "_ep_render", "render one view as a tree-table",
-                  request=RenderRequest, response=RenderResponse,
-                  errors=("unknown-session", "bad-view-kind", "bad-flavor",
-                          "unknown-metric", "no-metrics")),
+    EndpointDef("/sessions/<sid>/render", ops=_get_post(
+        "_ep_render", "render one view as a tree-table",
+        request=RenderRequest, response=RenderResponse,
+        cache=CacheKey("render"),
+        errors=("unknown-session", "bad-view-kind", "bad-flavor",
+                "unknown-metric", "no-metrics"),
     )),
 )

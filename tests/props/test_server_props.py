@@ -7,11 +7,18 @@ the mutation history.  After every render (and hot path), the same
 history is replayed onto a *fresh, uncached* :class:`ViewerSession`
 built from scratch, and the outputs must be byte-identical.
 
+Session ``/v1/query`` responses go through the same cache: each query
+observation, in JSON or in the columnar encoding, must be byte-identical
+to a fresh ``run_query`` on the mirror session, stamped with the
+generation the mutation history implies.
+
 This is the cache-correctness theorem in executable form: if a cache
 key failed to capture something a render depends on, or an invalidation
 were missed after a mutation, some interleaving found here would return
 a stale render that differs from the fresh replay.  The cache is sized
 small (8 entries) so eviction and re-population paths run constantly.
+A second machine disables the eager per-session invalidation, so the
+generation in the key must keep stale entries unreachable on its own.
 """
 
 from __future__ import annotations
@@ -24,8 +31,11 @@ from hypothesis.stateful import RuleBasedStateMachine, rule
 from repro.core.metrics import MetricFlavor
 from repro.core.views import ViewKind
 from repro.hpcprof.experiment import Experiment
+from repro.query import Query, run_query
 from repro.server import AnalysisApp
+from repro.server.schema import json_body
 from repro.server.sessions import hot_path_snapshot, render_snapshot
+from repro.server.wire import COLUMNAR_CONTENT_TYPE, encode_columnar
 from repro.sim.workloads import fig1
 from repro.viewer.session import ViewerSession
 
@@ -47,6 +57,21 @@ _FLAVORS = {
     "inclusive": MetricFlavor.INCLUSIVE,
     "exclusive": MetricFlavor.EXCLUSIVE,
 }
+
+#: the session-query battery; ``None`` is the newest metric column
+#: (a derived one once a derive rule has run), selected and sorted on
+_QUERY_SPECS = (
+    {"pattern": "**/*", "sort": {"metric": "cycles"}},
+    "m / ** / *",
+    {"pattern": "m / ** / *", "sort": {"metric": "cycles",
+                                       "descending": False}, "limit": 3},
+    {"ops": [{"op": "match", "pattern": "** / *"},
+             {"op": "groupby", "key": "name"}],
+     "sort": {"metric": "cycles"}},
+    {"pattern": "**/*", "where": ["cycles.inclusive >= 5%"],
+     "flavors": ["exclusive"]},
+    None,
+)
 
 
 class CachedServerEquivalence(RuleBasedStateMachine):
@@ -204,8 +229,44 @@ class CachedServerEquivalence(RuleBasedStateMachine):
         assert payload["values"] == expected["values"]
         assert payload["hotspot"] == expected["hotspot"]
 
+    @rule(spec=st.sampled_from(_QUERY_SPECS), columnar=st.booleans())
+    def query(self, spec, columnar: bool) -> None:
+        if spec is None:
+            newest = self.metric_names[-1]
+            spec = {"pattern": "**/*", "metrics": [newest],
+                    "sort": {"metric": newest}}
+        raw = json.dumps({"session": self.sid, "query": spec}).encode()
+        headers = {"Accept": COLUMNAR_CONTENT_TYPE} if columnar else None
+        status, body, _h = self.app.handle_full(
+            "POST", "/v1/query", raw, request_headers=headers
+        )
+        assert status == 200, body
 
-CachedServerEquivalence.TestCase.settings = settings(
-    max_examples=25, stateful_step_count=10, deadline=None
-)
+        fresh = run_query(Query.from_spec(spec),
+                          self._fresh_session().experiment)
+        # every mutation rule bumps the generation exactly once
+        snapshot = fresh.to_snapshot(len(self.mutations))
+        if columnar:
+            assert body.data == encode_columnar(snapshot)
+        else:
+            expected = snapshot.to_json_payload(self.sid)
+            if fresh.categories:
+                expected["categories"] = list(fresh.categories)
+            assert body.data == json_body(expected)
+
+
+class GenerationKeyedEquivalence(CachedServerEquivalence):
+    """The same theorem with eager invalidation switched off: mutations
+    leave their session's entries resident, so only the generation in
+    each cache key keeps them from being served."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.app.cache.invalidate_session = lambda sid: 0
+
+
+_SETTINGS = settings(max_examples=25, stateful_step_count=10, deadline=None)
+CachedServerEquivalence.TestCase.settings = _SETTINGS
+GenerationKeyedEquivalence.TestCase.settings = _SETTINGS
 TestCachedServerEquivalence = CachedServerEquivalence.TestCase
+TestGenerationKeyedEquivalence = GenerationKeyedEquivalence.TestCase

@@ -225,6 +225,43 @@ class TestCache:
         assert first["text"] == second["text"]
         assert app.cache.stats()["hits"] == 0
 
+    def test_per_operation_counters(self, app, sid):
+        """Hits, misses and fills are counted per cached operation in
+        /v1/stats and in the Prometheus exposition."""
+        body = {"view": "cct", "depth": 2}
+        post(app, f"/sessions/{sid}/render", body)
+        post(app, f"/sessions/{sid}/render", body)
+        app.handle("GET", f"/v1/sessions/{sid}/hotpath")
+        ops = app.handle("GET", "/v1/stats")[1]["cache"]["operations"]
+        assert ops == {
+            "hotpath": {"hits": 0, "misses": 1, "fills": 1},
+            "render": {"hits": 1, "misses": 1, "fills": 1},
+        }
+        text = app.prometheus_text()
+        assert ('repro_server_response_cache_hits_total'
+                '{operation="render"} 1') in text
+        assert ('repro_server_response_cache_fills_total'
+                '{operation="hotpath"} 1') in text
+
+    def test_per_operation_counters_sum_across_states(self):
+        """A pool's exposition sums the per-operation counters of its
+        workers' states."""
+        from repro.server.app import prometheus_from_states
+
+        states = []
+        for hits in (2, 3):
+            app = AnalysisApp()
+            opened = post(app, "/sessions", {"workload": "fig1"})[1]
+            sid = opened["session"]["id"]
+            for _ in range(hits + 1):
+                post(app, f"/sessions/{sid}/render", {"view": "flat"})
+            states.append(app.metrics_state())
+        text = prometheus_from_states(states)
+        assert ('repro_server_response_cache_hits_total'
+                '{operation="render"} 5') in text
+        assert ('repro_server_response_cache_misses_total'
+                '{operation="render"} 2') in text
+
     def test_close_purges_session_entries(self, app, sid):
         post(app, f"/sessions/{sid}/render", {"view": "cct"})
         assert app.cache.stats()["entries"] == 1

@@ -591,6 +591,17 @@ class TestStatsMerge:
         assert merged["cache"] == {"hits": 25, "misses": 15}
         assert merged["sessions"] == 3
 
+    def test_merge_sums_per_operation_cache_counters(self) -> None:
+        a = {"cache": {"hits": 3, "operations": {
+            "query": {"hits": 2, "misses": 1, "fills": 1}}}}
+        b = {"cache": {"hits": 4, "operations": {
+            "query": {"hits": 3, "misses": 0, "fills": 0},
+            "table": {"hits": 1, "misses": 1, "fills": 1}}}}
+        merged = merge_stats_payloads([a, b])
+        assert merged["cache"] == {"hits": 7, "operations": {
+            "query": {"hits": 5, "misses": 1, "fills": 1},
+            "table": {"hits": 1, "misses": 1, "fills": 1}}}
+
     def test_merge_of_nothing_is_empty(self) -> None:
         merged = merge_stats_payloads([])
         assert merged["requests"]["total"] == 0

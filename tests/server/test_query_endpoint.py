@@ -98,6 +98,61 @@ class TestSessionMode:
         decoded = decode_columnar(blob.data)
         assert decoded["rows"] == as_json["rows"]
 
+    def test_generation_is_stamped_in_both_encodings(self, app):
+        """Both encodings report the generation the query ran at: after
+        one derived metric, JSON and columnar both say 1."""
+        sid = open_session(app)
+        status, _ = call(app, "POST", f"/v1/sessions/{sid}/metrics",
+                         {"name": "dbl", "formula": "2 * $0"})
+        assert status == 201
+        raw = json.dumps({"session": sid, "query": "**/*"}).encode()
+        _s, as_json, _h = app.handle_full("POST", "/v1/query", raw)
+        _s, blob, _h = app.handle_full(
+            "POST", "/v1/query", raw,
+            request_headers={"Accept": COLUMNAR_CONTENT_TYPE},
+        )
+        assert as_json["generation"] == 1
+        assert decode_columnar(blob.data)["generation"] == 1
+        assert "dbl (I)" in [c["name"] for c in as_json["columns"]]
+
+    def test_repeat_is_a_cache_hit_until_a_mutation(self, app):
+        sid = open_session(app)
+        raw = json.dumps({"session": sid, "query": "m / *"}).encode()
+        _s, first, _h = app.handle_full("POST", "/v1/query", raw)
+        _s, second, _h = app.handle_full("POST", "/v1/query", raw)
+        counts = app.cache.stats()["operations"]["query"]
+        assert counts == {"hits": 1, "misses": 1, "fills": 1}
+        assert second.data == first.data
+        # the bare-string and object spellings share one canonical key
+        call(app, "POST", "/v1/query",
+             {"session": sid, "query": {"pattern": "m / *"}})
+        assert app.cache.stats()["operations"]["query"]["hits"] == 2
+        call(app, "POST", f"/v1/sessions/{sid}/flatten")
+        _s, third, _h = app.handle_full("POST", "/v1/query", raw)
+        assert app.cache.stats()["operations"]["query"]["misses"] == 2
+        assert third["generation"] == 1
+
+    def test_spans_split_compile_evaluate_encode(self, app):
+        """A miss runs all three query stages under the request span; a
+        cache hit only compiles (the compiled query is the key)."""
+        from repro.obs import SpanTracer, install, uninstall
+
+        sid = open_session(app)
+        raw = json.dumps({"session": sid, "query": "**/*"}).encode()
+        stages = ("query.compile", "query.evaluate", "query.encode")
+        seen = []
+        for _ in range(2):
+            tracer = install(SpanTracer())
+            try:
+                status, _out = app.handle("POST", "/v1/query", raw)
+            finally:
+                uninstall()
+            assert status == 200
+            seen.append({path[-1] for path in tracer.snapshot()
+                         if path[0] == "server.request /query"
+                         and path[-1] in stages})
+        assert seen == [set(stages), {"query.compile"}]
+
     def test_unknown_session(self, app):
         status, out = call(app, "POST", "/v1/query",
                            {"session": "nope", "query": "m"})
@@ -116,6 +171,16 @@ class TestSessionMode:
             "query": {"pattern": "m", "sort": {"metric": "bogus"}},
         })
         assert_error(status, out, "unknown-metric")
+
+    def test_unhashable_sort_selector_is_bad_query(self, app):
+        """A spec the parser accepts but cannot key (a list as the sort
+        metric) is still a structured 400, never a cache-key crash."""
+        sid = open_session(app)
+        status, out = call(app, "POST", "/v1/query", {
+            "session": sid,
+            "query": {"pattern": "m", "sort": {"metric": ["cycles"]}},
+        })
+        assert_error(status, out, "bad-query")
 
     def test_session_and_tenant_conflict(self, app):
         sid = open_session(app)

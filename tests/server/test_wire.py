@@ -234,6 +234,69 @@ class TestTableEndpoint:
 
 
 # --------------------------------------------------------------------- #
+# negotiation in the endpoint dispatcher
+# --------------------------------------------------------------------- #
+#: (Accept header, does it select the columnar encoding?)
+ACCEPT_CASES = [
+    (None, False),                                          # absent
+    ("", False),
+    ("*/*", False),                                         # wildcards
+    ("application/*", False),
+    (COLUMNAR_CONTENT_TYPE, True),
+    (f"{COLUMNAR_CONTENT_TYPE};q=0.9", True),               # parameters
+    (f"{COLUMNAR_CONTENT_TYPE} ; version=1", True),
+    (f"application/json;q=0.5, {COLUMNAR_CONTENT_TYPE};q=0.9", True),
+    (f"text/html,{COLUMNAR_CONTENT_TYPE}", True),           # lists
+    ("application/json, text/html", False),
+    (COLUMNAR_CONTENT_TYPE.upper(), True),                  # case
+    ("Application/X-Repro-Columnar", True),
+    ("application/x-repro-columnar-v9", False),
+]
+
+
+class TestDispatcherNegotiation:
+    """Every table-shaped operation negotiates exactly as
+    :func:`accepts_columnar` parses ``Accept``; JSON-only operations
+    answer JSON whatever the header says."""
+
+    @staticmethod
+    def _requests(app: AnalysisApp) -> dict[str, tuple[str, str, bytes]]:
+        other = app.registry.open_workload("fig1", nranks=2, seed=8).sid
+        return {
+            "table": ("GET", "/v1/sessions/s1/table?view=flat", b""),
+            "query": ("POST", "/v1/query", json.dumps(
+                {"session": "s1", "query": "**/*"}).encode()),
+            "diff": ("POST", "/v1/diff", json.dumps(
+                {"sessions": ["s1", other]}).encode()),
+        }
+
+    @pytest.mark.parametrize("accept,columnar", ACCEPT_CASES)
+    def test_table_shaped_operations(self, app: AnalysisApp, accept,
+                                     columnar: bool) -> None:
+        assert accepts_columnar(accept) is columnar
+        headers = {"Accept": accept} if accept is not None else None
+        for name, (method, path, raw) in self._requests(app).items():
+            status, payload, _h = app.handle_full(
+                method, path, raw, request_headers=headers
+            )
+            assert status == 200, (name, payload)
+            assert isinstance(payload, BinaryBody) is columnar, name
+            if columnar:
+                assert payload.content_type == COLUMNAR_CONTENT_TYPE
+
+    @pytest.mark.parametrize("accept,columnar", ACCEPT_CASES)
+    def test_json_only_operations(self, app: AnalysisApp, accept,
+                                  columnar: bool) -> None:
+        headers = {"Accept": accept} if accept is not None else None
+        for path in ("/v1/sessions/s1/render", "/v1/sessions/s1/hotpath"):
+            status, payload, _h = app.handle_full(
+                "GET", path, request_headers=headers
+            )
+            assert status == 200
+            assert isinstance(payload, dict), (path, accept)
+
+
+# --------------------------------------------------------------------- #
 # the JSON table body on the wire
 # --------------------------------------------------------------------- #
 @pytest.fixture

@@ -41,6 +41,18 @@ Conventions:
   `{"error": {"status", "code", "message", "trace_id"[, "retry_after"]}}`;
 * `GET` endpoints accept the same fields as URL query parameters
   (values parse as JSON scalars: `depth=4`, `hot_path=true`);
+* table-shaped operations list their **encodings**: JSON by default,
+  or the framed columnar table (`application/x-repro-columnar`) when
+  the request's `Accept` names it (parameters and case are ignored;
+  wildcards do not select it);
+* operations marked **cached** are served from the session's response
+  cache, keyed on the session id, its generation, the canonical
+  request and the negotiated encoding (plus the session's sort spec
+  and flatten depth where the request resolves against them); each
+  fill is encoded once, so a repeat on an unchanged session is a byte
+  write, and
+  every mutation (derived metric, flatten, unflatten) bumps the
+  generation and drops the session's entries;
 * request bodies over the server's `--max-body` limit are rejected
   with `413 payload-too-large`.
 """
@@ -117,6 +129,18 @@ def render() -> str:
                 notes.append("non-JSON response body")
             if op.status != 200:
                 notes.append(f"success status `{op.status}`")
+            if len(op.encodings) > 1:
+                notes.append("encodings: " + ", ".join(
+                    f"`{media}`" for media in op.encodings))
+            if op.cache is not None:
+                scope = (f"the session named by `{op.cache.session}`"
+                         if op.cache.session else "the `<sid>` session")
+                state = (" and its sort/flatten state"
+                         if op.cache.view_state else "")
+                notes.append(
+                    f"cached per generation of {scope}{state} "
+                    f"(counter label `{op.cache.name}`)"
+                )
             if notes:
                 out.append("*" + "; ".join(notes) + "*\n")
             if op.request is not None:

@@ -11,7 +11,11 @@ works on this machine:
 3. the legacy ``search()`` shim agrees with the engine on the hit set;
 4. ``POST /v1/query`` serves the query in session mode, and the
    columnar wire form decodes to exactly the JSON rows;
-5. a two-profile corpus diagnoses cleanly through the same endpoint.
+5. a repeated session query is a response-cache hit with a
+   byte-identical body, and a derived metric turns the next one into a
+   miss whose rows carry the new column at generation 1 in both
+   encodings;
+6. a two-profile corpus diagnoses cleanly through the same endpoint.
 
 The exhaustive batteries live in ``tests/query/``,
 ``tests/props/test_query_props.py``, and
@@ -75,6 +79,39 @@ def check_shim(exp: Experiment) -> None:
         "search() shim hit set diverged from the engine")
 
 
+def check_query_cache(app: AnalysisApp, sid: str, body: bytes) -> None:
+    def counts() -> dict:
+        return app.cache.stats()["operations"]["query"]
+
+    def send(columnar: bool = False):
+        headers = {"Accept": COLUMNAR_CONTENT_TYPE} if columnar else None
+        status, out, _h = app.handle_full("POST", "/v1/query", body,
+                                          request_headers=headers)
+        assert status == 200, out
+        return out
+
+    first = send()
+    before = counts()
+    second = send()
+    after = counts()
+    assert after["hits"] == before["hits"] + 1, (before, after)
+    assert second.data == first.data, "a cache hit changed the body bytes"
+
+    status, out = app.handle(
+        "POST", f"/v1/sessions/{sid}/metrics",
+        json.dumps({"name": "dbl", "formula": "2 * $0"}).encode())
+    assert status == 201, out
+    fresh = send()
+    assert counts()["misses"] == after["misses"] + 1, (
+        "the query after a derive was served from the cache")
+    columns = [c["name"] for c in fresh["columns"]]
+    assert "dbl (I)" in columns, columns
+    assert all(len(row) == len(columns) for row in fresh["rows"])
+    decoded = decode_columnar(send(columnar=True).data)
+    assert fresh["generation"] == decoded["generation"] == 1, (
+        fresh["generation"], decoded["generation"])
+
+
 def check_endpoint(payload: bytes, tmp: str) -> None:
     app = AnalysisApp(corpus_root=os.path.join(tmp, "corpus"))
     try:
@@ -95,6 +132,7 @@ def check_endpoint(payload: bytes, tmp: str) -> None:
         assert status == 200 and blob.content_type == COLUMNAR_CONTENT_TYPE
         assert decode_columnar(blob.data)["rows"] == as_json["rows"], (
             "columnar wire form diverged from JSON")
+        check_query_cache(app, sid, body)
 
         upload = {"name": "r.rpdb",
                   "data": base64.b64encode(payload).decode(),
@@ -124,7 +162,8 @@ def main() -> int:
         check_endpoint(payload, tmp)
     print(f"query smoke OK: {rows} rows bit-identical across "
           f"in-memory/.rpdb/.rpstore, shim agrees, /v1/query JSON == "
-          f"columnar, 2-profile corpus diagnosis clean")
+          f"columnar, cached until a derive (generation 1 in both "
+          f"encodings), 2-profile corpus diagnosis clean")
     return 0
 
 

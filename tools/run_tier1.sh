@@ -17,8 +17,9 @@
 #      the reopened corpus recovers it bit-identically;
 #   6. query smoke: one composed query runs bit-identically across the
 #      in-memory / .rpdb / .rpstore backends, through the search()
-#      shim, and over /v1/query (JSON == columnar), plus a clean
-#      two-profile corpus diagnosis;
+#      shim, and over /v1/query (JSON == columnar; a repeat is a
+#      byte-identical cache hit, a derive forces a miss at generation
+#      1), plus a clean two-profile corpus diagnosis;
 #   7. trace smoke: a two-rank trace answers a windowed query
 #      bit-identically from memory and from a time-partitioned chunked
 #      store (pruning verified), a pre-commit writer crash leaves no
