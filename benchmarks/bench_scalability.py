@@ -58,7 +58,9 @@ def test_bench_render_window_vs_tree_size(benchmark, depth):
 @pytest.mark.parametrize("fanout", [4, 8, 12])
 @pytest.mark.parametrize("backend", ["dict", "columnar"])
 def test_bench_attribution_scaling(benchmark, fanout, backend):
-    from repro.core.attribution import attribute
+    from repro.core.attribution import attribute_dicts
+    from repro.core.engine import attribute_columnar
 
     exp = Experiment.from_program(synthetic_tree_program(fanout=fanout, depth=3))
-    benchmark(lambda: attribute(exp.cct, columnar=(backend == "columnar")))
+    run = attribute_columnar if backend == "columnar" else attribute_dicts
+    benchmark(lambda: run(exp.cct))

@@ -24,7 +24,7 @@ RENDER = json.dumps({"view": "cct", "depth": 3}).encode()
 @pytest.fixture(scope="module")
 def app():
     instance = AnalysisApp()
-    status, _ = instance.handle("POST", "/sessions", b'{"workload": "fig1"}')
+    status, _ = instance.handle("POST", "/v1/sessions", b'{"workload": "fig1"}')
     assert status == 201
     return instance
 
@@ -32,7 +32,7 @@ def app():
 @pytest.fixture(scope="module")
 def cold_app():
     instance = AnalysisApp(cache_size=0)
-    status, _ = instance.handle("POST", "/sessions", b'{"workload": "fig1"}')
+    status, _ = instance.handle("POST", "/v1/sessions", b'{"workload": "fig1"}')
     assert status == 201
     return instance
 
@@ -53,7 +53,7 @@ def test_bench_server_cached_render(benchmark, app):
     """App-core latency of a cache-hit render (the steady-state path)."""
 
     def hit():
-        status, payload = app.handle("POST", "/sessions/s1/render", RENDER)
+        status, payload = app.handle("POST", "/v1/sessions/s1/render", RENDER)
         assert status == 200
         return payload
 
@@ -68,7 +68,7 @@ def test_bench_server_uncached_render(benchmark, cold_app):
 
     def miss():
         status, payload = cold_app.handle(
-            "POST", "/sessions/s1/render", RENDER
+            "POST", "/v1/sessions/s1/render", RENDER
         )
         assert status == 200
         return payload
@@ -80,7 +80,7 @@ def test_bench_server_uncached_render(benchmark, cold_app):
 def test_bench_server_hotpath(benchmark, cold_app):
     def run():
         status, payload = cold_app.handle(
-            "POST", "/sessions/s1/hotpath", b'{"threshold": 0.5}'
+            "POST", "/v1/sessions/s1/hotpath", b'{"threshold": 0.5}'
         )
         assert status == 200
         return payload

@@ -63,9 +63,10 @@ def test_bench_flat_materialize(benchmark, experiment):
 
 
 def test_bench_search(benchmark, experiment):
-    from repro.core.search import search
+    from repro.query import query
 
     _name, exp = experiment
     view = exp.calling_context_view()
-    hits = benchmark(lambda: search(view, "*", limit=10))
-    assert hits
+    ranked = query("*").sort().limit(10)
+    hits = benchmark(lambda: ranked.run(view))
+    assert hits.row_count

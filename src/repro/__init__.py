@@ -43,7 +43,6 @@ from repro.core.derived import (
     relative_efficiency_formula,
 )
 from repro.errors import ReproError
-from repro.core.filters import FilterAction, FilterSet, ScopeFilter, ThresholdFilter
 from repro.core.flat import FlatView
 from repro.core.hotpath import DEFAULT_THRESHOLD, HotPathResult, hot_path
 from repro.core.metrics import MetricFlavor, MetricSpec, MetricTable
@@ -125,11 +124,6 @@ __all__ = [
     "advise",
     "Advisor",
     "Suggestion",
-    # filters
-    "FilterSet",
-    "ScopeFilter",
-    "ThresholdFilter",
-    "FilterAction",
     # errors
     "ReproError",
 ]

@@ -2,7 +2,7 @@
 
 Everything in ``__all__`` here is covered by the v1 compatibility
 promise: names may gain keyword arguments but will not move, change
-meaning, or disappear without a deprecation cycle.  The checked-in
+meaning, or disappear without a change to the snapshot below.  The checked-in
 snapshot ``tests/api_surface.txt`` (regenerated by
 ``tools/gen_api_surface.py``) pins this surface, so unintentional drift
 fails tier-1.
@@ -54,9 +54,7 @@ The facade groups the toolkit by task:
   --self-profile`` uses.
 
 Deep imports of internal modules keep working but are not part of the
-promise; modules that have moved (``repro.core.errors``,
-``repro.server.errors``) remain as shims raising
-:class:`DeprecationWarning`.
+promise.
 """
 
 from __future__ import annotations

@@ -42,19 +42,16 @@ __all__ = [
     "aggregate_exposed",
 ]
 
-try:  # numpy is a hard dependency, but the dict path must survive without it
-    import numpy as _np  # noqa: F401
-
-    _HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - numpy is baked into the image
-    _HAVE_NUMPY = False
-
 #: below this node count the columnar engine's array build/scatter overhead
-#: outweighs its vectorized kernels, so ``attribute`` keeps the dict path
+#: outweighs its vectorized kernels, so ``attribute`` keeps the dict path.
+#: Measured (attribution + engine build per tree, dict -> engine): fig1
+#: 130 -> 176 us, pflotran 181 -> 417 us, s3d 634 -> 655 us, moab 488 ->
+#: 469 us; forcing the engine on every tree cost the paper-model
+#: ``explore-paper`` benchmark ~3% throughput (docs/performance.md)
 COLUMNAR_MIN_NODES = 128
 
 
-def attribute(cct: CCT, *, columnar: bool | None = None) -> None:
+def attribute(cct: CCT) -> None:
     """Compute ``exclusive`` and ``inclusive`` for every scope, in place.
 
     This is the paper's *initialization* step.  Safe to call repeatedly;
@@ -64,18 +61,17 @@ def attribute(cct: CCT, *, columnar: bool | None = None) -> None:
     sparse-dict reference path and the columnar
     :class:`~repro.core.engine.MetricEngine` path, whose vectorized
     kernels replicate the dict path's floating-point evaluation order so
-    the results agree bit-for-bit.  ``columnar=None`` (the default) picks
-    the engine for trees of at least ``COLUMNAR_MIN_NODES`` scopes when
-    numpy is available, and falls back to dicts otherwise.
+    the results agree bit-for-bit.  Trees of at least
+    ``COLUMNAR_MIN_NODES`` scopes take the engine, smaller ones the dicts;
+    call :func:`attribute_dicts` or
+    :func:`~repro.core.engine.attribute_columnar` to pin a backend.
     """
-    if columnar is None:
-        columnar = _HAVE_NUMPY and len(cct) >= COLUMNAR_MIN_NODES
-    if columnar:
-        from repro.core.engine import attribute_columnar  # lazy: numpy
+    if len(cct) >= COLUMNAR_MIN_NODES:
+        from repro.core.engine import attribute_columnar  # lazy: import cycle
 
         attribute_columnar(cct)
-        return
-    attribute_dicts(cct)
+    else:
+        attribute_dicts(cct)
 
 
 def attribute_dicts(cct: CCT) -> None:

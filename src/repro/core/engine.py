@@ -190,18 +190,6 @@ class MetricEngine:
             depths[self._level_order], np.arange(self.max_depth + 2)
         )
 
-        # children in CSR form: rows grouped by parent, in child order
-        if n > 1:
-            self._child_rows = np.argsort(parent_rows[1:], kind="stable").astype(
-                np.int64
-            ) + 1
-            counts = np.bincount(parent_rows[1:], minlength=n)
-        else:
-            self._child_rows = np.empty(0, dtype=np.int64)
-            counts = np.zeros(n, dtype=np.int64)
-        self._child_offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=self._child_offsets[1:])
-
         # subtree sizes via bottom-up level sweep → preorder extents
         sizes = np.ones(n, dtype=np.int64)
         for depth in range(self.max_depth, 0, -1):
@@ -226,10 +214,6 @@ class MetricEngine:
             raise MetricError(
                 f"scope {node.name!r} is not part of this engine's CCT"
             ) from None
-
-    def children_rows(self, row: int) -> np.ndarray:
-        lo, hi = self._child_offsets[row], self._child_offsets[row + 1]
-        return self._child_rows[lo:hi]
 
     # ------------------------------------------------------------------ #
     # attribution kernels (Eqs. 1 and 2, vectorized)
@@ -334,30 +318,6 @@ class MetricEngine:
         idx = np.argpartition(column, -k)[-k:]
         idx = idx[np.argsort(column[idx])[::-1]]
         return [(self.nodes[i], float(column[i])) for i in idx]
-
-    @traced("engine.hot-path")
-    def hot_path_rows(
-        self, start_row: int, mid: int, threshold: float
-    ) -> tuple[list[int], list[float]]:
-        """Eq. 3 descent over CCT rows: follow the argmax inclusive child
-        while it holds at least ``threshold`` of its parent's value."""
-        inclusive = self.inclusive
-        path = [start_row]
-        values = [float(inclusive[start_row, mid])]
-        row = start_row
-        while True:
-            kids = self.children_rows(row)
-            if not len(kids):
-                break
-            kid_values = inclusive[kids, mid]
-            best = int(np.argmax(kid_values))  # first max, like max(key=...)
-            best_value = float(kid_values[best])
-            if values[-1] <= 0.0 or best_value < threshold * values[-1]:
-                break
-            row = int(kids[best])
-            path.append(row)
-            values.append(best_value)
-        return path, values
 
     # ------------------------------------------------------------------ #
     # exposed-instance aggregation (Section IV-B)

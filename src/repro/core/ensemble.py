@@ -224,11 +224,11 @@ class EnsembleView:
         quantiles: Sequence[float] = DEFAULT_QUANTILES,
     ) -> EnsembleStats:
         """Per-scope mean/std/min/max/quantiles across the members."""
-        from repro.hpcprof.summarize import _welford_chunk
+        from repro.hpcprof.summarize import welford_moments
 
         mid = self._mid(metric)
         matrix = self.alignment.matrix(mid, flavor)
-        count, mean, m2, minimum, maximum = _welford_chunk(matrix.T)
+        count, mean, m2, minimum, maximum = welford_moments(matrix.T)
         if count > 1:
             variance = m2 / count
         else:
@@ -255,9 +255,9 @@ class EnsembleView:
         experiment's — idempotent per metric.
         """
         from repro.hpcprof.summarize import (
-            _welford_chunk,
             apply_summary_stats,
             register_summary_ids,
+            welford_moments,
         )
 
         mid = self._mid(metric)
@@ -267,7 +267,7 @@ class EnsembleView:
         ids = register_summary_ids(self.union.metrics, mid)
         for flavor in ("inclusive", "exclusive"):
             matrix = self.alignment.matrix(mid, flavor)
-            stats = _welford_chunk(matrix.T)
+            stats = welford_moments(matrix.T)
             mask = np.any(matrix != 0.0, axis=0)
             apply_summary_stats(self.nodes, flavor, ids, stats, mask)
         self.union.cct.invalidate_caches()
@@ -435,13 +435,13 @@ def detect_regressions(
     if not corpus:
         raise MetricError("regression baseline corpus is empty")
 
-    from repro.hpcprof.summarize import _welford_chunk
+    from repro.hpcprof.summarize import welford_moments
 
     incl = ensemble.alignment.matrix(mid, "inclusive")
     totals = incl[:, 0]  # row 0 is the root: each member's own total
     safe = np.where(totals == 0.0, 1.0, totals)
     shares = incl / safe[:, None]
-    count, mean, m2, _minimum, _maximum = _welford_chunk(shares[corpus].T)
+    count, mean, m2, _minimum, _maximum = welford_moments(shares[corpus].T)
     if count > 1:
         stddev = np.sqrt(np.maximum(m2 / count, 0.0))
     else:

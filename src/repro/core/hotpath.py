@@ -167,21 +167,8 @@ def hot_path_cct(
     start: CCTNode,
     mid: int,
     threshold: float = DEFAULT_THRESHOLD,
-    engine=None,
 ) -> HotPathResult:
-    """Hot path directly over CCT scopes (pre-view analyses).
-
-    Pass the CCT's :class:`~repro.core.engine.MetricEngine` to run the
-    descent over the columnar matrices (one fancy-index gather per level)
-    instead of per-node dict lookups.
-    """
-    if engine is not None and 0 <= mid < engine.num_metrics:
-        if not (0.0 < threshold <= 1.0):
-            raise ViewError(f"hot-path threshold must be in (0, 1], got {threshold}")
-        rows, values = engine.hot_path_rows(engine.row_of(start), mid, threshold)
-        return HotPathResult(
-            tuple(engine.nodes[row] for row in rows), tuple(values)
-        )
+    """Hot path directly over CCT scopes (pre-view analyses)."""
     return hot_path_generic(
         start,
         value_fn=lambda n: n.inclusive.get(mid, 0.0),

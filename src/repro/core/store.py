@@ -44,6 +44,8 @@ from repro.hpcprof.summarize import (
     SummaryIds,
     apply_summary_stats,
     register_summary_ids,
+    welford_state,
+    welford_step,
 )
 
 __all__ = [
@@ -438,25 +440,18 @@ class StoreExperiment(Experiment):
 def _streaming_moments(matrix: np.ndarray):
     """Sequential per-node Welford over rank rows, one row resident.
 
-    Bit-identical to ``_welford_chunk`` on the dense transpose — the
-    parity contract between the store, the bounded merge, and the
-    in-memory reference (``summarize_ranks_exact``).
+    Steps through :func:`~repro.hpcprof.summarize.welford_step` like
+    the bounded merge and the in-memory reference
+    (``summarize_ranks_exact``), so all three are bit-identical.
     """
     nranks, nnodes = matrix.shape
-    mean = np.zeros(nnodes)
-    m2 = np.zeros(nnodes)
-    minimum = np.full(nnodes, np.inf)
-    maximum = np.full(nnodes, -np.inf)
+    state = welford_state(nnodes)
     nonzero = np.zeros(nnodes, dtype=bool)
     for r in range(nranks):
         x = np.asarray(matrix[r], dtype=np.float64)
-        delta = x - mean
-        mean = mean + delta / (r + 1)
-        m2 = m2 + delta * (x - mean)
-        minimum = np.minimum(minimum, x)
-        maximum = np.maximum(maximum, x)
+        welford_step(state, x, r + 1)
         nonzero |= x != 0.0
-    return (nranks, mean, m2, minimum, maximum), nonzero
+    return (nranks, *state), nonzero
 
 
 # --------------------------------------------------------------------- #

@@ -1,11 +1,8 @@
 """The single error taxonomy of the toolkit and its service surface.
 
-Historically the library and the analysis server grew *parallel*
-hierarchies — ``repro.core.errors`` for domain failures and
-``repro.server.errors`` for client-visible HTTP failures — with the
-mapping between them spread across ``isinstance`` chains.  This module
-unifies both sides and makes the mapping itself part of the public
-contract:
+Both the library's domain failures and the analysis server's
+client-visible HTTP failures live here, and the mapping between them
+is itself part of the public contract:
 
 * the **domain hierarchy** (:class:`ReproError` and friends) — what
   library code raises; independent of any transport;
@@ -17,10 +14,7 @@ contract:
   :func:`translate_domain_error` at the application boundary and by the
   generated endpoint reference in ``docs/api.md``.
 
-The old module paths remain importable as deprecation shims, so code
-written against ``repro.core.errors`` / ``repro.server.errors`` keeps
-working (with a :class:`DeprecationWarning`); new code should import
-from :mod:`repro.errors` or the :mod:`repro.api` facade.
+Import from :mod:`repro.errors` or the :mod:`repro.api` facade.
 """
 
 from __future__ import annotations

@@ -584,6 +584,7 @@ def merge_rank_files(
     raw sums, attribution, summary columns, and rendered tables.
     """
     from repro.core.store import StoreWriter, store_size_bytes
+    from repro.hpcprof.summarize import welford_state, welford_step
     from repro.obs.spans import span
 
     paths = list(paths)
@@ -660,13 +661,7 @@ def merge_rank_files(
             }
             cols = {key: np.zeros(n) for key in maps}
             acc = {
-                (mid, flavor): [
-                    np.zeros(n),                    # mean
-                    np.zeros(n),                    # m2
-                    np.full(n, np.inf),             # min
-                    np.full(n, -np.inf),            # max
-                    np.zeros(n, dtype=bool),        # nonzero mask
-                ]
+                (mid, flavor): (welford_state(n), np.zeros(n, dtype=bool))
                 for mid in summary_mids
                 for flavor in flavors
             }
@@ -688,14 +683,8 @@ def merge_rank_files(
                     mm[r, :] = x
                     stats = acc.get(key)
                     if stats is not None:
-                        mean, m2, minimum, maximum, nonzero = stats
-                        # element-wise identical to _welford_chunk's
-                        # column step
-                        delta = x - mean
-                        mean += delta / (r + 1)
-                        m2 += delta * (x - mean)
-                        np.minimum(minimum, x, out=minimum)
-                        np.maximum(maximum, x, out=maximum)
+                        state, nonzero = stats
+                        welford_step(state, x, r + 1)
                         nonzero |= x != 0.0
 
             for mm in maps.values():
@@ -717,11 +706,8 @@ def merge_rank_files(
         ids = register_summary_ids(metrics, mid)
         summaries[mid] = ids
         for flavor in flavors:
-            mean, m2, minimum, maximum, nonzero = acc[(mid, flavor)]
-            apply_summary_stats(
-                nodes, flavor, ids, (nranks, mean, m2, minimum, maximum),
-                nonzero,
-            )
+            state, nonzero = acc[(mid, flavor)]
+            apply_summary_stats(nodes, flavor, ids, (nranks, *state), nonzero)
     if summaries:
         combined.invalidate_caches()
 

@@ -38,6 +38,9 @@ __all__ = [
     "register_summary_ids",
     "apply_summary_stats",
     "rank_moments",
+    "welford_moments",
+    "welford_state",
+    "welford_step",
     "partial_summary",
     "reduce_partials",
     "finalize_partials",
@@ -246,7 +249,7 @@ def summarize_ranks_exact(
 
     Same columns as :func:`summarize_ranks`, but computed by feeding the
     rank values through one Welford accumulator in rank order (a single
-    :func:`_welford_chunk` over all ranks) instead of numpy's pairwise
+    :func:`welford_moments` over all ranks) instead of numpy's pairwise
     ``mean``/``std``.  This is the bit-exactness contract shared with
     the out-of-core merge, which replays the identical update sequence
     one rank at a time — so an in-memory merge summarized through this
@@ -264,7 +267,7 @@ def summarize_ranks_exact(
         )
         if not kept:
             continue
-        stats = _welford_chunk(matrix)
+        stats = welford_moments(matrix)
         mask = np.zeros(len(all_nodes), dtype=bool)
         mask[[rows[node.uid] for node in kept]] = True
         # scatter the kept-row stats back to dense rows for the writer
@@ -293,27 +296,39 @@ def _scatter(values: np.ndarray, rows, n: int) -> np.ndarray:
 _RowStats = tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-def _welford_chunk(matrix: np.ndarray) -> _RowStats:
-    """Per-row Welford moments over one chunk of rank columns.
+def welford_state(n: int) -> list[np.ndarray]:
+    """Empty per-row accumulators ``[mean, m2, min, max]`` for *n* rows."""
+    return [np.zeros(n), np.zeros(n), np.full(n, math.inf),
+            np.full(n, -math.inf)]
 
-    Module-level (hence picklable) worker for the process pool.  The
-    column loop performs, element-wise per row, exactly the update
-    sequence of :meth:`Moments.add`, so each row's result is bit-identical
-    to feeding that row's values through a scalar accumulator in order.
+
+def welford_step(state: list[np.ndarray], x: np.ndarray, count: int) -> None:
+    """Fold the column *x* into :func:`welford_state` accumulators, in place.
+
+    *count* is the number of values seen so far, *x* included.  Per row
+    this is exactly the update sequence of :meth:`Moments.add`, so the
+    rank summaries, the store's on-demand summaries, the bounded merge
+    and the ensemble statistics — all of which step through here — are
+    bit-identical to a scalar accumulator fed the same values in order.
+    """
+    mean, m2, minimum, maximum = state
+    delta = x - mean
+    mean += delta / count
+    m2 += delta * (x - mean)
+    np.minimum(minimum, x, out=minimum)
+    np.maximum(maximum, x, out=maximum)
+
+
+def welford_moments(matrix: np.ndarray) -> _RowStats:
+    """Per-row Welford moments over the columns of *matrix*, in order.
+
+    Module-level (hence picklable) worker for the process pool.
     """
     n, m = matrix.shape
-    mean = np.zeros(n)
-    m2 = np.zeros(n)
-    minimum = np.full(n, math.inf)
-    maximum = np.full(n, -math.inf)
+    state = welford_state(n)
     for j in range(m):
-        x = matrix[:, j]
-        delta = x - mean
-        mean = mean + delta / (j + 1)
-        m2 = m2 + delta * (x - mean)
-        minimum = np.minimum(minimum, x)
-        maximum = np.maximum(maximum, x)
-    return (m, mean, m2, minimum, maximum)
+        welford_step(state, matrix[:, j], j + 1)
+    return (m, *state)
 
 
 def _merge_stats(a: _RowStats, b: _RowStats) -> _RowStats:
@@ -356,7 +371,7 @@ def rank_moments(
     """Per-row moments of a ``(scopes x ranks)`` matrix, chunked by rank.
 
     Rank columns are split into fixed chunks; each chunk's per-row Welford
-    partials are computed by :func:`_welford_chunk` — in a
+    partials are computed by :func:`welford_moments` — in a
     ``concurrent.futures`` process pool when ``max_workers > 1``, inline
     otherwise — and combined through the fixed pairwise merge tree.  Since
     chunking and tree shape are independent of the execution mode, the
@@ -371,9 +386,9 @@ def rank_moments(
     ]
     if max_workers is not None and max_workers > 1 and len(chunks) > 1:
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            stats = list(pool.map(_welford_chunk, chunks))
+            stats = list(pool.map(welford_moments, chunks))
     else:
-        stats = [_welford_chunk(chunk) for chunk in chunks]
+        stats = [welford_moments(chunk) for chunk in chunks]
     return _reduce_tree(stats)
 
 

@@ -1,8 +1,8 @@
 """``repro.query`` — the composable call-path query language.
 
-One abstraction replaces the historical trio of ad-hoc entry points
-(``core.search``, ``core.filters``, ``core.advisor`` — all still
-importable, now thin shims over this package):
+The one programmatic path for searching and filtering call-path
+profiles (the interactive viewer's ``find`` and the advisor evaluate
+on the same kernels):
 
 >>> from repro.query import query
 >>> q = (query('main / ** / {"category": "loop"}')

@@ -28,7 +28,8 @@ directly on a :class:`~repro.core.engine.MetricEngine` (in-memory,
 ``.rpdb``-loaded, and mmap ``.rpstore`` experiments all share it — the
 matrices are the backend-uniformity guarantee), and :class:`ViewFrame`
 adapts a presentation view (callers/flat aggregations, derived-metric
-cells) for the legacy ``search``/``filters``/``advisor`` shims.
+cells) for queries run on a view, the advisor, and the interactive
+viewer's ``find``.
 """
 
 from __future__ import annotations
@@ -283,7 +284,7 @@ class _FrameBase:
         return near
 
     def path(self, row: int) -> tuple[str, ...]:
-        """Scope names from the root down to *row* (compat helper)."""
+        """Scope names from the root down to *row*."""
         names = []
         r = int(row)
         while r >= 0:
@@ -367,14 +368,14 @@ class EngineFrame(_FrameBase):
 
 
 class ViewFrame(_FrameBase):
-    """A frame over a presentation view (compat path for the shims).
+    """A frame over a presentation view.
 
-    The walk order and node budget replicate the legacy
-    ``core.search`` traversal exactly: an explicit stack seeded with
-    the roots reversed, popping preorder, capped at *max_nodes* total
-    pops.  Values go through :meth:`View.gather_columns`, which reads
-    the engine matrices for measured metrics and evaluates derived
-    cells per view — the same cells the legacy per-node loops read.
+    Rows are the view's scopes in preorder — an explicit stack seeded
+    with the roots reversed, capped at *max_nodes* total pops, so a
+    lazily expanded view is materialized only that far.  Values go
+    through :meth:`View.gather_columns`, which reads the engine
+    matrices for measured metrics and evaluates derived cells per
+    view — the same cells a rendered row shows.
     """
 
     def __init__(self, view, roots=None,

@@ -16,7 +16,7 @@ Layering (transport-independent core under a thin HTTP shell):
 * :mod:`repro.server.schema` — typed request/response dataclasses and
   the versioned endpoint registry (the source of ``docs/api.md`` and
   the public-API snapshot test);
-* :mod:`repro.server.app` — routing (``/v1`` plus deprecated aliases),
+* :mod:`repro.server.app` — routing under ``/v1``,
   decoding, validation, trace ids, stats, Prometheus ``/metrics``;
 * :mod:`repro.server.http` — ``ThreadingHTTPServer`` adapter and the
   ``repro-serve`` entry point;

@@ -9,10 +9,9 @@ in-process without sockets.
 
 Request handling contract:
 
-* the public surface is versioned: every endpoint's canonical mount
-  point is ``/v1/...``; the bare (historical) path is a deprecated
-  alias that serves the byte-identical body plus a ``Deprecation``
-  header and a one-time server log warning;
+* the public surface is versioned: every endpoint is mounted under
+  ``/v1/...``, and a path outside ``/v1`` answers the structured 404
+  of any unknown route;
 * the routing table, request schemas, and response shapes live in
   :mod:`repro.server.schema` (:data:`~repro.server.schema.ENDPOINTS`),
   the same registry the generated ``docs/api.md`` and the public-API
@@ -21,7 +20,7 @@ Request handling contract:
   response header, in every structured error payload, and in slow-log
   lines; while handling runs it is the ambient
   :func:`repro.obs.current_trace_id`;
-* every response body is a JSON object — except ``GET /metrics``,
+* every response body is a JSON object — except ``GET /v1/metrics``,
   which serves Prometheus text (a :class:`~repro.server.schema.RawBody`
   at this layer); failures carry the :mod:`repro.errors` taxonomy and
   *never* a traceback;
@@ -38,7 +37,7 @@ Request handling contract:
   generation and eagerly invalidate the session's cache entries;
 * per-endpoint request counters, latency aggregates, and latency
   histograms are kept under a dedicated lock and surfaced at
-  ``GET /stats`` (JSON) and ``GET /metrics`` (Prometheus);
+  ``GET /v1/stats`` (JSON) and ``GET /v1/metrics`` (Prometheus);
 * request stages run under :func:`repro.obs.span` hooks
   (``server.request <label>``, ``server.decode``, …) — no-ops unless a
   tracer is installed (``repro-serve --self-profile``).
@@ -49,7 +48,6 @@ from __future__ import annotations
 import base64
 import binascii
 import json
-import logging
 import os
 import threading
 import time
@@ -138,7 +136,6 @@ __all__ = [
     "prometheus_from_states",
 ]
 
-logger = logging.getLogger("repro.server")
 
 #: request bodies above this are rejected with 413 (overridable per app)
 DEFAULT_MAX_BODY = 1 << 20
@@ -320,18 +317,18 @@ def _header(headers, name: str) -> str | None:
     return value
 
 
-def _split_version(path: str) -> tuple[str | None, str]:
-    """Split the version prefix off a request path.
+def _route_path(path: str) -> str | None:
+    """The route under the version prefix, or None outside it.
 
-    ``/v1/stats`` → ``("v1", "/stats")``; the bare ``/stats`` →
-    ``(None, "/stats")`` — a deprecated alias of the versioned path.
+    ``/v1/stats`` → ``"/stats"``; ``/v1`` → ``"/"``; the bare
+    ``/stats`` → None (an unknown route).
     """
     prefix = "/" + API_VERSION
     if path == prefix or path == prefix + "/":
-        return API_VERSION, "/"
+        return "/"
     if path.startswith(prefix + "/"):
-        return API_VERSION, path[len(prefix):]
-    return None, path
+        return path[len(prefix):]
+    return None
 
 
 # --------------------------------------------------------------------- #
@@ -461,7 +458,6 @@ class AnalysisApp:
         self.slowlog = SlowLog(slow_ms) if slow_ms is not None else None
         self._stats_lock = threading.Lock()
         self._stats: dict[str, dict] = {}
-        self._warned_aliases: set[str] = set()
         self._inflight_lock = threading.Lock()
         self._inflight = 0
         self._shed = 0
@@ -594,9 +590,7 @@ class AnalysisApp:
         the request negotiated the columnar table encoding.  A JSON
         table-shaped or cached response is an :class:`EncodedJson` that
         also carries its wire bytes, encoded once per cache fill.  Headers
-        always carry ``X-Trace-Id``; requests on deprecated unversioned
-        aliases also get ``Deprecation`` and a ``Link`` to the
-        successor path.  *request_headers* (a dict or an
+        always carry ``X-Trace-Id``.  *request_headers* (a dict or an
         ``email.message.Message``) feeds content negotiation; only
         ``Accept`` is consulted.
         """
@@ -606,8 +600,8 @@ class AnalysisApp:
         token = set_trace_id(trace_id)
         headers: dict[str, str] = {"X-Trace-Id": trace_id}
         parts = urlsplit(path)
-        version, route_path = _split_version(parts.path)
-        exempt = (
+        route_path = _route_path(parts.path)
+        exempt = route_path is not None and (
             tuple(s for s in route_path.split("/") if s) in _ADMISSION_EXEMPT
         )
         admitted = False
@@ -620,9 +614,10 @@ class AnalysisApp:
                         f"{self.max_inflight}; retry with backoff",
                         retry_after=1.0,
                     )
+            if route_path is None:
+                raise NotFound(f"unknown endpoint {parts.path!r}",
+                               code="unknown-endpoint")
             op, params, label = self._match(method, route_path)
-            if version is None:
-                self._mark_deprecated_alias(method, label, route_path, headers)
             with span(_REQUEST_SPAN_NAMES.get(label)
                       or f"server.request {label}"):
                 with span("server.decode"):
@@ -670,26 +665,6 @@ class AnalysisApp:
         if self.slowlog is not None:
             self.slowlog.record(label, elapsed_ms, status, trace_id)
         return status, payload, headers
-
-    def _mark_deprecated_alias(
-        self, method: str, label: str, route_path: str, headers: dict[str, str]
-    ) -> None:
-        """Stamp alias responses and warn once per aliased endpoint."""
-        headers["Deprecation"] = "true"
-        headers["Link"] = (
-            f"</{API_VERSION}{route_path}>; rel=\"successor-version\""
-        )
-        key = f"{method.upper()} {label}"
-        with self._stats_lock:
-            first = key not in self._warned_aliases
-            if first:
-                self._warned_aliases.add(key)
-        if first:
-            logger.warning(
-                "deprecated unversioned path used: %s %s — the canonical "
-                "endpoint is /%s%s (alias kept for compatibility)",
-                method.upper(), label, API_VERSION, label,
-            )
 
     # ------------------------------------------------------------------ #
     # routing
@@ -888,10 +863,6 @@ class AnalysisApp:
             "service": "repro-serve",
             "version": API_VERSION,
             "doc": "docs/server.md",
-            "aliases": (
-                f"unversioned paths are deprecated aliases of /{API_VERSION} "
-                "and answer with a Deprecation header"
-            ),
             "endpoints": listing,
         }
 

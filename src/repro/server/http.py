@@ -38,10 +38,10 @@ __all__ = ["AnalysisRequestHandler", "AnalysisServer", "build_server", "main"]
 
 #: the session id a request path addresses, for pool-mode affinity checks
 #: (must agree with the parent's routing regex in repro.server.pool)
-_POOL_SID_RE = re.compile(r"^(?:/v1)?/sessions/([^/?]+)")
+_POOL_SID_RE = re.compile(r"^/v1/sessions/([^/?]+)")
 #: corpus open-by-id with its claimed sid in the query string — affinity
 #: follows the sid, like the parent's _CORPUS_SID_RE
-_POOL_CORPUS_SID_RE = re.compile(r"^(?:/v1)?/corpus/[^ ]*[?&]sid=([^&#]+)")
+_POOL_CORPUS_SID_RE = re.compile(r"^/v1/corpus/[^ ]*[?&]sid=([^&#]+)")
 
 
 class AnalysisRequestHandler(BaseHTTPRequestHandler):
@@ -308,7 +308,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="pre-forked worker processes; above 1 a "
                              "supervisor passes accepted connections to "
                              "workers by session affinity and aggregates "
-                             "/stats and /metrics across the pool")
+                             "/v1/stats and /v1/metrics across the pool")
     args = parser.parse_args(argv)
 
     if not args.databases and args.workload is None and args.corpus is None:

@@ -32,13 +32,13 @@ without giving up shared state semantics:
 * a **supervisor** thread reaps crashed workers (``waitpid``) and forks
   replacements on a fresh control channel; connections in flight on
   other workers never notice;
-* the parent answers ``/stats``, ``/metrics`` and ``/healthz`` itself by
-  querying every worker over its control channel and merging —
-  ``/metrics`` through :func:`~repro.server.app.prometheus_from_states`,
+* the parent answers ``/v1/stats``, ``/v1/metrics`` and ``/v1/healthz``
+  itself by querying every worker over its control channel and
+  merging — ``/v1/metrics`` through :func:`~repro.server.app.prometheus_from_states`,
   the *same* function a single-process server renders through, so the
   two deployment shapes cannot drift.
 
-Mutating requests without a session in the path (``POST /sessions``)
+Mutating requests without a session in the path (``POST /v1/sessions``)
 round-robin; per-session mutations (derive, navigate, close) pin to the
 affinity owner, so a session's generation counter lives in exactly one
 process.  ``DELETE`` unlinks the manifest; stale copies elsewhere age
@@ -80,17 +80,15 @@ _CTRL_CHUNK = 60 * 1024
 
 #: paths the parent pool answers itself, with merged worker state
 _POOL_PATHS = frozenset(
-    prefix + name
-    for prefix in ("/", "/v1/")
-    for name in ("stats", "metrics", "healthz")
+    "/v1/" + name for name in ("stats", "metrics", "healthz")
 )
 
-_SID_RE = re.compile(rb"^[A-Z]+ (?:/v1)?/sessions/([^/ ?]+)")
+_SID_RE = re.compile(rb"^[A-Z]+ /v1/sessions/([^/ ?]+)")
 #: corpus open-by-id carrying its session id as a query parameter —
 #: routed to the sid's affinity worker so the open and every follow-up
 #: /sessions/<sid>/... request land on the same process (one pin owner,
 #: one resident experiment, no adoption churn)
-_CORPUS_SID_RE = re.compile(rb"^[A-Z]+ (?:/v1)?/corpus/[^ ]*[?&]sid=([^&# ]+)")
+_CORPUS_SID_RE = re.compile(rb"^[A-Z]+ /v1/corpus/[^ ]*[?&]sid=([^&# ]+)")
 _PATH_RE = re.compile(rb"^[A-Z]+ ([^ ?]+)")
 
 

@@ -20,10 +20,8 @@ surface:
   renders it into ``docs/api.md``, and ``tools/gen_api_surface.py``
   snapshots it into the public-API drift test.
 
-Versioning: the canonical mount point for every endpoint is
-``/v1<path>``; the bare path is a deprecated alias that serves the
-byte-identical body plus a ``Deprecation`` header (see
-``docs/server.md``).
+Versioning: every endpoint is mounted at ``/v1<path>``; a path
+outside ``/v1`` answers the structured 404 of any unknown route.
 """
 
 from __future__ import annotations
@@ -97,7 +95,7 @@ class RawBody:
     """A non-JSON response body (the Prometheus ``/metrics`` text).
 
     The HTTP layer writes ``text`` verbatim with ``content_type``; the
-    in-process :meth:`AnalysisApp.handle` compatibility surface wraps it
+    in-process :meth:`AnalysisApp.handle` surface wraps it
     in a JSON object so programmatic callers still get a dict.
     """
 
@@ -113,7 +111,7 @@ class BinaryBody:
     """A binary response body (the framed columnar table encoding).
 
     The HTTP layer writes ``data`` verbatim with ``content_type``; the
-    in-process :meth:`AnalysisApp.handle` compatibility surface wraps it
+    in-process :meth:`AnalysisApp.handle` surface wraps it
     in a JSON object (base64) so programmatic callers still get a dict.
     """
 

@@ -23,13 +23,16 @@ or non-interactively (how the test-suite drives it)::
 from __future__ import annotations
 
 import cmd
-from typing import IO
+import fnmatch
+from typing import IO, Sequence
+
+import numpy as np
 
 from repro.errors import ReproError
-from repro.core.filters import FilterSet
 from repro.core.metrics import MetricFlavor, MetricSpec
-from repro.core.views import ViewKind, ViewNode
+from repro.core.views import View, ViewKind, ViewNode
 from repro.hpcprof.experiment import Experiment
+from repro.query.engine import ViewFrame
 from repro.viewer.format import format_cell
 from repro.viewer.session import ViewerSession
 from repro.viewer.table import TableOptions, _row_label
@@ -44,6 +47,55 @@ _VIEW_ALIASES = {
 }
 
 
+def _find(view: View, pattern: str, spec: MetricSpec, limit: int = 10):
+    """Scopes of *view* whose name matches the glob *pattern*, heaviest
+    first (ties in preorder): at most *limit* ``(node, value, share,
+    path)`` tuples, *share* taken of the column's inclusive total."""
+    frame = ViewFrame(view)
+    rows = np.flatnonzero(frame.name_mask(pattern))
+    nodes = [frame.nodes[r] for r in rows]
+    values = view.gather_columns(nodes, [spec])[:, 0]
+    total = view.total(MetricSpec(spec.mid, MetricFlavor.INCLUSIVE))
+    hits = []
+    for i in np.argsort(-values, kind="stable")[:limit]:
+        value = float(values[i])
+        hits.append((nodes[i], value, (value / total) if total else 0.0,
+                     frame.path(rows[i])))
+    return hits
+
+
+def _elide(view: View, rows: Sequence[ViewNode], patterns: Sequence[str],
+           threshold: tuple[MetricSpec, float] | None = None
+           ) -> list[ViewNode]:
+    """The display forest of *rows* under ``filter`` and ``threshold``.
+
+    A row whose name matches one of the glob *patterns* is elided: its
+    children take its place, recursively, so no cost leaves the
+    listing.  Given ``threshold = (spec, share)``, a remaining row is
+    hidden when its inclusive value falls below *share* of
+    ``view.total(spec)``.  Display-only: the view is never mutated.
+    """
+    floor = None
+    if threshold is not None:
+        spec, share = threshold
+        total = view.total(spec)
+        if total != 0.0:
+            incl = MetricSpec(spec.mid, MetricFlavor.INCLUSIVE)
+            floor = share * total
+
+    def visit(row: ViewNode, out: list[ViewNode]) -> None:
+        if any(fnmatch.fnmatchcase(row.name, p) for p in patterns):
+            for child in row.children:
+                visit(child, out)
+        elif floor is None or view.value(row, incl) >= floor:
+            out.append(row)
+
+    out: list[ViewNode] = []
+    for row in rows:
+        visit(row, out)
+    return out
+
+
 class InteractiveViewer(cmd.Cmd):
     """Interactive tree-tabular presentation of one experiment."""
 
@@ -56,7 +108,9 @@ class InteractiveViewer(cmd.Cmd):
         super().__init__(stdout=stdout)
         self.session = ViewerSession(experiment)
         self.max_rows = 30
-        self.filters = FilterSet()
+        #: ``filter`` globs, and the ``threshold`` as (column, share)
+        self._elided: list[str] = []
+        self._threshold: tuple[MetricSpec, float] | None = None
         #: row number -> node, rebuilt on every listing
         self._rows: dict[int, ViewNode] = {}
 
@@ -127,9 +181,9 @@ class InteractiveViewer(cmd.Cmd):
         roots = None
         if session.active is ViewKind.FLAT:
             roots = view.current_roots()
-        if len(self.filters):
-            from repro.query.compat import filter_forest
-            roots = filter_forest(self.filters, view, roots)
+        if self._filtering():
+            roots = _elide(view, view.roots if roots is None else roots,
+                           self._elided, self._threshold)
         shown = 0
         for number, (row, depth) in enumerate(
             self._visible(state, roots), start=1
@@ -144,12 +198,13 @@ class InteractiveViewer(cmd.Cmd):
             self._say(f"{number:>4} {label:<56} {cell:>17}")
             shown += 1
 
+    def _filtering(self) -> bool:
+        return bool(self._elided) or self._threshold is not None
+
     def _visible(self, state, roots):
-        if not len(self.filters):
+        if not self._filtering():
             yield from state.visible_rows(roots=roots)
             return
-
-        from repro.query.compat import filter_children
 
         view = state.view
 
@@ -162,10 +217,11 @@ class InteractiveViewer(cmd.Cmd):
                 yield row, depth
                 if state.is_expanded(row):
                     yield from emit(
-                        filter_children(self.filters, view, row),
+                        _elide(view, row.children, self._elided,
+                               self._threshold),
                         depth + 1)
 
-        yield from emit(view.roots if roots is None else roots, 0)
+        yield from emit(roots, 0)
 
     def do_top(self, arg: str) -> None:
         """top N — show at most N rows in listings."""
@@ -263,11 +319,10 @@ class InteractiveViewer(cmd.Cmd):
         except ValueError:
             self._say("usage: threshold <percent>")
             return
-        try:
-            self.filters.set_threshold(self.session.state().column, share)
-        except ReproError as exc:
-            self._say(str(exc))
+        if not 0.0 <= share <= 1.0:
+            self._say(f"min_share must be within [0, 1], got {share}")
             return
+        self._threshold = (self.session.state().column, share)
         self.do_ls("")
 
     def do_filter(self, arg: str) -> None:
@@ -275,12 +330,13 @@ class InteractiveViewer(cmd.Cmd):
         if not arg.strip():
             self._say("usage: filter <glob pattern>")
             return
-        self.filters.add(arg.strip())
+        self._elided.append(arg.strip())
         self.do_ls("")
 
     def do_nofilter(self, _arg: str) -> None:
         """nofilter — clear all filters."""
-        self.filters = FilterSet()
+        self._elided = []
+        self._threshold = None
         self.do_ls("")
 
     def do_source(self, arg: str) -> None:
@@ -305,24 +361,20 @@ class InteractiveViewer(cmd.Cmd):
         if not arg.strip():
             self._say("usage: find <glob pattern>")
             return
-        from repro.core.search import SearchHit
-        from repro.query.compat import search_view
-
         try:
-            hits = [SearchHit(node=n, value=v, share=s, path=p)
-                    for n, v, s, p in search_view(
-                        self.session.view(), arg.strip(),
-                        spec=self.session.state().column, limit=10)]
+            hits = _find(self.session.view(), arg.strip(),
+                         self.session.state().column)
         except ReproError as exc:
             self._say(str(exc))
             return
         if not hits:
             self._say("no matches")
             return
-        for hit in hits:
-            self._say("  " + hit.describe())
-        self.session.state().select(hits[0].node)
-        self._say(f"selected heaviest match: {hits[0].node.name}")
+        for _node, _value, share, path in hits:
+            pct = f" ({100 * share:.1f}%)" if share else ""
+            self._say(f"  {' -> '.join(path)}{pct}")
+        self.session.state().select(hits[0][0])
+        self._say(f"selected heaviest match: {hits[0][0].name}")
 
     def do_annotate(self, arg: str) -> None:
         """annotate <file> [metric] — per-line exclusive costs of a file."""

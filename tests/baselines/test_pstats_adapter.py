@@ -9,7 +9,7 @@ import time
 import pytest
 
 from repro.baselines.pstats_adapter import gprof_from_pstats, profile_with_cprofile
-from repro.core.errors import ReproError
+from repro.errors import ReproError
 
 
 def busy(n):

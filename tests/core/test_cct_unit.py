@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.attribution import attribute
 from repro.core.cct import CCT, CCTKind, CCTNode
-from repro.core.errors import CorrelationError
+from repro.errors import CorrelationError
 from repro.hpcstruct.model import StructKind, StructureModel
 
 

@@ -14,7 +14,7 @@ from repro.core.derived import (
     parse_formula,
     relative_efficiency_formula,
 )
-from repro.core.errors import FormulaError, MetricError
+from repro.errors import FormulaError, MetricError
 from repro.core.metrics import MetricKind, MetricTable
 
 

@@ -13,13 +13,14 @@ import numpy as np
 import pytest
 
 from repro.core.attribution import (
+    COLUMNAR_MIN_NODES,
     aggregate_exposed,
     attribute,
     attribute_dicts,
 )
 from repro.core.cct import CCTKind
 from repro.core.engine import MetricEngine, attribute_columnar, engine_for
-from repro.core.errors import MetricError
+from repro.errors import MetricError
 from repro.core.hotpath import hot_path, hot_path_cct
 from repro.core.metrics import MetricFlavor, MetricSpec
 from repro.hpcprof.experiment import Experiment
@@ -60,14 +61,14 @@ class TestBitwiseParity:
         exp = Experiment.from_program(WORKLOADS[name]())
         attribute_dicts(exp.cct)
         reference = snapshot(exp.cct)
-        attribute(exp.cct, columnar=True)
+        attribute_columnar(exp.cct)
         assert snapshot(exp.cct) == reference
 
     def test_attribution_parity_multirank(self):
         exp = spmd_experiment(pflotran.build(), nranks=8)
         attribute_dicts(exp.cct)
         reference = snapshot(exp.cct)
-        attribute(exp.cct, columnar=True)
+        attribute_columnar(exp.cct)
         assert snapshot(exp.cct) == reference
 
     def test_summary_columns_match_per_vector_reference(self):
@@ -89,11 +90,14 @@ class TestBitwiseParity:
             assert node.inclusive[ids.stddev] == float(np.std(vec))
 
     def test_dispatcher_threshold(self):
-        exp = Experiment.from_program(fig1.build())
-        attribute(exp.cct)  # small tree: dict path, engine cache dropped
-        assert exp.cct._engine is None
-        attribute(exp.cct, columnar=True)
-        assert isinstance(exp.cct._engine, MetricEngine)
+        small = Experiment.from_program(fig1.build())
+        assert len(small.cct) < COLUMNAR_MIN_NODES
+        attribute(small.cct)  # small tree: dict path, engine cache dropped
+        assert small.cct._engine is None
+        large = Experiment.from_program(wide_flat(400))
+        assert len(large.cct) >= COLUMNAR_MIN_NODES
+        attribute(large.cct)  # large tree: the engine path
+        assert isinstance(large.cct._engine, MetricEngine)
 
 
 @pytest.fixture(scope="module")
@@ -110,9 +114,8 @@ class TestEngineLayout:
         for row, node in enumerate(eng.nodes):
             end = eng.subtree_end[row]
             assert end - row == sum(1 for _ in node.walk())
-            kids = eng.children_rows(row)
-            assert [eng.nodes[k].uid for k in kids] == [
-                c.uid for c in node.children
+            assert [eng.row_of(c) for c in node.children] == [
+                r for r in range(row + 1, end) if eng.parent_rows[r] == row
             ]
 
     def test_row_of_foreign_node_raises(self, s3d_exp):
@@ -131,19 +134,11 @@ class TestEngineLayout:
 
 
 class TestEngineKernels:
-    def test_hot_path_rows_matches_dict_descent(self, s3d_exp):
-        eng = s3d_exp.engine
-        for threshold in (0.3, 0.5, 0.9):
-            fast = hot_path_cct(s3d_exp.cct.root, 0, threshold, engine=eng)
-            slow = hot_path_cct(s3d_exp.cct.root, 0, threshold)
-            assert [n.uid for n in fast.path] == [n.uid for n in slow.path]
-            assert fast.values == slow.values
-
     def test_hot_path_threshold_validated(self, s3d_exp):
-        from repro.core.errors import ViewError
+        from repro.errors import ViewError
 
         with pytest.raises(ViewError):
-            hot_path_cct(s3d_exp.cct.root, 0, 0.0, engine=s3d_exp.engine)
+            hot_path_cct(s3d_exp.cct.root, 0, 0.0)
 
     def test_view_hot_path_engine_vs_dict(self, s3d_exp):
         from repro.core.ccview import CallingContextView
@@ -287,7 +282,7 @@ class TestMutualLadderParity:
 class TestColumnarScatterSemantics:
     def test_zero_cells_stay_absent(self):
         exp = Experiment.from_program(uniform_tree(6, 2))
-        attribute(exp.cct, columnar=True)
+        attribute_columnar(exp.cct)
         for node in exp.cct.walk():
             assert 0.0 not in node.inclusive.values()
             assert 0.0 not in node.exclusive.values()

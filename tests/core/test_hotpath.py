@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.attribution import attribute
 from repro.core.ccview import CallingContextView
-from repro.core.errors import ViewError
+from repro.errors import ViewError
 from repro.core.hotpath import hot_path, hot_path_cct, hot_path_generic
 from repro.core.metrics import MetricFlavor, MetricSpec
 from repro.hpcprof.correlate import correlate

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.errors import MetricError
+from repro.errors import MetricError
 from repro.core.metrics import (
     MetricDescriptor,
     MetricFlavor,

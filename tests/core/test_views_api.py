@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.errors import ViewError
+from repro.errors import ViewError
 from repro.core.metrics import MetricFlavor, MetricSpec
 from repro.core.views import NodeCategory, ViewNode
 from repro.hpcprof.experiment import Experiment

@@ -6,7 +6,7 @@ import struct
 
 import pytest
 
-from repro.core.errors import DatabaseError
+from repro.errors import DatabaseError
 from repro.core.metrics import MetricKind
 from repro.hpcprof import binio, database, recovery, xmlio
 from repro.hpcprof.experiment import Experiment

@@ -6,7 +6,7 @@ import struct
 
 import pytest
 
-from repro.core.errors import DatabaseError
+from repro.errors import DatabaseError
 from repro.hpcprof import binio, xmlio
 from repro.hpcprof.experiment import Experiment
 from repro.sim.workloads import fig1

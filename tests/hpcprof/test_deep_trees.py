@@ -14,6 +14,7 @@ import sys
 import pytest
 
 from repro.core.attribution import attribute, attribute_dicts
+from repro.core.engine import attribute_columnar
 from repro.core.cct import CCT
 from repro.core.metrics import MetricTable
 from repro.hpcprof.merge import merge_ccts, scale_and_difference
@@ -64,7 +65,7 @@ class TestDeepChain:
         reference = {
             n.uid: (dict(n.inclusive), dict(n.exclusive)) for n in cct.walk()
         }
-        attribute(cct, columnar=True)
+        attribute_columnar(cct)
         got = {n.uid: (dict(n.inclusive), dict(n.exclusive)) for n in cct.walk()}
         assert got == reference
         assert cct.root.inclusive[0] == float(DEPTH) + 1.0

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.errors import MetricError
+from repro.errors import MetricError
 from repro.hpcprof.dense import DenseMetrics, attribute_dense
 from repro.hpcprof.experiment import Experiment
 from repro.sim.workloads import fig1, s3d

@@ -111,7 +111,7 @@ class TestRankExperiment:
         assert result.hotspot_value > 0
 
     def test_bounds_and_serial_rejection(self):
-        from repro.core.errors import ViewError
+        from repro.errors import ViewError
         from repro.sim.spmd import spmd_experiment
         from repro.sim.workloads import pflotran
 

@@ -12,14 +12,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.errors import MetricError
+from repro.errors import MetricError
 from repro.hpcprof.merge import collect_rank_matrix
 from repro.hpcprof.summarize import (
     Moments,
     _merge_stats,
-    _welford_chunk,
     rank_moments,
     summarize_ranks,
+    welford_moments,
 )
 from repro.sim.spmd import spmd_experiment
 from repro.sim.workloads import pflotran
@@ -65,7 +65,7 @@ class TestPoolIdentity:
             assert as_moments(pooled, row) == as_moments(serial, row)
 
     def test_welford_chunk_matches_scalar_accumulator(self, matrix64):
-        stats = _welford_chunk(matrix64)  # single chunk: pure Welford
+        stats = welford_moments(matrix64)  # single chunk: pure Welford
         for row in range(0, matrix64.shape[0], 7):
             reference = Moments.of(matrix64[row])
             assert as_moments(stats, row) == reference
@@ -74,7 +74,7 @@ class TestPoolIdentity:
         """The vectorized merge replicates Moments.merge exactly: reducing
         two chunk partials row-wise equals merging scalar accumulators."""
         lo, hi = matrix64[:, :16], matrix64[:, 16:32]
-        merged = _merge_stats(_welford_chunk(lo), _welford_chunk(hi))
+        merged = _merge_stats(welford_moments(lo), welford_moments(hi))
         for row in range(0, matrix64.shape[0], 11):
             reference = Moments.of(lo[row]).merge(Moments.of(hi[row]))
             assert as_moments(merged, row) == reference

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.errors import MetricError
+from repro.errors import MetricError
 from repro.hpcprof.experiment import Experiment
 from repro.hpcprof.summarize import Moments, imbalance_factor, summarize_ranks
 from tests.hpcprof.test_merge import make_rank_program

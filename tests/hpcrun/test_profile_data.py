@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.errors import ProfilerError
+from repro.errors import ProfilerError
 from repro.core.metrics import MetricTable
 from repro.hpcrun.counters import (
     CYCLES,

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from repro.core.errors import ProfilerError
+from repro.errors import ProfilerError
 from repro.hpcprof.experiment import Experiment
 from repro.hpcrun.sampler import SamplingProfiler, sample_call
 from repro.hpcrun.tracer import TracingProfiler, trace_call

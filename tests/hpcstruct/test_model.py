@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.errors import StructureError
+from repro.errors import StructureError
 from repro.hpcstruct.model import (
     SourceLocation,
     StructKind,

@@ -6,7 +6,7 @@ import textwrap
 
 import pytest
 
-from repro.core.errors import StructureError
+from repro.errors import StructureError
 from repro.hpcstruct.model import StructKind, StructureModel
 from repro.hpcstruct.pystruct import build_python_structure
 

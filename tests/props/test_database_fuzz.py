@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.errors import DatabaseError
+from repro.errors import DatabaseError
 from repro.hpcprof import binio, xmlio
 from repro.hpcprof.experiment import Experiment
 from repro.sim.workloads import fig1

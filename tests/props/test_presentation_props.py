@@ -1,33 +1,23 @@
-"""Property-based tests for filters, search and rendering invariants."""
+"""Property-based tests for filters, search and rendering invariants.
+
+Filtering and search go through the one query path: the viewer's
+elide helper, :meth:`Query.prune`, and queries run on random views.
+"""
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.ccview import CallingContextView
-from repro.core.filters import FilterAction, FilterSet
 from repro.core.metrics import MetricFlavor, MetricSpec
-from repro.core.search import search
-from repro.core.views import NodeCategory
+from repro.query import query
+from repro.query.engine import ViewFrame
 from repro.viewer.format import format_cell, format_percent, format_value
 from repro.viewer.navigation import NavigationState
 from repro.viewer.table import TableOptions, render_table
+from repro.viewer.tui import _elide
 from tests.props.strategies import cct_experiments
-
-
-def _visible_names(filters, view, roots):
-    out = []
-
-    def visit(node):
-        out.append(node)
-        for child in filters.children_of(view, node):
-            visit(child)
-
-    for row in roots:
-        visit(row)
-    return out
 
 
 class TestFilterProps:
@@ -39,16 +29,13 @@ class TestFilterProps:
         inclusive cost coverage."""
         cct, _model, metrics = data
         view = CallingContextView(cct, metrics)
-        filters = FilterSet().add(pattern,
-                                  categories=[NodeCategory.PROCEDURE_FRAME,
-                                              NodeCategory.CALL_SITE])
-        roots = filters.apply(view)
+        roots = _elide(view, view.roots, [pattern])
         covered = sum(r.inclusive.get(0, 0.0) for r in roots)
         original = sum(r.inclusive.get(0, 0.0) for r in view.roots)
-        # elided roots are replaced by their children, whose inclusive
-        # totals can only drop by the elided scopes' own raw cost — but
-        # with frame/call-site elision, statements remain, so coverage
-        # never exceeds the original and never goes negative
+        # elided rows are replaced by their children, whose inclusive
+        # totals can only drop by the elided scopes' own exclusive
+        # cost, so coverage never exceeds the original and never goes
+        # negative
         assert 0.0 <= covered <= original + 1e-9
 
     @settings(max_examples=30, deadline=None)
@@ -56,17 +43,20 @@ class TestFilterProps:
     def test_prune_removes_whole_subtrees(self, data):
         cct, _model, metrics = data
         view = CallingContextView(cct, metrics)
-        filters = FilterSet().add("p0", action=FilterAction.PRUNE)
-        visible = _visible_names(filters, view, filters.apply(view))
-        assert all(n.name != "p0" for n in visible)
+        frame = ViewFrame(view)
+        kept = query("*").prune("p0").run(frame)
+        assert "p0" not in kept.names
+        # exactly the rows with no p0 on their root path survive
+        survivors = [r for r in range(frame.n)
+                     if "p0" not in frame.path(r)]
+        assert list(kept.rows) == survivors
 
     @settings(max_examples=30, deadline=None)
     @given(data=cct_experiments())
     def test_empty_filterset_is_identity(self, data):
         cct, _model, metrics = data
         view = CallingContextView(cct, metrics)
-        filters = FilterSet()
-        assert filters.apply(view) == view.roots
+        assert _elide(view, view.roots, []) == view.roots
 
 
 class TestSearchProps:
@@ -75,21 +65,27 @@ class TestSearchProps:
     def test_search_star_finds_every_scope(self, data):
         cct, _model, metrics = data
         view = CallingContextView(cct, metrics)
-        hits = search(view, "*", limit=100_000)
+        hits = query("*").run(view)
         walked = sum(1 for r in view.roots for _ in r.walk())
-        assert len(hits) == walked
+        assert hits.row_count == walked
 
     @settings(max_examples=30, deadline=None)
     @given(data=cct_experiments())
     def test_hits_sorted_and_paths_valid(self, data):
         cct, _model, metrics = data
         view = CallingContextView(cct, metrics)
-        spec = MetricSpec(0, MetricFlavor.INCLUSIVE)
-        hits = search(view, "*", spec=spec, limit=100_000)
-        values = [h.value for h in hits]
+        frame = ViewFrame(view)
+        hits = query("*").select(flavors="inclusive").sort().run(frame)
+        values = list(hits.values[:, 0])
         assert values == sorted(values, reverse=True)
-        for hit in hits:
-            assert hit.path[-1] == hit.node.name
+        spec = MetricSpec(0, MetricFlavor.INCLUSIVE)
+        for row, name, value in zip(hits.rows, hits.names, values):
+            path = frame.path(row)
+            assert path[-1] == name == frame.nodes[row].name
+            assert value == view.value(frame.nodes[row], spec)
+            # a path runs root-first through real parent links
+            assert frame.nodes[row].parent is None or \
+                path[-2] == frame.nodes[row].parent.name
 
 
 class TestFormatProps:

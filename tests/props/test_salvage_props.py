@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.errors import DatabaseError
+from repro.errors import DatabaseError
 from repro.hpcprof import binio, database
 from repro.hpcprof.experiment import Experiment
 from repro.hpcprof.recovery import salvage_loads, validate_experiment

@@ -26,7 +26,7 @@ def app():
     """One app with a live session; fuzz must not corrupt it either."""
     instance = AnalysisApp(max_body=MAX_BODY)
     status, payload = instance.handle(
-        "POST", "/sessions", json.dumps({"workload": "fig1"}).encode()
+        "POST", "/v1/sessions", json.dumps({"workload": "fig1"}).encode()
     )
     assert status == 201
     return instance
@@ -38,11 +38,11 @@ _METHODS = st.sampled_from(["GET", "POST", "DELETE", "PUT", "PATCH", "HEAD"])
 
 _PATHS = st.one_of(
     st.sampled_from([
-        "/", "/stats", "/sessions", f"/sessions/{SID}",
-        f"/sessions/{SID}/render", f"/sessions/{SID}/sort",
-        f"/sessions/{SID}/hotpath", f"/sessions/{SID}/metrics",
-        f"/sessions/{SID}/flatten", f"/sessions/{SID}/unflatten",
-        "/sessions/sNOPE/render", "/sessions//render",
+        "/v1/", "/v1/stats", "/v1/sessions", f"/v1/sessions/{SID}",
+        f"/v1/sessions/{SID}/render", f"/v1/sessions/{SID}/sort",
+        f"/v1/sessions/{SID}/hotpath", f"/v1/sessions/{SID}/metrics",
+        f"/v1/sessions/{SID}/flatten", f"/v1/sessions/{SID}/unflatten",
+        "/v1/sessions/sNOPE/render", "/v1/sessions//render",
     ]),
     st.text(
         alphabet=st.characters(codec="utf-8", exclude_characters="\r\n"),
@@ -82,7 +82,7 @@ class TestDecoderFuzz:
     @settings(max_examples=150, deadline=None)
     @given(data=st.binary(min_size=0, max_size=256))
     def test_random_bytes_body(self, app, data):
-        status, payload = app.handle("POST", f"/sessions/{SID}/render", data)
+        status, payload = app.handle("POST", f"/v1/sessions/{SID}/render", data)
         _no_internal_error(status, payload)
 
     @settings(max_examples=100, deadline=None)
@@ -93,7 +93,7 @@ class TestDecoderFuzz:
             "hot_path": True, "threshold": 0.5, "max_rows": 10,
         }).encode()
         status, payload = app.handle(
-            "POST", f"/sessions/{SID}/render", body[: cut % (len(body) + 1)]
+            "POST", f"/v1/sessions/{SID}/render", body[: cut % (len(body) + 1)]
         )
         _no_internal_error(status, payload)
 
@@ -111,7 +111,7 @@ class TestDecoderFuzz:
         if len(raw) > MAX_BODY:
             return
         status, payload = app.handle(
-            "POST", f"/sessions/{SID}/{endpoint}", raw
+            "POST", f"/v1/sessions/{SID}/{endpoint}", raw
         )
         _no_internal_error(status, payload)
 
@@ -119,7 +119,7 @@ class TestDecoderFuzz:
     @given(extra=st.integers(min_value=1, max_value=4096))
     def test_oversized_payload_413(self, app, extra):
         status, payload = app.handle(
-            "POST", "/sessions", b"x" * (MAX_BODY + extra)
+            "POST", "/v1/sessions", b"x" * (MAX_BODY + extra)
         )
         assert status == 413
         assert payload["error"]["code"] == "payload-too-large"
@@ -130,14 +130,14 @@ class TestDecoderFuzz:
         """Arbitrary routes never 5xx; GET/unknown paths give 404/405."""
         # DELETE /sessions/s1 is a *valid* request that would close the
         # shared fixture session; everything else is fair game
-        assume((method, path) != ("DELETE", f"/sessions/{SID}"))
+        assume((method, path) != ("DELETE", f"/v1/sessions/{SID}"))
         status, payload = app.handle(method, path, b"")
         _no_internal_error(status, payload)
 
     @settings(max_examples=100, deadline=None)
     @given(method=_METHODS, path=_PATHS, data=st.binary(max_size=128))
     def test_random_everything(self, app, method, path, data):
-        assume((method, path) != ("DELETE", f"/sessions/{SID}"))
+        assume((method, path) != ("DELETE", f"/v1/sessions/{SID}"))
         status, payload = app.handle(method, path, data)
         _no_internal_error(status, payload)
 
@@ -145,7 +145,7 @@ class TestDecoderFuzz:
     @given(query=st.text(max_size=60))
     def test_random_query_strings(self, app, query):
         status, payload = app.handle(
-            "GET", f"/sessions/{SID}/render?" + query, b""
+            "GET", f"/v1/sessions/{SID}/render?" + query, b""
         )
         _no_internal_error(status, payload)
 
@@ -157,14 +157,14 @@ class TestMutationFuzz:
     @given(name=st.text(max_size=20), formula=st.text(max_size=40))
     def test_arbitrary_formulas(self, app, name, formula):
         status, payload = app.handle(
-            "POST", f"/sessions/{SID}/metrics",
+            "POST", f"/v1/sessions/{SID}/metrics",
             json.dumps({"name": name, "formula": formula}).encode(),
         )
         _no_internal_error(status, payload)
         # successful definitions must remain renderable afterwards
         if status == 201:
             rstatus, rpayload = app.handle(
-                "GET", f"/sessions/{SID}/render?view=cct&depth=1", b""
+                "GET", f"/v1/sessions/{SID}/render?view=cct&depth=1", b""
             )
             _no_internal_error(rstatus, rpayload)
 
@@ -172,7 +172,7 @@ class TestMutationFuzz:
 def test_session_survives_the_fuzz(app):
     """After every battery above, the session still answers correctly."""
     status, payload = app.handle(
-        "GET", f"/sessions/{SID}/render?view=cct&depth=2&metric=%22cycles%22",
+        "GET", f"/v1/sessions/{SID}/render?view=cct&depth=2&metric=%22cycles%22",
         b"",
     )
     assert status == 200

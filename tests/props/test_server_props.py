@@ -79,7 +79,7 @@ class CachedServerEquivalence(RuleBasedStateMachine):
         super().__init__()
         self.app = AnalysisApp(cache_size=8)
         status, payload = self.app.handle(
-            "POST", "/sessions", b'{"workload": "fig1"}'
+            "POST", "/v1/sessions", b'{"workload": "fig1"}'
         )
         assert status == 201
         self.sid = payload["session"]["id"]
@@ -92,7 +92,7 @@ class CachedServerEquivalence(RuleBasedStateMachine):
     # ------------------------------------------------------------------ #
     def _post(self, tail: str, body: dict | None = None) -> tuple[int, dict]:
         raw = json.dumps(body).encode() if body is not None else b""
-        return self.app.handle("POST", f"/sessions/{self.sid}/{tail}", raw)
+        return self.app.handle("POST", f"/v1/sessions/{self.sid}/{tail}", raw)
 
     def _fresh_session(self) -> ViewerSession:
         """An uncached ViewerSession with the mutation history replayed."""

@@ -94,7 +94,7 @@ def assert_replay_identical(app, sid: str, view: str) -> None:
     session built from pristine bytes.  All three must agree byte for
     byte — which fails if a faulted attempt ever leaked into the cache.
     """
-    path = f"/sessions/{sid}/render?view={view}"
+    path = f"/v1/sessions/{sid}/render?view={view}"
     s1, p1 = app.handle("GET", path)
     s2, p2 = app.handle("GET", path)
     assert (s1, s2) == (200, 200)
@@ -118,13 +118,13 @@ def run_byte_plan(plan: FaultPlan, blob: bytes, tmp_path) -> None:
     app = AnalysisApp()
 
     # strict open: either a working session or a structured error
-    status, payload = post(app, "/sessions", {"database": str(db)})
+    status, payload = post(app, "/v1/sessions", {"database": str(db)})
     assert_structured(status, payload)
     assert status in (201, 400, 404), f"strict open: {status}"
 
     # salvage open: always a session once the 6-byte header survives
     status, payload = post(
-        app, "/sessions", {"database": str(db), "salvage": True}
+        app, "/v1/sessions", {"database": str(db), "salvage": True}
     )
     assert_structured(status, payload)
     if mutated[:6] == blob[:6]:
@@ -134,8 +134,8 @@ def run_byte_plan(plan: FaultPlan, blob: bytes, tmp_path) -> None:
         assert (report["bytes"]["recovered"] + report["bytes"]["lost"]
                 == report["bytes"]["total"])
         sid = payload["session"]["id"]
-        for path in (f"/sessions/{sid}/render", f"/sessions/{sid}/metrics",
-                     f"/sessions/{sid}"):
+        for path in (f"/v1/sessions/{sid}/render", f"/v1/sessions/{sid}/metrics",
+                     f"/v1/sessions/{sid}"):
             s, p = app.handle("GET", path)
             assert_structured(s, p)
             assert s in (200, 400), f"salvaged session unusable: {s} {p}"
@@ -153,7 +153,7 @@ def run_exception_plan(plan: FaultPlan) -> None:
     view = _VIEW_NAMES[int(plan.position * 10) % 3]
     exc_type = _EXCEPTIONS[int(plan.magnitude * 10) % len(_EXCEPTIONS)]
     app = AnalysisApp()
-    _, opened = post(app, "/sessions", {"workload": "fig1"})
+    _, opened = post(app, "/v1/sessions", {"workload": "fig1"})
     sid = opened["session"]["id"]
 
     builder = _VIEW_BUILDERS[view]
@@ -164,7 +164,7 @@ def run_exception_plan(plan: FaultPlan) -> None:
 
     with patched(Experiment, builder, exploding):
         status, payload = app.handle(
-            "GET", f"/sessions/{sid}/render?view={view}"
+            "GET", f"/v1/sessions/{sid}/render?view={view}"
         )
         body = assert_structured(status, payload)
         assert status == 500
@@ -182,14 +182,14 @@ def run_slow_plan(plan: FaultPlan) -> None:
     clock = FakeClock()
     budget = 0.5 + plan.magnitude  # [0.5, 1.5) seconds
     app = AnalysisApp(request_timeout_s=budget, clock=clock)
-    _, opened = post(app, "/sessions", {"workload": "fig1"})
+    _, opened = post(app, "/v1/sessions", {"workload": "fig1"})
     sid = opened["session"]["id"]
 
     builder = _VIEW_BUILDERS[view]
     slow = slow_call(getattr(Experiment, builder), clock, cost_s=budget * 4)
     with patched(Experiment, builder, slow):
         status, payload = app.handle(
-            "GET", f"/sessions/{sid}/render?view={view}"
+            "GET", f"/v1/sessions/{sid}/render?view={view}"
         )
         assert_structured(status, payload)
         assert status == 503

@@ -61,7 +61,7 @@ def make_client(transport, **policy_kwargs):
 class TestRetrySchedule:
     def test_success_first_try_no_sleep(self):
         client = make_client(scripted([ok()]))
-        assert client.get("/stats").ok
+        assert client.get("/v1/stats").ok
         assert client.test_sleeps == []
         assert client.retries == 0
 
@@ -136,7 +136,7 @@ class TestRetryTaxonomy:
                           "message": "nope"}}
         transport = scripted([ClientResponse(404, body)])
         client = make_client(transport)
-        response = client.get("/sessions/sNOPE")
+        response = client.get("/v1/sessions/sNOPE")
         assert response.status == 404
         assert len(transport.calls) == 1
         assert client.test_sleeps == []

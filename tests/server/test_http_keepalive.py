@@ -83,13 +83,13 @@ class TestOversizedBodyKeepAlive:
         never masquerades as a request line."""
         big = b"x" * 4096  # over max_body, under the drain limit
         with _connect(server) as sock:
-            sock.sendall(_request_bytes("POST", "/sessions", big))
+            sock.sendall(_request_bytes("POST", "/v1/sessions", big))
             status, headers, body, extra = _read_response(sock)
             assert status == 413
             assert json.loads(body)["error"]["code"] == "payload-too-large"
             assert headers.get("connection") != "close"
 
-            sock.sendall(_request_bytes("GET", "/stats"))
+            sock.sendall(_request_bytes("GET", "/v1/stats"))
             status, _headers, body, _extra = _read_response(sock)
             assert status == 200
             assert "requests" in json.loads(body)
@@ -100,7 +100,7 @@ class TestOversizedBodyKeepAlive:
         declared = AnalysisRequestHandler.DRAIN_LIMIT + 65536
         with _connect(server) as sock:
             head = (
-                f"POST /sessions HTTP/1.1\r\nHost: test\r\n"
+                f"POST /v1/sessions HTTP/1.1\r\nHost: test\r\n"
                 f"Content-Length: {declared}\r\n\r\n"
             ).encode()
             # send only the prefix the server actually reads (max_body+1);
@@ -117,7 +117,7 @@ class TestOversizedBodyKeepAlive:
         with _connect(server) as sock:
             for _ in range(3):
                 sock.sendall(_request_bytes(
-                    "POST", "/sessions",
+                    "POST", "/v1/sessions",
                     json.dumps({"workload": "fig1"}).encode(),
                     headers=[("Content-Type", "application/json")],
                 ))
@@ -130,7 +130,7 @@ class TestOversizedBodyKeepAlive:
         thread.start()
         try:
             with _connect(srv) as sock:
-                sock.sendall(_request_bytes("GET", "/sessions"))
+                sock.sendall(_request_bytes("GET", "/v1/sessions"))
                 status, headers, body, _e = _read_response(sock)
                 assert status == 429
                 assert int(headers["retry-after"]) >= 1

@@ -67,13 +67,13 @@ class TestDeadline:
         deadline-exceeded; the aborted partial work never enters the
         cache, so the post-fault render is correct and freshly built."""
         app = AnalysisApp(request_timeout_s=1.0, clock=clock)
-        _, payload = post(app, "/sessions", {"workload": "fig1"})
+        _, payload = post(app, "/v1/sessions", {"workload": "fig1"})
         sid = payload["session"]["id"]
 
         exp_cls = Experiment
         slow = slow_call(exp_cls.calling_context_view, clock, cost_s=5.0)
         with patched(exp_cls, "calling_context_view", slow):
-            status, payload = app.handle("GET", f"/sessions/{sid}/render")
+            status, payload = app.handle("GET", f"/v1/sessions/{sid}/render")
             assert status == 503
             assert payload["error"]["code"] == "deadline-exceeded"
             assert payload["error"]["retry_after"] is not None
@@ -81,7 +81,7 @@ class TestDeadline:
 
         # fault removed: the same request now succeeds, and matches a
         # fresh uncached render of the same experiment byte for byte
-        status, served = app.handle("GET", f"/sessions/{sid}/render")
+        status, served = app.handle("GET", f"/v1/sessions/{sid}/render")
         assert status == 200
         fresh = ViewerSession(Experiment.from_program(fig1.build()))
         from repro.server.sessions import render_snapshot
@@ -92,9 +92,9 @@ class TestDeadline:
 
     def test_fast_render_within_deadline_succeeds(self, clock):
         app = AnalysisApp(request_timeout_s=30.0, clock=clock)
-        _, payload = post(app, "/sessions", {"workload": "fig1"})
+        _, payload = post(app, "/v1/sessions", {"workload": "fig1"})
         status, _ = app.handle(
-            "GET", f"/sessions/{payload['session']['id']}/render"
+            "GET", f"/v1/sessions/{payload['session']['id']}/render"
         )
         assert status == 200
 
@@ -117,14 +117,14 @@ class TestAdmission:
             return real_match(self_app, method, path)
 
         def worker():
-            results.append(app.handle("GET", "/sessions"))
+            results.append(app.handle("GET", "/v1/sessions"))
 
         with patched(AnalysisApp, "_match", stalling_match):
             threads = [threading.Thread(target=worker) for _ in range(2)]
             for t in threads:
                 t.start()
             ready.wait(timeout=scaled(10))  # both stalled requests are in flight
-            status, payload = app.handle("GET", "/sessions")
+            status, payload = app.handle("GET", "/v1/sessions")
             release.set()
             for t in threads:
                 t.join(timeout=scaled(10))
@@ -138,24 +138,24 @@ class TestAdmission:
 
     def test_healthz_and_stats_exempt_from_shedding(self):
         app = AnalysisApp(max_inflight=0)
-        status, _ = app.handle("GET", "/sessions")
+        status, _ = app.handle("GET", "/v1/sessions")
         assert status == 429
-        status, payload = app.handle("GET", "/stats")
+        status, payload = app.handle("GET", "/v1/stats")
         assert status == 200
         # healthz answers (liveness) even while reporting not-ready
-        status, payload = app.handle("GET", "/healthz")
+        status, payload = app.handle("GET", "/v1/healthz")
         assert status == 503
         assert payload["error"]["code"] == "overloaded"
 
     def test_healthz_ready_when_idle(self):
         app = AnalysisApp()
-        status, payload = app.handle("GET", "/healthz")
+        status, payload = app.handle("GET", "/v1/healthz")
         assert status == 200
         assert payload["live"] and payload["ready"]
 
     def test_unlimited_admission_when_disabled(self):
         app = AnalysisApp(max_inflight=None)
-        status, payload = app.handle("GET", "/healthz")
+        status, payload = app.handle("GET", "/v1/healthz")
         assert status == 200
 
 
@@ -165,18 +165,18 @@ class TestAdmission:
 class TestEviction:
     def test_ttl_evicts_idle_sessions(self, clock):
         app = AnalysisApp(session_ttl_s=60.0, clock=clock)
-        _, p1 = post(app, "/sessions", {"workload": "fig1"})
+        _, p1 = post(app, "/v1/sessions", {"workload": "fig1"})
         sid1 = p1["session"]["id"]
         clock.advance(50)
-        _, p2 = post(app, "/sessions", {"workload": "fig1"})
+        _, p2 = post(app, "/v1/sessions", {"workload": "fig1"})
         sid2 = p2["session"]["id"]
         # sid1 idle 50s: still alive, and touching it resets its TTL
-        assert app.handle("GET", f"/sessions/{sid1}")[0] == 200
+        assert app.handle("GET", f"/v1/sessions/{sid1}")[0] == 200
         clock.advance(55)
         # sid2 is now 55s idle (alive), sid1 only 55s since touch (alive)
-        assert app.handle("GET", f"/sessions/{sid2}")[0] == 200
+        assert app.handle("GET", f"/v1/sessions/{sid2}")[0] == 200
         clock.advance(61)
-        status, payload = app.handle("GET", f"/sessions/{sid1}")
+        status, payload = app.handle("GET", f"/v1/sessions/{sid1}")
         assert status == 404
         assert payload["error"]["code"] == "unknown-session"
         assert app.registry.evictions >= 1
@@ -186,11 +186,11 @@ class TestEviction:
         sids = []
         for _ in range(3):
             clock.advance(1)
-            _, p = post(app, "/sessions", {"workload": "fig1"})
+            _, p = post(app, "/v1/sessions", {"workload": "fig1"})
             sids.append(p["session"]["id"])
-        assert app.handle("GET", f"/sessions/{sids[0]}")[0] == 404
-        assert app.handle("GET", f"/sessions/{sids[1]}")[0] == 200
-        assert app.handle("GET", f"/sessions/{sids[2]}")[0] == 200
+        assert app.handle("GET", f"/v1/sessions/{sids[0]}")[0] == 404
+        assert app.handle("GET", f"/v1/sessions/{sids[1]}")[0] == 200
+        assert app.handle("GET", f"/v1/sessions/{sids[2]}")[0] == 200
         assert len(app.registry) == 2
 
     def test_scope_budget_evicts_lru_but_never_newest(self, clock):
@@ -209,12 +209,12 @@ class TestEviction:
 
     def test_eviction_purges_render_cache(self, clock):
         app = AnalysisApp(max_sessions=1, clock=clock)
-        _, p1 = post(app, "/sessions", {"workload": "fig1"})
+        _, p1 = post(app, "/v1/sessions", {"workload": "fig1"})
         sid1 = p1["session"]["id"]
-        assert app.handle("GET", f"/sessions/{sid1}/render")[0] == 200
+        assert app.handle("GET", f"/v1/sessions/{sid1}/render")[0] == 200
         assert app.cache.stats()["entries"] == 1
         clock.advance(1)
-        post(app, "/sessions", {"workload": "fig1"})  # evicts sid1
+        post(app, "/v1/sessions", {"workload": "fig1"})  # evicts sid1
         assert app.cache.stats()["entries"] == 0
         assert app.stats_payload()["evictions"] == 1
 
@@ -223,10 +223,10 @@ class TestEviction:
         sids = []
         for _ in range(8):
             clock.advance(10_000)
-            _, p = post(app, "/sessions", {"workload": "fig1"})
+            _, p = post(app, "/v1/sessions", {"workload": "fig1"})
             sids.append(p["session"]["id"])
         assert all(
-            app.handle("GET", f"/sessions/{s}")[0] == 200 for s in sids
+            app.handle("GET", f"/v1/sessions/{s}")[0] == 200 for s in sids
         )
         assert app.registry.evictions == 0
 
@@ -238,14 +238,14 @@ class TestOpenDatabase:
     def test_missing_file_404_without_exists_probe(self, tmp_path):
         app = AnalysisApp()
         status, payload = post(
-            app, "/sessions", {"database": str(tmp_path / "gone.rpdb")}
+            app, "/v1/sessions", {"database": str(tmp_path / "gone.rpdb")}
         )
         assert status == 404
         assert payload["error"]["code"] == "unknown-database"
 
     def test_directory_path_is_structured_error(self, tmp_path):
         app = AnalysisApp()
-        status, payload = post(app, "/sessions", {"database": str(tmp_path)})
+        status, payload = post(app, "/v1/sessions", {"database": str(tmp_path)})
         assert status == 400
         assert payload["error"]["code"] == "bad-database"
         assert str(tmp_path) in payload["error"]["message"]
@@ -267,7 +267,7 @@ class TestOpenDatabase:
             return real_open(file, *args, **kwargs)
 
         with patched(builtins, "open", vanishing_open):
-            status, payload = post(app, "/sessions", {"database": str(path)})
+            status, payload = post(app, "/v1/sessions", {"database": str(path)})
         assert status == 404
         assert payload["error"]["code"] == "unknown-database"
 
@@ -278,11 +278,11 @@ class TestOpenDatabase:
         path.write_bytes(raw[: len(raw) - 40])  # torn write
         app = AnalysisApp()
         status, payload = post(
-            app, "/sessions", {"database": str(path)}
+            app, "/v1/sessions", {"database": str(path)}
         )
         assert status == 400  # strict by default
         status, payload = post(
-            app, "/sessions", {"database": str(path), "salvage": True}
+            app, "/v1/sessions", {"database": str(path), "salvage": True}
         )
         assert status == 201
         report = payload["load_report"]
@@ -290,4 +290,4 @@ class TestOpenDatabase:
         assert report["bytes"]["lost"] > 0
         # the salvaged session is fully usable
         sid = payload["session"]["id"]
-        assert app.handle("GET", f"/sessions/{sid}/render")[0] == 200
+        assert app.handle("GET", f"/v1/sessions/{sid}/render")[0] == 200

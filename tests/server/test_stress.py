@@ -73,35 +73,35 @@ def test_stress_mixed_readers_and_mutators(server):
             return payload
 
         # a private session per thread, mutated freely
-        private = call("POST", "/sessions",
+        private = call("POST", "/v1/sessions",
                        {"workload": "fig1"})["session"]["id"]
         barrier.wait()
         for i in range(REQUESTS_PER_THREAD):
             op = i % 5
             if op == 0:  # cached shared read
-                call("POST", f"/sessions/{shared_sid}/render",
+                call("POST", f"/v1/sessions/{shared_sid}/render",
                      {"view": "cct", "depth": 2})
             elif op == 1:  # shared hot path
-                call("GET", f"/sessions/{shared_sid}/hotpath")
+                call("GET", f"/v1/sessions/{shared_sid}/hotpath")
             elif op == 2:  # private mutation: derived metric
-                call("POST", f"/sessions/{private}/metrics",
+                call("POST", f"/v1/sessions/{private}/metrics",
                      {"name": f"d{tid}_{i}", "formula": "2 * $0"})
             elif op == 3:  # private mutation: flatten, then render it
-                call("POST", f"/sessions/{private}/flatten")
-                call("POST", f"/sessions/{private}/render", {"view": "flat"})
+                call("POST", f"/v1/sessions/{private}/flatten")
+                call("POST", f"/v1/sessions/{private}/render", {"view": "flat"})
             else:  # private sort + render
-                call("POST", f"/sessions/{private}/sort",
+                call("POST", f"/v1/sessions/{private}/sort",
                      {"metric": "cycles", "descending": bool(i % 2)})
-                call("POST", f"/sessions/{private}/render", {"view": "cct"})
+                call("POST", f"/v1/sessions/{private}/render", {"view": "cct"})
 
         # ---- no cross-session bleed ----------------------------------- #
-        mine = call("GET", f"/sessions/{private}/metrics")["metrics"]
+        mine = call("GET", f"/v1/sessions/{private}/metrics")["metrics"]
         derived = [m["name"] for m in mine if m["kind"] == "derived"]
         expected = [f"d{tid}_{i}" for i in range(REQUESTS_PER_THREAD)
                     if i % 5 == 2]
         if derived != expected:
             failures.append(f"t{tid}: bleed into private session: {derived}")
-        shared = call("GET", f"/sessions/{shared_sid}/metrics")["metrics"]
+        shared = call("GET", f"/v1/sessions/{shared_sid}/metrics")["metrics"]
         if [m["name"] for m in shared] != ["cycles"]:
             failures.append(f"t{tid}: shared session mutated: {shared}")
 
@@ -116,7 +116,7 @@ def test_stress_mixed_readers_and_mutators(server):
     assert not failures, "\n".join(failures[:20])
 
     # ---- /stats accounting ------------------------------------------- #
-    status, stats = request(server, "GET", "/stats")
+    status, stats = request(server, "GET", "/v1/stats")
     assert status == 200
     total_issued = sum(counts)
     assert stats["requests"]["total"] == total_issued
@@ -145,12 +145,12 @@ def test_shared_session_serialized_mutations_stay_consistent(server):
             if tid % 2 == 0:
                 op = "flatten" if i % 2 == 0 else "unflatten"
                 status, payload = request(server, "POST",
-                                          f"/sessions/{sid}/{op}")
+                                          f"/v1/sessions/{sid}/{op}")
                 if status != 200 or payload["flatten_depth"] < 0:
                     errors.append(f"t{tid}: {op} -> {status} {payload}")
             else:
                 status, payload = request(server, "POST",
-                                          f"/sessions/{sid}/render",
+                                          f"/v1/sessions/{sid}/render",
                                           {"view": "flat", "depth": 1})
                 if status != 200 or "Flat View" not in payload["text"]:
                     errors.append(f"t{tid}: render -> {status}")
@@ -163,6 +163,6 @@ def test_shared_session_serialized_mutations_stay_consistent(server):
     assert not any(t.is_alive() for t in threads), "hung"
     assert not errors, "\n".join(errors[:10])
     # balanced flatten/unflatten pairs: depth returns to 0
-    status, payload = request(server, "GET", f"/sessions/{sid}")
+    status, payload = request(server, "GET", f"/v1/sessions/{sid}")
     assert status == 200
     assert payload["session"]["flatten_depth"] == 0

@@ -1,22 +1,17 @@
-"""The /v1 surface and its deprecated unversioned aliases.
+"""The /v1 surface: every endpoint lives under it, nothing outside it.
 
-The compatibility promise under test: every unversioned path is an
-alias of its ``/v1`` counterpart — same handler, same cache, same
-counters, **byte-identical body** — distinguished only by the
-``Deprecation``/``Link`` response headers and a one-time log warning.
-
-The equivalence is checked by driving the *same* request scenario
-(covering every endpoint in the registry) through two identically
-built apps, one speaking alias paths and one speaking ``/v1``, and
-comparing every response byte for byte.  Time-dependent monitoring
-payloads (stats/healthz latency and uptime numbers) are compared
-structurally instead.
+A bare path such as ``/stats`` is not an endpoint: it answers the same
+structured 404 (``unknown-endpoint``, with the request's trace id) as
+any unknown route — in process, over HTTP, and through a pre-forked
+pool, whose parent answers only the versioned monitoring paths itself.
+The scenario below touches every endpoint in the registry, so the rule
+is checked for each of them.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
-import logging
 import socket
 import threading
 
@@ -24,12 +19,12 @@ import pytest
 
 from repro.server.app import AnalysisApp
 from repro.server.http import build_server
-from repro.server.schema import ENDPOINTS, RawBody
+from repro.server.pool import ServerPool
+from repro.server.schema import ENDPOINTS
 from tests.server.conftest import scaled
 
-#: one scenario touching every non-monitoring endpoint, in a
-#: cache-and-generation-sensitive order; {sid} is substituted after the
-#: open call (deterministically "s1" on a fresh app)
+#: one scenario touching every non-monitoring endpoint; {sid} is
+#: substituted after the open call (deterministically "s1" on a fresh app)
 SCENARIO = [
     ("GET", "/", None),
     ("GET", "/sessions", None),
@@ -51,25 +46,23 @@ SCENARIO = [
     ("POST", "/sessions/{sid}/flatten", None),
     ("POST", "/sessions/{sid}/unflatten", None),
     # call-path queries: session mode on both verbs, plus a corpus-mode
-    # attempt (no --corpus here, so a structured 404 that must alias)
+    # attempt (no --corpus here, so a structured 404)
     ("POST", "/query",
      {"session": "s1", "query": {"pattern": "** / *", "limit": 5}}),
     ("GET", '/query?session=s1&query={{"pattern": "m"}}', None),
     ("POST", "/query", {"tenant": "t", "diagnose": True}),
-    # stateless ensemble surface: a self-diff of the open session is
-    # deterministic (all-zero rows, no findings) and alias-identical
+    # stateless ensemble surface: a self-diff of the open session
     ("POST", "/diff", {"sessions": ["s1", "s1"], "depth": 1}),
     ("GET", '/diff?sessions=["s1","s1"]&max_rows=5', None),
-    # trace views: these apps have no trace store on disk at this
-    # path, so both verbs answer the same structured 404 — which must
-    # alias identically
+    # trace views: no trace store on disk at this path, so both verbs
+    # answer a structured 404 of their own
     ("POST", "/trace", {"path": "no-such.rpstore", "view": "flame"}),
     ("GET", "/trace?path=no-such.rpstore&view=series", None),
-    # error paths must alias identically too (modulo the trace id)
+    # error paths
     ("GET", "/ensemble", None),
     ("POST", "/ensemble", {"databases": ["solo"]}),
     # corpus endpoints: these apps run without --corpus, so every call
-    # answers the same structured 404 — which must alias identically
+    # answers a structured 404 of its own
     ("GET", "/corpus", None),
     ("GET", "/corpus/{tenant}/profiles", None),
     ("POST", "/corpus/{tenant}/profiles", {"name": "x", "data": "AA=="}),
@@ -87,36 +80,45 @@ SCENARIO = [
 ]
 
 
-def drive(app: AnalysisApp, versioned: bool):
-    """Run SCENARIO against *app*; returns [(status, canonical body)]."""
+
+BARE_MONITORING = ("/stats", "/sessions", "/metrics")
+
+
+def drive(app: AnalysisApp, prefix: str):
+    """Run SCENARIO against *app* under *prefix*: [(status, payload)]."""
     out = []
-    sid = "s?"
     for method, path, body in SCENARIO:
-        path = path.format(sid=sid, tenant="t", pid="p000001")
-        if versioned:
-            path = "/v1" + path
+        path = prefix + path.format(sid="s1", tenant="t", pid="p000001")
         raw = json.dumps(body).encode() if body is not None else b""
-        status, payload = app.handle(method, path, raw)
-        if isinstance(payload.get("error"), dict):
-            # trace ids are per-request by design; equivalence is
-            # everything else
-            payload["error"].pop("trace_id", None)
-        out.append((status, json.dumps(payload, sort_keys=True)))
-        if path.endswith("/sessions") and method == "POST":
-            sid = payload["session"]["id"]
+        out.append(app.handle(method, path, raw))
     return out
 
 
-class TestAliasEquivalence:
-    def test_scenario_byte_identical(self):
-        alias = drive(AnalysisApp(), versioned=False)
-        versioned = drive(AnalysisApp(), versioned=True)
-        for (step, a, v) in zip(SCENARIO, alias, versioned):
-            assert a == v, f"alias and /v1 responses differ at {step[:2]}"
+def assert_unknown_route(status: int, payload: dict, trace_id: str = ""):
+    assert status == 404
+    error = payload["error"]
+    assert error["code"] == "unknown-endpoint"
+    assert error["status"] == 404
+    assert error["trace_id"]
+    if trace_id:
+        assert error["trace_id"] == trace_id
+
+
+class TestVersionedSurface:
+    def test_scenario_bare_paths_are_unknown_routes(self):
+        """Every endpoint answers under /v1; its bare path is a 404."""
+        for step, (_status, payload) in zip(SCENARIO,
+                                            drive(AnalysisApp(), "/v1")):
+            error = payload.get("error") or {}
+            unknown = error.get("code") == "unknown-endpoint"
+            assert unknown == (step[1] == "/definitely/not/an/endpoint"), (
+                f"/v1 routing broke at {step[:2]}")
+        for status, payload in drive(AnalysisApp(), ""):
+            assert_unknown_route(status, payload)
 
     def test_registry_coverage(self):
         """SCENARIO exercises every (method, path) in the registry except
-        the three monitoring endpoints tested structurally below."""
+        the three monitoring endpoints, tested on their own below."""
         covered = set()
         for method, path, _ in SCENARIO:
             covered.add((method, path.split("?")[0].replace("s1", "<sid>")))
@@ -133,50 +135,41 @@ class TestAliasEquivalence:
                     f"{op.method} {endpoint.path} not covered by SCENARIO"
                 )
 
-    def test_monitoring_endpoints_same_shape(self):
+    def test_bare_monitoring_paths_are_structured_404s(self):
         app = AnalysisApp()
-        app.handle("POST", "/v1/sessions", b'{"workload": "fig1"}')
-        for path in ("/healthz", "/stats"):
-            s1, p1 = app.handle("GET", path)
-            s2, p2 = app.handle("GET", "/v1" + path)
-            assert (s1, s2) == (200, 200)
-            assert set(p1) == set(p2)
+        for path in BARE_MONITORING:
+            status, payload, headers = app.handle_full("GET", path)
+            assert_unknown_route(status, payload, headers["X-Trace-Id"])
+            assert app.handle("GET", "/v1" + path)[0] == 200
 
-    def test_prometheus_alias(self):
-        app = AnalysisApp()
-        s1, p1, h1 = app.handle_full("GET", "/metrics")
-        s2, p2, h2 = app.handle_full("GET", "/v1/metrics")
-        assert (s1, s2) == (200, 200)
-        assert isinstance(p1, RawBody) and isinstance(p2, RawBody)
-        assert p1.content_type == p2.content_type
-        assert p1.content_type.startswith("text/plain; version=0.0.4")
-        assert h1["Deprecation"] == "true" and "Deprecation" not in h2
+        pool = ServerPool(workers=2, config={
+            "workload": "fig1", "nranks": 2, "seed": 7,
+            "max_body": 1 << 20}).start()
+        try:
+            host, port = pool.address
+            for path in BARE_MONITORING:
+                conn = http.client.HTTPConnection(host, port,
+                                                  timeout=scaled(30))
+                try:
+                    conn.request("GET", path)
+                    response = conn.getresponse()
+                    payload = json.loads(response.read())
+                    assert_unknown_route(
+                        response.status, payload,
+                        response.getheader("X-Trace-Id"))
+                finally:
+                    conn.close()
+        finally:
+            pool.close()
 
 
 class TestDeprecationSignals:
-    def test_alias_headers(self):
-        app = AnalysisApp()
-        status, _payload, headers = app.handle_full("GET", "/sessions")
-        assert status == 200
-        assert headers["Deprecation"] == "true"
-        assert headers["Link"] == '</v1/sessions>; rel="successor-version"'
-
     def test_versioned_path_clean(self):
         app = AnalysisApp()
         status, _payload, headers = app.handle_full("GET", "/v1/sessions")
         assert status == 200
         assert "Deprecation" not in headers and "Link" not in headers
         assert headers["X-Trace-Id"]
-
-    def test_warning_logged_once_per_endpoint(self, caplog):
-        app = AnalysisApp()
-        with caplog.at_level(logging.WARNING, logger="repro.server"):
-            for _ in range(3):
-                app.handle("GET", "/sessions")
-            app.handle("GET", "/healthz")
-            app.handle("GET", "/v1/sessions")
-        warned = [r for r in caplog.records if "deprecated" in r.message]
-        assert len(warned) == 2  # one per aliased endpoint, not per request
 
     def test_trace_id_header_matches_error_payload(self):
         app = AnalysisApp()
@@ -186,7 +179,7 @@ class TestDeprecationSignals:
 
 
 class TestOverHttp:
-    """The headers and raw body must survive the real HTTP shell."""
+    """The headers and raw body survive the real HTTP shell."""
 
     @pytest.fixture()
     def server(self):
@@ -222,16 +215,6 @@ class TestOverHttp:
             key, _, value = line.partition(":")
             headers[key.strip().lower()] = value.strip()
         return status, headers, body
-
-    def test_alias_headers_and_body_equivalence(self, server):
-        s1, h1, b1 = self._get(server, "/sessions")
-        s2, h2, b2 = self._get(server, "/v1/sessions")
-        assert (s1, s2) == (200, 200)
-        assert b1 == b2
-        assert h1["deprecation"] == "true"
-        assert h1["link"] == '</v1/sessions>; rel="successor-version"'
-        assert "deprecation" not in h2
-        assert h1["x-trace-id"] != h2["x-trace-id"]
 
     def test_metrics_prometheus_over_http(self, server):
         self._get(server, "/v1/sessions")  # record at least one request

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.errors import SimulationError
+from repro.errors import SimulationError
 from repro.hpcprof.summarize import imbalance_factor
 from repro.hpcrun.counters import CYCLES
 from repro.sim import imbalance

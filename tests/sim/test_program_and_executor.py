@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.errors import SimulationError
+from repro.errors import SimulationError
 from repro.sim.executor import execute
 from repro.sim.program import (
     Call,

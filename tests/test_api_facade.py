@@ -1,15 +1,12 @@
-"""The blessed ``repro.api`` facade and the deprecation shims.
+"""The blessed ``repro.api`` facade and the error taxonomy's one home.
 
 Pins the Python-side v1 promise: every facade name resolves, the
 one-call :func:`repro.api.open_database` works on both database
-formats, and the moved error modules keep working as shims that (a)
-warn and (b) re-export the *identical* class objects — so existing
-``except`` clauses still catch.
+formats, and the error classes live only in :mod:`repro.errors` — the
+old ``repro.core.errors`` / ``repro.server.errors`` paths are gone.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
@@ -70,40 +67,14 @@ class TestOpenDatabase:
 
 
 class TestDeprecationShims:
-    def test_core_errors_warns_and_aliases(self):
+    @pytest.mark.parametrize("module", ["repro.core.errors",
+                                        "repro.server.errors"])
+    def test_moved_error_modules_no_longer_import(self, module):
+        """The taxonomy has one home, :mod:`repro.errors`."""
         import importlib
-        import repro.core.errors as shim_module
 
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            shim = importlib.reload(shim_module)
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-        from repro.errors import DatabaseError, ReproError
-
-        assert shim.DatabaseError is DatabaseError
-        assert shim.ReproError is ReproError
-
-    def test_server_errors_warns_and_aliases(self):
-        import importlib
-        import repro.server.errors as shim_module
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            shim = importlib.reload(shim_module)
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-        from repro.errors import ApiError, BadRequest, NotFound
-
-        assert shim.ApiError is ApiError
-        assert shim.BadRequest is BadRequest
-        assert shim.NotFound is NotFound
-
-    def test_old_except_clauses_still_catch(self, tmp_path):
-        """The load path raises repro.errors classes; a caller still
-        importing from the old module must catch them unchanged."""
-        from repro.core.errors import DatabaseError as OldDatabaseError
-
-        with pytest.raises(OldDatabaseError):
-            api.open_database(str(tmp_path / "nope.rpdb"))
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
 
     def test_wire_codes_cover_every_domain_family(self):
         from repro import errors

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.errors import ViewError
+from repro.errors import ViewError
 from repro.core.metrics import MetricFlavor
 from repro.core.views import NodeCategory
 from repro.hpcprof.experiment import Experiment

@@ -7,7 +7,7 @@ import textwrap
 
 import pytest
 
-from repro.core.errors import ViewError
+from repro.errors import ViewError
 from repro.hpcprof.experiment import Experiment
 from repro.hpcrun.counters import CYCLES
 from repro.hpcrun.tracer import trace_call

@@ -26,10 +26,8 @@ HEADER = """\
      Do not edit by hand: rerun the generator after changing the
      endpoint registry. -->
 
-The canonical mount point for every endpoint is `/v1/...`.  Unversioned
-paths are **deprecated aliases**: they serve the byte-identical body
-and additionally answer with a `Deprecation: true` header and a `Link`
-to the successor path (see `docs/server.md` for the versioning policy).
+Every endpoint is mounted under `/v1/...`; a path outside `/v1`
+answers the structured `404 unknown-endpoint` of any unknown route.
 
 Conventions:
 

@@ -8,14 +8,13 @@ works on this machine:
    the in-memory Figure 1 experiment and returns the expected scopes;
 2. the same query returns **bit-identical** rows on a binary-round-trip
    copy and on an mmap-backed ``.rpstore`` of the same experiment;
-3. the legacy ``search()`` shim agrees with the engine on the hit set;
-4. ``POST /v1/query`` serves the query in session mode, and the
+3. ``POST /v1/query`` serves the query in session mode, and the
    columnar wire form decodes to exactly the JSON rows;
-5. a repeated session query is a response-cache hit with a
+4. a repeated session query is a response-cache hit with a
    byte-identical body, and a derived metric turns the next one into a
    miss whose rows carry the new column at generation 1 in both
    encodings;
-6. a two-profile corpus diagnoses cleanly through the same endpoint.
+5. a two-profile corpus diagnoses cleanly through the same endpoint.
 
 The exhaustive batteries live in ``tests/query/``,
 ``tests/props/test_query_props.py``, and
@@ -30,7 +29,6 @@ import json
 import os
 import sys
 import tempfile
-import warnings
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -66,17 +64,6 @@ def check_backends(exp: Experiment, tmp: str) -> int:
     finally:
         store.close()
     return len(reference)
-
-
-def check_shim(exp: Experiment) -> None:
-    from repro.core.search import search
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        hits = search(exp.views()[0], "m*")
-    engine = run_query(query("** / m*"), exp)
-    assert {h.node.name for h in hits} == set(engine.names), (
-        "search() shim hit set diverged from the engine")
 
 
 def check_query_cache(app: AnalysisApp, sid: str, body: bytes) -> None:
@@ -158,10 +145,9 @@ def main() -> int:
     payload = binio.dumps_binary(exp)
     with tempfile.TemporaryDirectory(prefix="query-smoke-") as tmp:
         rows = check_backends(exp, tmp)
-        check_shim(exp)
         check_endpoint(payload, tmp)
     print(f"query smoke OK: {rows} rows bit-identical across "
-          f"in-memory/.rpdb/.rpstore, shim agrees, /v1/query JSON == "
+          f"in-memory/.rpdb/.rpstore, /v1/query JSON == "
           f"columnar, cached until a derive (generation 1 in both "
           f"encodings), 2-profile corpus diagnosis clean")
     return 0
