@@ -15,30 +15,28 @@ the recursive caller child g←g = inclusive 5).
 
 Scalability: the view is constructed *lazily* (Section VII).  Building the
 view materializes only the top-level procedure entries; caller chains are
-expanded on demand.  ``eager=True`` forces full construction, which the
-scalability benchmarks use as the ablation baseline.
+expanded on demand, one level at a time: every row expanded at the same
+depth is aggregated by one batched exposed-instance reduction.
+``eager=True`` forces full construction, which the scalability
+benchmarks use as the ablation baseline.
 """
 
 from __future__ import annotations
 
-from repro.core.cct import CCT, CCTKind, CCTNode
+from repro.core.cct import CCT, CCTKind
 from repro.core.metrics import MetricTable
-from repro.core.views import NodeCategory, View, ViewKind, ViewNode
-from repro.hpcstruct.model import StructureNode
+from repro.core.views import LevelExpander, NodeCategory, View, ViewKind, ViewNode
 
 __all__ = ["CallersView"]
 
 
-def _caller_frame(frame: CCTNode) -> CCTNode | None:
-    """The procedure frame that invoked *frame* (None for entry frames)."""
-    parent = frame.parent
-    if parent is None:
-        return None
-    return parent.enclosing_frame
-
-
 class CallersView(View):
-    """Bottom-up (callee → callers) view over a canonical CCT."""
+    """Bottom-up (callee → callers) view over a canonical CCT.
+
+    A lazy row's :class:`~repro.core.views.LevelExpander` payload is a
+    pair of parallel lists: the original callee instances, and for each
+    the frame reached so far while walking up its call chain.
+    """
 
     kind = ViewKind.CALLERS
 
@@ -53,10 +51,10 @@ class CallersView(View):
 
     # ------------------------------------------------------------------ #
     def _build_roots(self) -> list[ViewNode]:
-        roots: list[ViewNode] = []
-        for proc, frames in self.cct.frames_by_procedure().items():
-            inclusive, exclusive = self._aggregate_exposed(frames)
-            node = ViewNode(
+        by_proc = self.cct.frames_by_procedure()
+        values = self._aggregate_exposed(list(by_proc.values()))
+        roots = [
+            ViewNode(
                 name=proc.name,
                 category=NodeCategory.PROCEDURE,
                 inclusive=inclusive,
@@ -64,44 +62,53 @@ class CallersView(View):
                 struct=proc,
                 line=proc.location.line,
                 cct_nodes=frames,
-                expander=self._make_expander([(f, f) for f in frames]),
+                expander=LevelExpander(self, (frames, frames)),
             )
-            roots.append(node)
+            for (proc, frames), (inclusive, exclusive) in zip(
+                by_proc.items(), values
+            )
+        ]
         if self._eager:
-            for node in roots:
-                for _ in node.walk():
-                    pass
+            level = roots
+            while level:
+                self.expand_rows(level)
+                level = [child for row in level for child in row.children]
         return roots
 
     # ------------------------------------------------------------------ #
-    def _make_expander(self, entries: list[tuple[CCTNode, CCTNode]]):
-        """Build the lazy child expander for one callers-view row.
+    def _expand_level(self, payloads: list) -> list[list[ViewNode]]:
+        """Caller rows for every payload of one level.
 
-        *entries* is a list of ``(instance, chain_frame)`` pairs: the
-        original callee instance, and the frame reached so far while
-        walking up its call chain.  Children group the entries by the
-        procedure of the next caller up.
+        Each row's children group its entries by the procedure of the
+        next caller up; all groups of the level are aggregated together.
         """
-
-        def expand(_row: ViewNode) -> list[ViewNode]:
-            groups: dict[StructureNode, list[tuple[CCTNode, CCTNode]]] = {}
-            call_lines: dict[StructureNode, set[tuple[str, int]]] = {}
-            for instance, chain_frame in entries:
-                caller = _caller_frame(chain_frame)
+        per_row = []
+        groups = []
+        for instances, chain in payloads:
+            # caller procedure -> (instances, caller frames, call lines)
+            by_proc: dict = {}
+            for instance, frame in zip(instances, chain):
+                site = frame.parent
+                caller = site.enclosing_frame if site is not None else None
                 if caller is None:
                     continue  # chain reached an entry point; nothing above
-                groups.setdefault(caller.struct, []).append((instance, caller))
-                site = chain_frame.parent
-                if site is not None and site.kind is CCTKind.CALL_SITE:
+                entry = by_proc.get(caller.struct)
+                if entry is None:
+                    entry = by_proc[caller.struct] = ([], [], set())
+                entry[0].append(instance)
+                entry[1].append(caller)
+                if site.kind is CCTKind.CALL_SITE:
                     file = site.struct.location.file if site.struct is not None else ""
-                    call_lines.setdefault(caller.struct, set()).add((file, site.line))
+                    entry[2].add((file, site.line))
+            per_row.append(by_proc)
+            groups.extend(entry[0] for entry in by_proc.values())
+        values = iter(self._aggregate_exposed(groups))
+        levels = []
+        for by_proc in per_row:
             rows: list[ViewNode] = []
-            for proc, sub_entries in groups.items():
-                instances = [inst for inst, _caller in sub_entries]
-                inclusive, exclusive = self._aggregate_exposed(instances)
-                sites = sorted(call_lines.get(proc, ()))
-                line = sites[0][1] if sites else proc.location.line
-                file = sites[0][0] if sites else proc.location.file
+            for proc, (instances, callers, call_lines) in by_proc.items():
+                inclusive, exclusive = next(values)
+                sites = sorted(call_lines)
                 rows.append(
                     ViewNode(
                         name=proc.name,
@@ -109,12 +116,18 @@ class CallersView(View):
                         inclusive=inclusive,
                         exclusive=exclusive,
                         struct=proc,
-                        line=line,
-                        file=file,
+                        line=sites[0][1] if sites else proc.location.line,
+                        file=sites[0][0] if sites else proc.location.file,
                         cct_nodes=instances,
-                        expander=self._make_expander(sub_entries),
+                        expander=LevelExpander(self, (instances, callers)),
                     )
                 )
-            return rows
+            levels.append(rows)
+        return levels
 
-        return expand
+    def _level_has_children(self, payload) -> bool:
+        _instances, chain = payload
+        return any(
+            frame.parent is not None and frame.parent.enclosing_frame is not None
+            for frame in chain
+        )

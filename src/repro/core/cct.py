@@ -106,7 +106,9 @@ class CCTNode:
     def key(self) -> tuple:
         """Identity of this scope among its siblings (used for merging)."""
         struct_id = self.struct.uid if self.struct is not None else 0
-        return (self.kind.value, struct_id, self.line)
+        # ``_value_`` is ``value`` without the enum descriptor's cost;
+        # every attach computes a key
+        return (self.kind._value_, struct_id, self.line)
 
     @property
     def name(self) -> str:
@@ -165,7 +167,7 @@ class CCTNode:
 
     def _ensure(self, kind: CCTKind, struct: StructureNode | None, line: int) -> "CCTNode":
         struct_id = struct.uid if struct is not None else 0
-        key = (kind.value, struct_id, line)
+        key = (kind._value_, struct_id, line)
         node = self._child_index.get(key)
         if node is None:
             node = CCTNode(kind, struct=struct, line=line, parent=self)

@@ -14,14 +14,16 @@ chains; ``fused=False`` reproduces the earlier two-line design so the
 claim can be measured (see ``benchmarks/bench_fusion.py``).
 
 Rows are materialized lazily so opening a view over a huge CCT touches
-only the expanded prefix.
+only the expanded prefix.  A lazy row's
+:class:`~repro.core.views.LevelExpander` payload is the CCT scope whose
+children it shows.
 """
 
 from __future__ import annotations
 
 from repro.core.cct import CCT, CCTKind, CCTNode
 from repro.core.metrics import MetricTable, MetricValues, add_into
-from repro.core.views import NodeCategory, View, ViewKind, ViewNode
+from repro.core.views import LevelExpander, NodeCategory, View, ViewKind, ViewNode
 
 __all__ = ["CallingContextView"]
 
@@ -56,6 +58,17 @@ class CallingContextView(View):
                 rows.append(self._plain_row(node))
         return rows
 
+    def _expand_level(self, payloads: list[CCTNode]) -> list[list[ViewNode]]:
+        return [self._rows_for(node.children) for node in payloads]
+
+    def _level_has_children(self, node: CCTNode) -> bool:
+        for child in node.children:
+            if child.kind is not CCTKind.CALL_SITE or not self.fused:
+                return True  # a plain row
+            if child.children or child.raw:
+                return True  # callee rows, or the sampled call line itself
+        return False
+
     # ------------------------------------------------------------------ #
     def _plain_row(self, node: CCTNode) -> ViewNode:
         category = {
@@ -84,7 +97,7 @@ class CallingContextView(View):
             struct=struct,
             line=node.line or (struct.location.line if struct is not None else 0),
             cct_nodes=[node],
-            expander=lambda row, n=node: self._rows_for(n.children),
+            expander=LevelExpander(self, node),
             has_source=has_source,
         )
 
@@ -110,7 +123,7 @@ class CallingContextView(View):
                     line=site.line,
                     file=site.struct.location.file if site.struct is not None else "",
                     cct_nodes=[site, frame],
-                    expander=lambda row, f=frame: self._rows_for(f.children),
+                    expander=LevelExpander(self, frame),
                     has_source=has_source,
                 )
             )

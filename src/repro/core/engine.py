@@ -31,6 +31,7 @@ benchmarked.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -257,38 +258,28 @@ class MetricEngine:
         self.inclusive, self.exclusive = self.compute_attribution()
 
     @traced("engine.scatter")
-    def scatter(self) -> None:
-        """Write the attributed matrices back into the sparse node dicts.
+    def scatter(
+        self,
+        inclusive: np.ndarray | None = None,
+        exclusive: np.ndarray | None = None,
+    ) -> None:
+        """Write attributed matrices back into the sparse node dicts.
 
-        Zero cells stay absent, matching the sparse representation's
-        invariant (``add_into`` likewise drops entries that cancel to 0).
+        The matrices default to the engine's own.  Zero cells stay absent,
+        matching the sparse representation's invariant (``add_into``
+        likewise drops entries that cancel to 0).
         """
-        if self.num_metrics == 1:
-            for matrix, attr in (
-                (self.inclusive, "inclusive"),
-                (self.exclusive, "exclusive"),
-            ):
+        for matrix, attr in (
+            (self.inclusive if inclusive is None else inclusive, "inclusive"),
+            (self.exclusive if exclusive is None else exclusive, "exclusive"),
+        ):
+            if self.num_metrics == 1:
                 values = matrix[:, 0].tolist()
                 for node, value in zip(self.nodes, values):
                     setattr(node, attr, {0: value} if value != 0.0 else {})
-            return
-        for matrix, attr in (
-            (self.inclusive, "inclusive"),
-            (self.exclusive, "exclusive"),
-        ):
-            rows, mids = np.nonzero(matrix)
-            values = matrix[rows, mids].tolist()
-            mids_list = mids.tolist()
-            counts = np.bincount(rows, minlength=len(self.nodes)).tolist()
-            pos = 0
-            for row, node in enumerate(self.nodes):
-                count = counts[row]
-                if count:
-                    end = pos + count
-                    setattr(node, attr, dict(zip(mids_list[pos:end], values[pos:end])))
-                    pos = end
-                else:
-                    setattr(node, attr, {})
+            else:
+                for node, values in zip(self.nodes, _sparse_rows(matrix)):
+                    setattr(node, attr, values)
 
     # ------------------------------------------------------------------ #
     # whole-tree numeric kernels
@@ -322,41 +313,67 @@ class MetricEngine:
     # ------------------------------------------------------------------ #
     # exposed-instance aggregation (Section IV-B)
     # ------------------------------------------------------------------ #
-    def exposed_rows(self, rows: Sequence[int]) -> list[int]:
-        """Distinct rows of *rows* with no proper ancestor also in *rows*.
-
-        Preorder extents make this a single sweep: a sorted row is covered
-        iff it falls inside the most recent exposed member's subtree.
-        """
-        end = self.subtree_end
-        exposed: list[int] = []
-        cover = -1
-        for row in sorted(set(rows)):
-            if row >= cover:
-                exposed.append(row)
-                cover = end[row]
-        return exposed
+    def rows_of(self, nodes: Sequence[CCTNode]) -> list[int]:
+        """Engine rows of *nodes*, in order (:meth:`row_of` for many)."""
+        index = self.index
+        try:
+            return [index[node.uid] for node in nodes]
+        except KeyError:
+            for node in nodes:
+                self.row_of(node)  # raises MetricError naming the scope
+            raise
 
     @traced("engine.aggregate-exposed")
     def aggregate_exposed(
-        self, instances: Sequence[CCTNode]
-    ) -> tuple[MetricValues, MetricValues]:
-        """Columnar twin of :func:`repro.core.attribution.aggregate_exposed`.
+        self, rows: Sequence[int], offsets: Sequence[int]
+    ) -> list[tuple[MetricValues, MetricValues]]:
+        """Exposed-instance aggregates of many instance groups in one pass.
 
-        Returns sparse ``(inclusive, exclusive)`` aggregates over the
-        exposed subset.  The accumulation runs in *input* instance order
-        (an exposed node that appears twice counts twice), exactly like the
-        dict path, so the two backends agree bit-for-bit.
+        Group ``g`` is ``rows[offsets[g]:offsets[g + 1]]``: the engine rows
+        of one view row's CCT instances, in input order.  Each group's
+        sparse ``(inclusive, exclusive)`` pair sums its *exposed* members
+        (no proper ancestor in the same group) in input order, an exposed
+        row listed twice counting twice -- exactly
+        :func:`repro.core.attribution.aggregate_exposed`, bit for bit.
+
+        Exposure is one segment prefix-max over the preorder extents: in
+        ``(group, row)`` order a member is covered iff an earlier member
+        of its group has a subtree reaching past it.  The sums are one
+        ``np.add.at`` per matrix, which applies updates in index (= input)
+        order, the same additions as a per-group ``acc += row`` loop.
         """
-        rows = [self.row_of(node) for node in instances]
-        exposed = set(self.exposed_rows(rows))
-        incl = np.zeros(self.num_metrics)
-        excl = np.zeros(self.num_metrics)
-        for row in rows:
-            if row in exposed:
-                incl += self.inclusive[row]
-                excl += self.exclusive[row]
-        return _sparse(incl), _sparse(excl)
+        rows = np.asarray(rows, dtype=np.int64)
+        counts = np.diff(np.asarray(offsets, dtype=np.int64))
+        ngroups = len(counts)
+        group = np.repeat(np.arange(ngroups, dtype=np.int64), counts)
+        span = len(self.nodes) + 1  # > every row and extent
+        key = group * span + rows
+        order = np.argsort(key, kind="stable")
+        ordered = key[order]
+        reach = np.maximum.accumulate(
+            group[order] * span + self.subtree_end[rows[order]]
+        )
+        covered_by = np.empty_like(reach)
+        covered_by[:1] = -1
+        covered_by[1:] = reach[:-1]
+        exposed_sorted = ordered >= covered_by
+        # a repeated row takes the verdict of its first copy (which the
+        # test above would otherwise count as its own ancestor)
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = ordered[1:] != ordered[:-1]
+        head = np.maximum.accumulate(np.where(first, np.arange(len(rows)), 0))
+        exposed = np.empty(len(rows), dtype=bool)
+        exposed[order] = exposed_sorted[head]
+
+        picked = rows[exposed]
+        width = self.num_metrics
+        cells = (group[exposed][:, None] * width + np.arange(width)).ravel()
+        out = []
+        for matrix in (self.inclusive, self.exclusive):
+            acc = np.zeros(ngroups * width)
+            np.add.at(acc, cells, matrix[picked].ravel())
+            out.append(_sparse_rows(acc.reshape(ngroups, width)))
+        return list(zip(*out))
 
     # ------------------------------------------------------------------ #
     # view-row gathers
@@ -402,10 +419,12 @@ class MetricEngine:
         return self.raw.nbytes + self.inclusive.nbytes + self.exclusive.nbytes
 
 
-def _sparse(vector: np.ndarray) -> MetricValues:
-    """Dense vector → sparse dict, dropping exact zeros."""
-    (mids,) = np.nonzero(vector)
-    return {int(mid): float(vector[mid]) for mid in mids}
+def _sparse_rows(matrix: np.ndarray) -> list[MetricValues]:
+    """Dense matrix → one sparse dict per row, dropping exact zeros."""
+    rows, mids = np.nonzero(matrix)
+    cells = zip(mids.tolist(), matrix[rows, mids].tolist())
+    counts = np.bincount(rows, minlength=len(matrix)).tolist()
+    return [dict(islice(cells, count)) if count else {} for count in counts]
 
 
 def attribute_columnar(cct: CCT) -> MetricEngine:

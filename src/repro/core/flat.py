@@ -30,17 +30,20 @@ an analyst compare loops across different routines directly.
 
 from __future__ import annotations
 
-from repro.core.attribution import exposed_instances
 from repro.core.cct import CCT, CCTKind, CCTNode
 from repro.core.metrics import MetricTable, MetricValues, add_into, total
-from repro.core.views import NodeCategory, View, ViewKind, ViewNode
+from repro.core.views import LevelExpander, NodeCategory, View, ViewKind, ViewNode
 from repro.hpcstruct.model import StructKind, StructureNode
 
 __all__ = ["FlatView"]
 
 
 class FlatView(View):
-    """Static (flat) view over a canonical CCT."""
+    """Static (flat) view over a canonical CCT.
+
+    A lazy procedure or loop row's :class:`~repro.core.views.LevelExpander`
+    payload is the list of CCT scopes whose inner scopes it merges.
+    """
 
     kind = ViewKind.FLAT
 
@@ -69,56 +72,76 @@ class FlatView(View):
         by_proc = self.cct.frames_by_procedure()
         files: dict[StructureNode, list[tuple[StructureNode, list[CCTNode]]]] = {}
         for proc, frames in by_proc.items():
-            file_scope = proc.enclosing_file
-            files.setdefault(file_scope, []).append((proc, frames))
+            files.setdefault(proc.enclosing_file, []).append((proc, frames))
+        modules: dict[StructureNode, list[StructureNode]] = {}
+        for file_scope in files:
+            lm = file_scope.parent if file_scope is not None else None
+            modules.setdefault(lm, []).append(file_scope)
+        file_frames = {
+            file_scope: [f for _p, frames in procs for f in frames]
+            for file_scope, procs in files.items()
+        }
+        lm_frames = {
+            lm: [f for file_scope in scopes for f in file_frames[file_scope]]
+            for lm, scopes in modules.items()
+        } if self.show_load_modules else {}
+        # procedure rows, then file and load-module inclusives: one batch
+        values = iter(self._aggregate_exposed(
+            list(by_proc.values()) + list(file_frames.values())
+            + list(lm_frames.values())
+        ))
+        proc_rows = {
+            proc: self._procedure_row(proc, frames, *next(values))
+            for proc, frames in by_proc.items()
+        }
 
-        modules: dict[StructureNode, list[ViewNode]] = {}
+        file_rows: dict[StructureNode, ViewNode] = {}
         for file_scope, procs in files.items():
-            proc_rows = [self._procedure_row(proc, frames) for proc, frames in procs]
-            all_frames = [f for _p, frames in procs for f in frames]
-            inclusive = total(n.inclusive for n in exposed_instances(all_frames))
+            children = [proc_rows[proc] for proc, _frames in procs]
             exclusive: MetricValues = {}
-            for row in proc_rows:
+            for row in children:
                 add_into(exclusive, row.exclusive)
             file_row = ViewNode(
                 name=file_scope.name if file_scope is not None else "<unknown file>",
                 category=NodeCategory.FILE,
-                inclusive=inclusive,
+                inclusive=next(values)[0],
                 exclusive=exclusive,
                 struct=file_scope,
-                cct_nodes=all_frames,
+                cct_nodes=file_frames[file_scope],
             )
-            file_row.set_children(proc_rows)
-            lm = file_scope.parent if file_scope is not None else None
-            modules.setdefault(lm, []).append(file_row)
+            file_row.set_children(children)
+            file_rows[file_scope] = file_row
 
         if not self.show_load_modules:
-            return [row for rows in modules.values() for row in rows]
+            return list(file_rows.values())
 
         lm_rows: list[ViewNode] = []
-        for lm, file_rows in modules.items():
-            all_frames = [f for row in file_rows for f in row.cct_nodes]
-            inclusive = total(n.inclusive for n in exposed_instances(all_frames))
+        for lm, scopes in modules.items():
+            children = [file_rows[file_scope] for file_scope in scopes]
             exclusive = {}
-            for row in file_rows:
+            for row in children:
                 add_into(exclusive, row.exclusive)
             lm_row = ViewNode(
                 name=lm.name if lm is not None else "<unknown load module>",
                 category=NodeCategory.LOAD_MODULE,
-                inclusive=inclusive,
+                inclusive=next(values)[0],
                 exclusive=exclusive,
                 struct=lm,
-                cct_nodes=all_frames,
+                cct_nodes=lm_frames[lm],
             )
-            lm_row.set_children(file_rows)
+            lm_row.set_children(children)
             lm_rows.append(lm_row)
         return lm_rows
 
     # ------------------------------------------------------------------ #
-    def _procedure_row(self, proc: StructureNode, frames: list[CCTNode]) -> ViewNode:
-        inclusive, exclusive = self._aggregate_exposed(frames)
-        has_source = not proc.location.file.startswith("<unknown")
-        row = ViewNode(
+    def _procedure_row(
+        self,
+        proc: StructureNode,
+        frames: list[CCTNode],
+        inclusive: MetricValues,
+        exclusive: MetricValues,
+    ) -> ViewNode:
+        return ViewNode(
             name=proc.name,
             category=NodeCategory.PROCEDURE,
             inclusive=inclusive,
@@ -126,15 +149,22 @@ class FlatView(View):
             struct=proc,
             line=proc.location.line,
             cct_nodes=frames,
-            expander=self._make_expander(frames),
-            has_source=has_source,
+            expander=LevelExpander(self, frames),
+            has_source=not proc.location.file.startswith("<unknown"),
         )
-        return row
 
-    def _make_expander(self, group: list[CCTNode]):
-        """Lazy expander merging the inner scopes of a group of CCT nodes."""
+    def _expand_level(self, payloads: list) -> list[list[ViewNode]]:
+        """Rows merging the inner scopes of each payload group, one level.
 
-        def expand(_row: ViewNode) -> list[ViewNode]:
+        Per group: loops (by structure), statements (by line), then
+        call-site lines (by line, one row per callee procedure).  Every
+        loop, statement and callee group of the level is aggregated in
+        one batch; statements are leaves, so their exposed sum is their
+        plain sum.
+        """
+        per_row = []
+        groups: list[list[CCTNode]] = []
+        for group in payloads:
             loops: dict[StructureNode, list[CCTNode]] = {}
             stmts: dict[int, list[CCTNode]] = {}
             sites: dict[int, list[CCTNode]] = {}
@@ -146,12 +176,25 @@ class FlatView(View):
                         stmts.setdefault(child.line, []).append(child)
                     elif child.kind is CCTKind.CALL_SITE:
                         sites.setdefault(child.line, []).append(child)
+            groups.extend(loops.values())
+            groups.extend(stmts.values())
+            callees = {}
+            for line, site_nodes in sites.items():
+                by_callee: dict[StructureNode, list[CCTNode]] = {}
+                for site in site_nodes:
+                    for frame in site.children:
+                        if frame.kind is CCTKind.FRAME:
+                            by_callee.setdefault(frame.struct, []).append(frame)
+                callees[line] = by_callee
+                groups.extend(by_callee.values())
+            per_row.append((loops, stmts, sites, callees))
+        # consumed below in the order queued: loops, statements, callees
+        values = iter(self._aggregate_exposed(groups))
+        levels = []
+        for loops, stmts, sites, callees in per_row:
             rows: list[ViewNode] = []
             for struct, nodes in loops.items():
-                inclusive, exclusive = self._aggregate_exposed(nodes)
-                category = (
-                    NodeCategory.INLINED if struct.kind.is_inlined else NodeCategory.LOOP
-                )
+                inclusive, exclusive = next(values)
                 rows.append(
                     ViewNode(
                         name=(
@@ -159,18 +202,21 @@ class FlatView(View):
                             if struct.kind is StructKind.INLINED_PROC
                             else f"loop at {struct.location}"
                         ),
-                        category=category,
+                        category=(
+                            NodeCategory.INLINED
+                            if struct.kind.is_inlined
+                            else NodeCategory.LOOP
+                        ),
                         inclusive=inclusive,
                         exclusive=exclusive,
                         struct=struct,
                         line=struct.location.line,
                         cct_nodes=nodes,
-                        expander=self._make_expander(nodes),
+                        expander=LevelExpander(self, nodes),
                     )
                 )
             for line, nodes in stmts.items():
-                inclusive = total(n.inclusive for n in nodes)
-                exclusive = total(n.exclusive for n in nodes)
+                inclusive, exclusive = next(values)
                 rows.append(
                     ViewNode(
                         name=nodes[0].name,
@@ -183,23 +229,28 @@ class FlatView(View):
                     )
                 )
             for line, site_nodes in sites.items():
-                rows.extend(self._call_site_rows(line, site_nodes))
-            return rows
+                by_callee = callees[line]
+                rows.extend(self._call_site_rows(
+                    line, site_nodes, by_callee,
+                    [next(values) for _ in by_callee],
+                ))
+            levels.append(rows)
+        return levels
 
-        return expand
-
-    def _call_site_rows(self, line: int, sites: list[CCTNode]) -> list[ViewNode]:
-        """Rows for one call-site line, grouped by callee procedure."""
-        by_callee: dict[StructureNode, list[CCTNode]] = {}
+    def _call_site_rows(
+        self,
+        line: int,
+        sites: list[CCTNode],
+        by_callee: dict[StructureNode, list[CCTNode]],
+        values: list[tuple[MetricValues, MetricValues]],
+    ) -> list[ViewNode]:
+        """Rows for one call-site line, one per callee procedure."""
         site_raw = total(s.raw for s in sites)
-        for site in sites:
-            for frame in site.children:
-                if frame.kind is CCTKind.FRAME:
-                    by_callee.setdefault(frame.struct, []).append(frame)
-        rows: list[ViewNode] = []
-        if not by_callee and site_raw:
+        if not by_callee:
+            if not site_raw:
+                return []
             # sampled call line whose callee was never observed on a stack
-            rows.append(
+            return [
                 ViewNode(
                     name=sites[0].name,
                     category=NodeCategory.STATEMENT,
@@ -209,10 +260,11 @@ class FlatView(View):
                     line=line,
                     cct_nodes=sites,
                 )
-            )
-            return rows
-        for callee, frames in by_callee.items():
-            inclusive, exclusive = self._aggregate_exposed(frames)
+            ]
+        rows: list[ViewNode] = []
+        for (callee, frames), (inclusive, exclusive) in zip(
+            by_callee.items(), values
+        ):
             if self.fused:
                 fused_excl = dict(exclusive)
                 add_into(fused_excl, site_raw)
@@ -236,6 +288,19 @@ class FlatView(View):
             )
         return rows
 
+    def _level_has_children(self, payload) -> bool:
+        quiet_sites: dict[int, list[CCTNode]] = {}
+        for node in payload:
+            for child in node.children:
+                if child.kind is CCTKind.CALL_SITE:
+                    if any(f.kind is CCTKind.FRAME for f in child.children):
+                        return True
+                    quiet_sites.setdefault(child.line, []).append(child)
+                elif child.kind in (CCTKind.LOOP, CCTKind.STATEMENT):
+                    return True
+        # a call line with no observed callee shows only if it was sampled
+        return any(total(s.raw for s in sites) for sites in quiet_sites.values())
+
     # ------------------------------------------------------------------ #
     # flattening
     # ------------------------------------------------------------------ #
@@ -255,6 +320,7 @@ class FlatView(View):
         """
         rows = list(self.roots)
         for _ in range(self.flatten_depth):
+            self.expand_rows(rows)
             nxt: list[ViewNode] = []
             changed = False
             for row in rows:

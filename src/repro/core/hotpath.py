@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from repro.core.cct import CCTNode
 from repro.errors import ViewError
 from repro.core.metrics import MetricFlavor, MetricKind, MetricSpec
 from repro.core.views import View, ViewNode
@@ -162,16 +161,3 @@ def _hot_path_view_columnar(
         values.append(best_value)
     return HotPathResult(tuple(path), tuple(values))
 
-
-def hot_path_cct(
-    start: CCTNode,
-    mid: int,
-    threshold: float = DEFAULT_THRESHOLD,
-) -> HotPathResult:
-    """Hot path directly over CCT scopes (pre-view analyses)."""
-    return hot_path_generic(
-        start,
-        value_fn=lambda n: n.inclusive.get(mid, 0.0),
-        children_fn=lambda n: n.children,
-        threshold=threshold,
-    )

@@ -34,11 +34,13 @@ import os
 
 import numpy as np
 
+from repro.core.attribution import COLUMNAR_MIN_NODES, attribute_dicts
 from repro.core.cct import CCTNode
 from repro.core.engine import MetricEngine
 from repro.core.metrics import MetricKind
 from repro.core.views import ViewNode
 from repro.errors import DatabaseError, ViewError
+from repro.obs.spans import span
 from repro.hpcprof.experiment import Experiment
 from repro.hpcprof.summarize import (
     SummaryIds,
@@ -512,15 +514,92 @@ def create_store(
 
 
 def open_store(path: str) -> StoreExperiment:
-    """Open a store directory as a live (mmap-backed) experiment."""
+    """Open a store directory as a live (mmap-backed) experiment.
+
+    One pass over the skeleton and one engine: the skeleton is decoded
+    (metric ids checked per record) but not attributed on its own; the
+    engine over the mapped column files attributes it with its kernels,
+    the result is checked against the mapped ``raw``, ``inclusive`` and
+    ``exclusive`` columns (stored summary overlays included), and only
+    then scattered into the node dicts.  A column file that disagrees
+    with its skeleton is a :class:`DatabaseError` naming the file.
+    """
     from repro.hpcprof import binio
 
     store = ColumnStore(path)
-    base = binio.read_binary_streaming(store.skeleton_path)
-    if len(base.cct) != store.nnodes or len(base.metrics) != store.num_metrics:
+    with span("store.decode-skeleton"):
+        with binio.StreamingDatabase(store.skeleton_path) as db:
+            offsets: list[int] = []
+            name, metrics, model, cct, stored, count = db.decode(offsets)
+            raw, overlays = binio.record_values(db.buffer, offsets)
+    if count != store.nnodes or len(metrics) != store.num_metrics:
         raise DatabaseError(
-            f"corrupt store {path}: skeleton has {len(base.cct)} scopes / "
-            f"{len(base.metrics)} metrics, manifest declares "
+            f"corrupt store {path}: skeleton has {count} scopes / "
+            f"{len(metrics)} metrics, manifest declares "
             f"{store.nnodes} / {store.num_metrics}"
         )
-    return StoreExperiment(store, base)
+    engine = MetricEngine(cct, store.num_metrics, matrices=store.matrices())
+    with span("store.verify-columns"):
+        inclusive, exclusive = _verified_attribution(store, engine, raw,
+                                                     overlays)
+    with span("store.scatter"):
+        if count >= COLUMNAR_MIN_NODES:
+            engine.scatter(inclusive, exclusive)
+        else:
+            attribute_dicts(cct)  # the key order attribute() gives a small tree
+        binio.apply_summaries(cct, stored)
+    cct.invalidate_caches()
+    engine.version = cct.version
+    cct._engine = engine
+    return StoreExperiment(store, Experiment(name, metrics, model, cct))
+
+
+def _verified_attribution(store: ColumnStore, engine: MetricEngine, raw,
+                          overlays) -> tuple[np.ndarray, np.ndarray]:
+    """Eq. 1/2 of the skeleton's raw values, checked against the columns.
+
+    *raw* and *overlays* are the skeleton's records as
+    :func:`~repro.hpcprof.binio.record_values` returns them.  Returns
+    the attributed ``(inclusive, exclusive)`` matrices, without the
+    summary overlays (the node dicts take those separately).
+    """
+    expected = np.zeros_like(engine.raw)
+    rows, entries = raw
+    _assign(expected, rows, entries["mid"], entries["value"])
+    _check_column(store, "raw", expected, engine.raw)
+    inclusive, exclusive = engine.compute_attribution()
+    rows, entries = overlays
+    inner = entries["flavor"] != 0
+    for name, attributed, mask in (("inclusive", inclusive, ~inner),
+                                   ("exclusive", exclusive, inner)):
+        expected = attributed.copy()
+        picked = entries[mask]
+        _assign(expected, rows[mask], picked["mid"], picked["value"])
+        _check_column(store, name, expected, getattr(engine, name))
+    return inclusive, exclusive
+
+
+def _assign(matrix: np.ndarray, rows: np.ndarray, mids: np.ndarray,
+            values: np.ndarray) -> None:
+    """``matrix[rows, mids] = values``, a repeated cell keeping its last
+    value as a dict would (stream order is row-major, so unique cells
+    arrive strictly increasing and need no sort)."""
+    key = rows * matrix.shape[1] + mids
+    keep = slice(None)
+    if len(key) > 1 and not (np.diff(key) > 0).all():
+        _, last = np.unique(key[::-1], return_index=True)
+        keep = len(key) - 1 - last
+    matrix[rows[keep], mids[keep]] = values[keep]
+
+
+def _check_column(store: ColumnStore, name: str, expected: np.ndarray,
+                  mapped: np.ndarray) -> None:
+    if not np.array_equal(expected, mapped, equal_nan=True):
+        rows = np.flatnonzero(
+            ~((expected == mapped) | (np.isnan(expected) & np.isnan(mapped)))
+            .all(axis=1)
+        )
+        raise DatabaseError(
+            f"corrupt store {store.path}: {_COLUMNS_DIR}/{name}.f64 disagrees "
+            f"with the skeleton at {len(rows)} row(s), first row {rows[0]}"
+        )

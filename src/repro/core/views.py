@@ -11,6 +11,11 @@ interface.
 Scalability: a ``ViewNode`` may be *lazy* — its children are produced by
 an expander callback on first access (Section VII: "the Callers View is
 constructed dynamically … we store and process data only when needed").
+The three views make the unit of laziness a *level*: their rows carry a
+:class:`LevelExpander`, and :meth:`View.expand_rows` builds the children
+of every pending row of one level together — for the Callers and Flat
+views with a single batched exposed-instance aggregation (expanding one
+row is a level of one).
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from repro.core.metrics import (
     MetricValues,
 )
 
-__all__ = ["ViewKind", "NodeCategory", "ViewNode", "View"]
+__all__ = ["ViewKind", "NodeCategory", "ViewNode", "View", "LevelExpander"]
 
 
 class ViewKind(Enum):
@@ -167,6 +172,27 @@ class ViewNode:
         return f"<ViewNode {self.category.value} {self.name!r}>"
 
 
+class LevelExpander:
+    """A lazy row's children, built together with the rest of its level.
+
+    *payload* is whatever the owning view needs to derive the row's
+    children: the CCT scope whose children a Calling Context row shows,
+    the CCT instances a Callers or Flat row aggregates.
+    Called as an ordinary expander it builds one row's children as a
+    level of one; :meth:`View.expand_rows` instead collects the payloads
+    of a whole level and builds all of their children at once.
+    """
+
+    __slots__ = ("view", "payload")
+
+    def __init__(self, view: "View", payload) -> None:
+        self.view = view
+        self.payload = payload
+
+    def __call__(self, row: ViewNode) -> list[ViewNode]:
+        return self.view._expand_level([self.payload])[0]
+
+
 class View:
     """Base class for the three views: a forest of rows over one metric table."""
 
@@ -222,18 +248,65 @@ class View:
         self._roots = None
         self._derived_cache.clear()
 
-    def _aggregate_exposed(self, instances) -> tuple[MetricValues, MetricValues]:
-        """Exposed-instance aggregation for row construction (Sec. IV-B).
+    def _aggregate_exposed(
+        self, groups: Sequence[Sequence]
+    ) -> list[tuple[MetricValues, MetricValues]]:
+        """Exposed-instance aggregates of a level's row groups (Sec. IV-B).
 
-        Dispatches to the columnar engine's kernel when one is attached
-        (bit-identical results; see the engine's docstring), else to the
-        dict-path reference in :mod:`repro.core.attribution`.
+        One ``(inclusive, exclusive)`` pair per group of CCT instances.
+        With a columnar engine attached the whole level is one batched
+        kernel call (bit-identical results; see the engine's docstring),
+        else each group goes through the dict-path reference in
+        :mod:`repro.core.attribution`.
         """
-        if self.engine is not None:
-            return self.engine.aggregate_exposed(instances)
-        from repro.core.attribution import aggregate_exposed
+        if not groups:
+            return []
+        if self.engine is None:
+            from repro.core.attribution import aggregate_exposed
 
-        return aggregate_exposed(instances)
+            return [aggregate_exposed(group) for group in groups]
+        rows: list[int] = []
+        offsets = [0]
+        rows_of = self.engine.rows_of
+        for group in groups:
+            rows.extend(rows_of(group))
+            offsets.append(len(rows))
+        return self.engine.aggregate_exposed(rows, offsets)
+
+    def _expand_level(self, payloads: list) -> list[list[ViewNode]]:
+        """Children of each :class:`LevelExpander` payload of one level."""
+        raise NotImplementedError  # pragma: no cover - level views only
+
+    def _level_has_children(self, payload) -> bool:
+        """Whether a payload would expand to any row, from structure only."""
+        raise NotImplementedError  # pragma: no cover - level views only
+
+    def expand_rows(self, rows: Sequence[ViewNode]) -> None:
+        """Materialize the children of *rows*, one level, in one batch.
+
+        Rows carrying a :class:`LevelExpander` are built together by
+        :meth:`_expand_level`; any other lazy row materializes on its own
+        when its ``children`` are first read.
+        """
+        pending: list[ViewNode] = []
+        payloads = []
+        for row in rows:
+            expander = row._expander
+            if row._children is None and isinstance(expander, LevelExpander):
+                pending.append(row)
+                payloads.append(expander.payload)
+        if pending:
+            for row, children in zip(pending, self._expand_level(payloads)):
+                row._expander = None
+                row.set_children(children)
+
+    def has_children(self, row: ViewNode) -> bool:
+        """Whether *row* has child rows, without building them when the
+        view can answer from structure alone (the ``+`` marker probe)."""
+        expander = row._expander
+        if row._children is None and isinstance(expander, LevelExpander):
+            return self._level_has_children(expander.payload)
+        return bool(row.children)
 
     def value(self, node: ViewNode, spec: MetricSpec) -> float:
         """The value of a metric column at a row, evaluating derived metrics.
@@ -278,6 +351,16 @@ class View:
             active.discard(spec.mid)
         self._derived_cache[cache_key] = result
         return result
+
+    def value_getter(self, spec: MetricSpec) -> Callable[[ViewNode], float]:
+        """``lambda row: self.value(row, spec)``, with the column resolved
+        once instead of per cell (measured columns read the row's dict)."""
+        if self.metrics.by_id(spec.mid).kind is MetricKind.DERIVED:
+            return lambda row: self.value(row, spec)
+        mid = spec.mid
+        if spec.flavor is MetricFlavor.INCLUSIVE:
+            return lambda row: row.inclusive.get(mid, 0.0)
+        return lambda row: row.exclusive.get(mid, 0.0)
 
     def sorted_children(
         self, node: ViewNode | None, spec: MetricSpec, descending: bool = True

@@ -41,11 +41,14 @@ overhead by ``benchmarks/run_server_bench.py``.
 
 from __future__ import annotations
 
+import functools
 import io
 import mmap
 import os
 import struct
 import zlib
+
+import numpy as np
 
 from repro.core.attribution import attribute
 from repro.core.cct import CCT, CCTKind, CCTNode
@@ -99,6 +102,16 @@ SECTION_NAMES = {
 }
 
 _FRAME_HEADER = struct.Struct("<BII")  # section id, payload length, crc32
+_CCT_HEADER = struct.Struct("<BIIHH")  # kind, struct id + 1, line, nraw, nsummary
+_U32 = struct.Struct("<I")
+_RAW_ENTRY = 12  # u32 mid, f64 value
+_SUMMARY_ENTRY = 13  # u8 flavor, u32 mid, f64 value
+
+
+@functools.lru_cache(maxsize=256)
+def _entries(fmt: str, count: int) -> struct.Struct:
+    """A precompiled struct for *count* consecutive *fmt* entries."""
+    return struct.Struct("<" + fmt * count)
 
 _STRUCT_KINDS = list(StructKind)
 _CCT_KINDS = list(CCTKind)
@@ -440,39 +453,97 @@ def read_cct(
     reader: _Reader,
     by_id: list[StructureNode],
     *,
+    metrics: MetricTable | None = None,
+    offsets: list[int] | None = None,
     errors: list[str] | None = None,
-) -> tuple[CCT, list[tuple[CCTNode, list[tuple[int, int, float]]]], int]:
+) -> tuple[CCT, list[tuple[CCTNode, tuple]], int]:
     """Read the preorder CCT stream iteratively.
 
-    Returns the tree, the stored summary overlays ``(node, [(flavor,
-    mid, value), ...])`` — the caller re-applies them after attribution
-    so stored summary columns survive the Eq. 1/2 recomputation — and
-    the number of nodes parsed, so callers need not walk the tree to
-    count it.  *errors*
-    enables salvage mode exactly as in :func:`read_structure`: records
-    are parsed completely before the node is attached, and the first
-    malformed record ends the recovered prefix.
+    Returns the tree, the stored summary overlays ``(node, (flavor, mid,
+    value, flavor, mid, value, ...))`` — the caller re-applies them
+    after attribution so stored summary columns survive the Eq. 1/2
+    recomputation — and the number of nodes parsed, so callers need not
+    walk the tree to count it.
+
+    With *metrics*, each record's metric ids are checked against the
+    table as it is read: every id must exist, and stored summary
+    overlays may only target SUMMARY metrics (an overlay on any other
+    metric would overwrite an attributed value).  *offsets*, when
+    given, receives each record's start offset in node preorder (see
+    :func:`record_values`).  *errors* enables salvage mode exactly as
+    in :func:`read_structure`: records are parsed completely before the
+    node is attached, and the first malformed record ends the recovered
+    prefix.
+
+    Each record's fixed header and its raw and summary runs are decoded
+    with one precompiled :class:`struct.Struct` each; the bounds and
+    count-plausibility checks are those of :class:`_Reader`.
     """
     cct = CCT()
-    stored: list[tuple[CCTNode, list[tuple[int, int, float]]]] = []
+    stored: list[tuple[CCTNode, tuple]] = []
+    data, end = reader.data, reader.end
+    nstructs = len(by_id)
+    if metrics is not None:
+        metric_ids = frozenset(range(len(metrics)))
+        summary_ids = frozenset(
+            desc.mid for desc in metrics if desc.kind is MetricKind.SUMMARY
+        )
 
     def read_one(parent: CCTNode | None) -> tuple[CCTNode, int]:
-        kind_idx, sid, line, nraw, nsummary = reader.unpack("<BIIHH")
+        pos = reader.pos
+        if pos + _CCT_HEADER.size > end:
+            raise DatabaseError("truncated binary database")
+        if offsets is not None:
+            offsets.append(pos)
+        kind_idx, sid, line, nraw, nsummary = _CCT_HEADER.unpack_from(data, pos)
+        reader.pos = pos = pos + _CCT_HEADER.size
         kind = _CCT_KINDS[kind_idx]
-        if kind is not CCTKind.ROOT and sid > len(by_id):
+        if kind is not CCTKind.ROOT and sid > nstructs:
             raise DatabaseError(f"CCT references unknown structure id {sid}")
-        reader.check_count(nraw, 12, "raw metric")
+        # _Reader.check_count, inlined: three per record
+        if nraw * _RAW_ENTRY > end - pos:
+            raise DatabaseError(
+                f"implausible raw metric count {nraw} for "
+                f"{end - pos} remaining bytes"
+            )
         raw: dict[int, float] = {}
-        for _ in range(nraw):
-            mid, value = reader.unpack("<Id")
-            raw[mid] = value
-        summaries = []
-        reader.check_count(nsummary, 13, "summary metric")
-        for _ in range(nsummary):
-            flavor, mid, value = reader.unpack("<BId")
-            summaries.append((flavor, mid, value))
-        (nchildren,) = reader.unpack("<I")
-        reader.check_count(nchildren, 17, "CCT child")
+        if nraw:
+            flat = _entries("Id", nraw).unpack_from(data, pos)
+            reader.pos = pos = pos + _RAW_ENTRY * nraw
+            raw = dict(zip(flat[0::2], flat[1::2]))
+            if metrics is not None and not metric_ids.issuperset(raw):
+                mid = next(m for m in raw if m not in metric_ids)
+                raise DatabaseError(f"CCT references unknown metric id {mid}")
+        summaries: tuple = ()
+        if nsummary * _SUMMARY_ENTRY > end - pos:
+            raise DatabaseError(
+                f"implausible summary metric count {nsummary} for "
+                f"{end - pos} remaining bytes"
+            )
+        if nsummary:
+            summaries = _entries("BId", nsummary).unpack_from(data, pos)
+            reader.pos = pos = pos + _SUMMARY_ENTRY * nsummary
+            mids = summaries[1::3]
+            if metrics is not None and not summary_ids.issuperset(mids):
+                for mid in mids:
+                    if mid not in metric_ids:
+                        raise DatabaseError(
+                            f"CCT references unknown metric id {mid}"
+                        )
+                    if mid not in summary_ids:
+                        raise DatabaseError(
+                            f"CCT stores a summary overlay on non-summary "
+                            f"metric id {mid}"
+                        )
+        if pos + _U32.size > end:
+            raise DatabaseError("truncated binary database")
+        (nchildren,) = _U32.unpack_from(data, pos)
+        reader.pos = pos = pos + _U32.size
+        if nchildren * 17 > end - pos:
+            raise DatabaseError(
+                f"implausible CCT child count {nchildren} for "
+                f"{end - pos} remaining bytes"
+            )
         # record fully parsed — only now attach the node to the tree
         if kind is CCTKind.ROOT:
             if parent is not None:
@@ -483,7 +554,7 @@ def read_cct(
                 raise DatabaseError("CCT stream does not start at a root")
             struct_ref = by_id[sid - 1] if sid > 0 else None
             node = CCTNode(kind, struct=struct_ref, line=line, parent=parent)
-        node.raw.update(raw)
+        node.raw = raw
         if summaries:
             stored.append((node, summaries))
         return node, nchildren
@@ -510,13 +581,51 @@ def read_cct(
     return cct, stored, count
 
 
-def apply_summaries(
-    cct: CCT,
-    stored: list[tuple[CCTNode, list[tuple[int, int, float]]]],
-) -> None:
-    """Overlay stored summary values after :func:`attribute` ran."""
+_RAW_DTYPE = np.dtype([("mid", "<u4"), ("value", "<f8")])  # packed: 12 bytes
+_SUMMARY_DTYPE = np.dtype(
+    [("flavor", "u1"), ("mid", "<u4"), ("value", "<f8")]
+)  # packed: 13 bytes
+
+
+def record_values(data, offsets: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The raw and summary runs of already-decoded CCT records, as arrays.
+
+    *offsets* are the records' start offsets into *data* (collected by
+    :func:`read_cct`, which has checked every bound), one per node in
+    preorder.  Returns ``(raw, summaries)``: structured arrays with a
+    ``row`` field (the record's preorder index) beside the stored
+    ``mid`` / ``value`` (and ``flavor``) fields, in stream order —
+    every record's entries read with a handful of gathers instead of
+    one Python tuple per value.
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
+    starts = np.asarray(offsets, dtype=np.int64)
+    counts = buf[starts[:, None] + np.arange(9, 13)].astype(np.int64)
+    nraw = counts[:, 0] | counts[:, 1] << 8
+    nsummary = counts[:, 2] | counts[:, 3] << 8
+    raw_at = starts + _CCT_HEADER.size
+    runs = []
+    for at, count, dtype in (
+        (raw_at, nraw, _RAW_DTYPE),
+        (raw_at + _RAW_ENTRY * nraw, nsummary, _SUMMARY_DTYPE),
+    ):
+        rows = np.repeat(np.arange(len(starts)), count)
+        first = np.cumsum(count) - count  # each record's first entry
+        entry_at = at[rows] + (np.arange(len(rows)) - first[rows]) * dtype.itemsize
+        entries = buf[entry_at[:, None] + np.arange(dtype.itemsize)]
+        runs.append((rows, entries.view(dtype).ravel()))
+    return runs[0], runs[1]
+
+
+def apply_summaries(cct: CCT, stored: list[tuple[CCTNode, tuple]]) -> None:
+    """Overlay stored summary values after :func:`attribute` ran.
+
+    *stored* is :func:`read_cct`'s overlay list: per node, a flat
+    ``(flavor, mid, value, ...)`` tuple.
+    """
     for node, summaries in stored:
-        for flavor, mid, value in summaries:
+        entries = iter(summaries)
+        for flavor, mid, value in zip(entries, entries, entries):
             store = node.inclusive if flavor == 0 else node.exclusive
             store[mid] = value
     if stored:
@@ -591,33 +700,41 @@ def section_frames(data: bytes) -> list[tuple[int, int, int, int]]:
     return frames
 
 
-def _decode_v1(reader: _Reader) -> Experiment:
-    """Decode the unframed v1 payload from a positioned reader."""
+def _decode_v1(reader: _Reader, offsets: list[int] | None = None) -> tuple:
+    """Decode the unframed v1 payload from a positioned reader.
+
+    Returns the unattributed parts ``(name, metrics, structure, cct,
+    stored overlays, node count)``, like :func:`_decode_v2`.
+    """
     name = reader.read_str()
     strings = read_strings(reader)
     metrics = read_metrics(reader, strings)
     model, by_id = read_structure(reader, strings)
-    cct, stored, _count = read_cct(reader, by_id)
-    return _finish_experiment(name, metrics, model, cct, stored)
+    cct, stored, count = read_cct(reader, by_id, metrics=metrics,
+                                  offsets=offsets)
+    return name, metrics, model, cct, stored, count
 
 
-def _decode_v2(sections) -> Experiment:
+def _decode_v2(sections, offsets: list[int] | None = None) -> tuple:
     """Decode framed v2 sections; *sections* maps section id → _Reader.
 
     Works for both eager slicing (:func:`_read_v2_sections`) and the
     lazy, CRC-on-demand access of :class:`StreamingDatabase` — anything
-    with a ``__getitem__`` yielding positioned readers.
+    with a ``__getitem__`` yielding positioned readers.  Returns the
+    unattributed parts ``(name, metrics, structure, cct, stored
+    overlays, node count)``; :func:`_finish_experiment` attributes them.
     """
     name = sections[SEC_NAME].read_str()
     strings, metrics, model, by_id = _decode_v2_basis(sections)
     cct_reader = sections[SEC_CCT]
     (declared_cct,) = cct_reader.unpack("<I")
-    cct, stored, count = read_cct(cct_reader, by_id)
+    cct, stored, count = read_cct(cct_reader, by_id, metrics=metrics,
+                                  offsets=offsets)
     if count != declared_cct:
         raise DatabaseError(
             f"CCT section declares {declared_cct} nodes, parsed {count}"
         )
-    return _finish_experiment(name, metrics, model, cct, stored)
+    return name, metrics, model, cct, stored, count
 
 
 def _decode_v2_basis(sections):
@@ -653,8 +770,10 @@ def loads_basis(data: bytes) -> tuple[MetricTable, StructureModel]:
         raise DatabaseError(f"malformed binary database: {exc!r}") from exc
 
 
-def _finish_experiment(name, metrics, model, cct, stored) -> Experiment:
-    _check_metric_refs(cct, stored, metrics)
+def _finish_experiment(parts: tuple) -> Experiment:
+    """Attribute decoded parts (metric ids already checked by
+    :func:`read_cct`) and re-apply the stored summary overlays."""
+    name, metrics, model, cct, stored, _count = parts
     attribute(cct)
     apply_summaries(cct, stored)
     return Experiment(name, metrics, model, cct)
@@ -666,33 +785,15 @@ def _loads_binary(
     version = read_header(data)
     if version == _V1:
         reader = _Reader(data, pos=6)
-        exp = _decode_v1(reader)
+        parts = _decode_v1(reader)
         if exact and reader.remaining:
             raise DatabaseError(
                 f"{reader.remaining} trailing bytes after the database"
             )
-        return exp
-    return _decode_v2(_read_v2_sections(data, verify_checksums, exact))
-
-
-def _check_metric_refs(cct: CCT, stored, metrics: MetricTable) -> None:
-    """Every metric id the tree references must exist in the table, and
-    stored summary overlays may only target SUMMARY metrics — an overlay
-    on any other metric would overwrite an attributed value."""
-    nmetrics = len(metrics)
-    for node in cct.walk():
-        for mid in node.raw:
-            if not 0 <= mid < nmetrics:
-                raise DatabaseError(f"CCT references unknown metric id {mid}")
-    for _node, summaries in stored:
-        for _flavor, mid, _value in summaries:
-            if not 0 <= mid < nmetrics:
-                raise DatabaseError(f"CCT references unknown metric id {mid}")
-            if metrics.by_id(mid).kind is not MetricKind.SUMMARY:
-                raise DatabaseError(
-                    f"CCT stores a summary overlay on non-summary metric "
-                    f"id {mid}"
-                )
+        return _finish_experiment(parts)
+    return _finish_experiment(
+        _decode_v2(_read_v2_sections(data, verify_checksums, exact))
+    )
 
 
 def _read_v2_sections(
@@ -838,6 +939,13 @@ class StreamingDatabase:
     def size_bytes(self) -> int:
         return os.path.getsize(self.path)
 
+    @property
+    def buffer(self) -> mmap.mmap:
+        """The mapped database bytes (valid until :meth:`close`)."""
+        if self._mm is None:
+            raise DatabaseError(f"database {self.path} is closed")
+        return self._mm
+
     # ------------------------------------------------------------------ #
     def section(self, section_id: int) -> _Reader:
         """A positioned reader over one v2 section, CRC-checked once."""
@@ -870,20 +978,26 @@ class StreamingDatabase:
             return _Reader(self._mm, pos=6).read_str()
         return self.section(SEC_NAME).read_str()
 
-    def experiment(self) -> Experiment:
-        """Decode the full experiment (strict semantics, one section at
-        a time), converting malformed input to :class:`DatabaseError`
-        exactly like :func:`loads_binary`."""
+    def decode(self, offsets: list[int] | None = None) -> tuple:
+        """Decode without attributing: ``(name, metrics, structure, cct,
+        stored overlays, node count)``, strict semantics, one section at
+        a time, malformed input converted to :class:`DatabaseError`
+        exactly like :func:`loads_binary`.  *offsets* receives the CCT
+        records' offsets into :attr:`buffer` (see :func:`read_cct`)."""
         if self._mm is None:
             raise DatabaseError(f"database {self.path} is closed")
         try:
             if self.version == _V1:
-                return _decode_v1(_Reader(self._mm, pos=6))
-            return _decode_v2(_LazySections(self))
+                return _decode_v1(_Reader(self._mm, pos=6), offsets)
+            return _decode_v2(_LazySections(self), offsets)
         except DatabaseError:
             raise
         except MALFORMED_EXCEPTIONS as exc:
             raise DatabaseError(f"malformed binary database: {exc!r}") from exc
+
+    def experiment(self) -> Experiment:
+        """Decode and attribute the full experiment (see :meth:`decode`)."""
+        return _finish_experiment(self.decode())
 
 
 def read_binary_streaming(path: str) -> Experiment:

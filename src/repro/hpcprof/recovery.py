@@ -309,13 +309,15 @@ def _drop_unknown_columns(cct: CCT, stored, metrics: MetricTable,
         report.values_dropped += len(bad)
     kept_stored = []
     for node, summaries in stored:
-        kept = [
-            (flavor, mid, value)
-            for flavor, mid, value in summaries
+        entries = iter(summaries)
+        kept = tuple(
+            item
+            for flavor, mid, value in zip(entries, entries, entries)
             if 0 <= mid < nmetrics
             and metrics.by_id(mid).kind is MetricKind.SUMMARY
-        ]
-        report.values_dropped += len(summaries) - len(kept)
+            for item in (flavor, mid, value)
+        )
+        report.values_dropped += (len(summaries) - len(kept)) // 3
         if kept:
             kept_stored.append((node, kept))
     return kept_stored

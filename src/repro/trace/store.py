@@ -258,6 +258,28 @@ def create_trace_store(
     return open_trace(path)
 
 
+_CRC_LINE = b'\n  "manifest_crc32": '
+
+
+def _stored_body_crc(raw: bytes) -> int | None:
+    """CRC32 of the self-CRC'd body, read straight from the stored bytes.
+
+    A manifest as written is the canonical body (``json.dumps(indent=2,
+    sort_keys=True)``) with one top-level ``"manifest_crc32": N,`` line
+    spliced in and a newline appended, so dropping that line and the
+    newline gives back the body without re-encoding it.  None when the
+    bytes do not have that shape.
+    """
+    at = raw.find(_CRC_LINE)
+    if at < 0 or not raw.endswith(b"\n"):
+        return None
+    eol = raw.find(b"\n", at + len(_CRC_LINE))
+    if eol < 0:
+        return None
+    crc = zlib.crc32(raw[: at + 1])
+    return zlib.crc32(raw[eol + 1 : -1], crc)
+
+
 def _resolve_trace_dir(path: str) -> str:
     if os.path.isfile(os.path.join(path, TRACE_MANIFEST)):
         return path
@@ -351,9 +373,11 @@ class TraceStore:
             declared_crc = int(manifest.pop("manifest_crc32"))
         except (KeyError, TypeError, ValueError) as exc:
             raise TraceCorrupt(f"trace manifest is missing fields: {exc}")
-        body = json.dumps(manifest, indent=2, sort_keys=True)
-        if zlib.crc32(body.encode("utf-8")) != declared_crc:
-            raise TraceCorrupt("trace manifest fails its self-CRC32")
+        if _stored_body_crc(raw) != declared_crc:
+            # not byte-canonical: fall back to re-encoding the parsed body
+            body = json.dumps(manifest, indent=2, sort_keys=True)
+            if zlib.crc32(body.encode("utf-8")) != declared_crc:
+                raise TraceCorrupt("trace manifest fails its self-CRC32")
         try:
             self.name = str(manifest["name"])
             self.program = str(manifest["program"])

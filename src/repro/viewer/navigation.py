@@ -14,6 +14,7 @@ and batch renderings.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterator
 
 from repro.core.hotpath import DEFAULT_THRESHOLD, HotPathResult, hot_path
@@ -57,16 +58,19 @@ class NavigationState:
             self.expand(node)
 
     def expand_to_depth(self, depth: int) -> None:
-        """Expand every row down to *depth* levels."""
-        for root in self.view.roots:
-            self._expand_rec(root, depth)
+        """Expand every row down to *depth* levels.
 
-    def _expand_rec(self, node: ViewNode, depth: int) -> None:
-        if depth <= 0:
-            return
-        self.expand(node)
-        for child in node.children:
-            self._expand_rec(child, depth - 1)
+        Breadth-first, one :meth:`~repro.core.views.View.expand_rows`
+        batch per level, so a level's rows are aggregated together.
+        """
+        level = list(self.view.roots)
+        for _ in range(depth):
+            if not level:
+                break
+            for node in level:
+                self.expand(node)
+            self.view.expand_rows(level)
+            level = [child for node in level for child in node.children]
 
     def expanded_count(self) -> int:
         return len(self._expanded)
@@ -123,17 +127,11 @@ class NavigationState:
     def visible_rows(self, roots=None) -> Iterator[tuple[ViewNode, int]]:
         """Yield ``(row, depth)`` in display order: sorted siblings,
         descending into expanded rows only (lazy rows stay unexpanded)."""
+        key = (attrgetter("name") if self.sort_by_name_mode
+               else self.view.value_getter(self.column))
 
         def emit(rows, depth):
-            if self.sort_by_name_mode:
-                ordered = sorted(rows, key=lambda r: r.name,
-                                 reverse=self.descending)
-            else:
-                ordered = sorted(
-                    rows,
-                    key=lambda r: self.view.value(r, self.column),
-                    reverse=self.descending,
-                )
+            ordered = sorted(rows, key=key, reverse=self.descending)
             for row in ordered:
                 yield row, depth
                 if self.is_expanded(row):

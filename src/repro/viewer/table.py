@@ -92,6 +92,7 @@ def render_table(
     widths = [max(len(_column_header(view, c)), 15) for c in columns]
     totals = [view.total(c) for c in columns]
     show_pct = [view.metrics.by_id(c.mid).show_percent for c in columns]
+    getters = [view.value_getter(c) for c in columns]
 
     lines: list[str] = []
     header = " | ".join(
@@ -109,8 +110,8 @@ def render_table(
             continue
         label = _row_label(row, state, depth, opts)
         cells = []
-        for c, w, total, pct in zip(columns, widths, totals, show_pct):
-            cell = format_cell(view.value(row, c), total, show_percent=pct)
+        for get, w, total, pct in zip(getters, widths, totals, show_pct):
+            cell = format_cell(get(row), total, show_percent=pct)
             cells.append(f"{cell:>{w}}")
         lines.append(" | ".join([f"{label:<{opts.name_width}}"] + cells))
         emitted += 1
@@ -121,10 +122,10 @@ def render_table(
 
 def _row_label(row: ViewNode, state: NavigationState, depth: int, opts: TableOptions) -> str:
     marker = " "
-    if row.children and not state.is_expanded(row):
-        marker = "+"
-    elif state.is_expanded(row):
+    if state.is_expanded(row):
         marker = "-"
+    elif state.view.has_children(row):
+        marker = "+"
     flame = opts.flame if state.is_hot(row) else " "
     icon = _ICONS.get(row.category, "")
     name = row.name if row.has_source else f"#{row.name}"

@@ -21,7 +21,7 @@ from repro.core.attribution import (
 from repro.core.cct import CCTKind
 from repro.core.engine import MetricEngine, attribute_columnar, engine_for
 from repro.errors import MetricError
-from repro.core.hotpath import hot_path, hot_path_cct
+from repro.core.hotpath import hot_path
 from repro.core.metrics import MetricFlavor, MetricSpec
 from repro.hpcprof.experiment import Experiment
 from repro.sim.spmd import spmd_experiment
@@ -33,6 +33,7 @@ from repro.sim.workloads.synthetic import (
     uniform_tree,
     wide_flat,
 )
+from tests.oracles import hot_path_cct, level_exposed, per_row_exposed
 
 WORKLOADS = {
     "fig1": fig1.build,
@@ -154,14 +155,18 @@ class TestEngineKernels:
 
     def test_aggregate_exposed_parity_on_fixtures(self, s3d_exp):
         eng = s3d_exp.engine
-        for frames in s3d_exp.cct.frames_by_procedure().values():
-            assert eng.aggregate_exposed(frames) == aggregate_exposed(frames)
+        groups = list(s3d_exp.cct.frames_by_procedure().values())
+        batched = level_exposed(eng, groups)
+        for frames, got in zip(groups, batched):
+            assert got == aggregate_exposed(frames)
+            assert got == per_row_exposed(eng, frames)
+            assert level_exposed(eng, [frames]) == [got]
 
     def test_aggregate_exposed_counts_duplicates_like_dict_path(self, s3d_exp):
         eng = s3d_exp.engine
         frames = next(iter(s3d_exp.cct.frames_by_procedure().values()))
         doubled = list(frames) + list(frames)
-        assert eng.aggregate_exposed(doubled) == aggregate_exposed(doubled)
+        assert level_exposed(eng, [doubled]) == [aggregate_exposed(doubled)]
 
     def test_gather_view_values_matches_view_value(self, s3d_exp):
         view = s3d_exp.calling_context_view()
@@ -259,7 +264,7 @@ class TestMutualLadderParity:
         for proc, frames in by_proc.items():
             if proc.name != "main":
                 assert len(frames) > 1  # recursion produced nested instances
-            assert eng.aggregate_exposed(frames) == aggregate_exposed(frames)
+            assert level_exposed(eng, [frames]) == [aggregate_exposed(frames)]
 
     def test_exposed_values_are_sane(self):
         # 3 contexts x alternating chain: each context contributes one
@@ -267,7 +272,7 @@ class TestMutualLadderParity:
         exp = Experiment.from_program(mutual_ladder(12, contexts=3))
         eng = exp.engine
         by_proc = {p.name: f for p, f in exp.cct.frames_by_procedure().items()}
-        incl, _excl = eng.aggregate_exposed(by_proc["ping"])
+        [(incl, _excl)] = level_exposed(eng, [by_proc["ping"]])
         total = exp.cct.root.inclusive[0]
         assert incl[0] == total  # ping heads every chain; main has no cost
 

@@ -7,12 +7,13 @@ import pytest
 from repro.core.attribution import attribute
 from repro.core.ccview import CallingContextView
 from repro.errors import ViewError
-from repro.core.hotpath import hot_path, hot_path_cct, hot_path_generic
+from repro.core.hotpath import hot_path, hot_path_generic
 from repro.core.metrics import MetricFlavor, MetricSpec
 from repro.hpcprof.correlate import correlate
 from repro.hpcstruct.synthstruct import build_structure
 from repro.sim.executor import execute
 from repro.sim.workloads import fig1
+from tests.oracles import hot_path_cct
 
 
 class Node:

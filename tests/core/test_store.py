@@ -117,12 +117,9 @@ class TestManifestValidation:
         column = os.path.join(path, "columns", "inclusive.f64")
         with open(column, "r+b") as fh:
             fh.truncate(8)
-        exp = open_store(path)
-        try:
-            with pytest.raises(DatabaseError):
-                _ = exp.engine.inclusive
-        finally:
-            exp.close()
+        # the columns are cross-checked at open, so the size check fires there
+        with pytest.raises(DatabaseError, match="inclusive.f64"):
+            open_store(path)
 
     def test_manifest_skeleton_disagreement(self, store_exp):
         path = store_exp.store.path
@@ -135,6 +132,36 @@ class TestManifestValidation:
             json.dump(data, fh)
         with pytest.raises(DatabaseError, match="corrupt store"):
             open_store(path)
+
+
+class TestColumnCrossCheck:
+    """Open checks each mapped column against the skeleton's attribution."""
+
+    @pytest.mark.parametrize("name", ["raw", "inclusive", "exclusive"])
+    def test_flipped_byte_in_column_is_refused(self, store_exp, name):
+        path = store_exp.store.path
+        matrix = {"raw": store_exp.engine.raw,
+                  "inclusive": store_exp.engine.inclusive,
+                  "exclusive": store_exp.engine.exclusive}[name]
+        # a byte inside the last nonzero cell (a zero cell could flip to -0.0)
+        cell = int(np.flatnonzero(matrix.ravel())[-1])
+        store_exp.close()
+        column = os.path.join(path, "columns", f"{name}.f64")
+        with open(column, "r+b") as fh:
+            fh.seek(cell * 8 + 3)
+            byte = fh.read(1)[0]
+            fh.seek(cell * 8 + 3)
+            fh.write(bytes([byte ^ 0xFF]))
+        with pytest.raises(DatabaseError, match=f"columns/{name}.f64"):
+            open_store(path)
+
+    def test_intact_store_opens_with_one_engine(self, store_exp):
+        exp = open_store(store_exp.store.path)
+        try:
+            assert exp.cct._engine is exp.engine
+            assert is_file_backed(exp.engine.inclusive)
+        finally:
+            exp.close()
 
 
 class TestLifecycle:

@@ -137,12 +137,13 @@ def test_each_path_member_decoded_once(tmp_path, monkeypatch):
     in_memory = database.load(paths[0])
 
     opened, stores, decodes = [], [], []
-    real_open, real_decode = binio.read_binary_streaming, binio._decode_v2
+    real_open, real_decode = binio.StreamingDatabase.__init__, binio._decode_v2
     real_store = store.open_store
-    monkeypatch.setattr(binio, "read_binary_streaming",
-                        lambda path: opened.append(path) or real_open(path))
+    monkeypatch.setattr(binio.StreamingDatabase, "__init__",
+                        lambda db, path: opened.append(path)
+                        or real_open(db, path))
     monkeypatch.setattr(binio, "_decode_v2",
-                        lambda s: decodes.append(1) or real_decode(s))
+                        lambda *args: decodes.append(1) or real_decode(*args))
     monkeypatch.setattr(store, "open_store",
                         lambda path: stores.append(path) or real_store(path))
     alignment = align_members(paths + [store_path, in_memory])

@@ -93,7 +93,8 @@ class TestMergeRankFiles:
         monkeypatch.setattr(binio, "read_binary_streaming",
                             lambda path: opened.append(path) or real_open(path))
         monkeypatch.setattr(binio, "_decode_v2",
-                            lambda s: decodes.append(1) or real_decode(s))
+                            lambda *args: decodes.append(1)
+                            or real_decode(*args))
         merge_rank_files(rank_paths, str(tmp_path / "m.rpstore"))
         assert opened == rank_paths
         assert len(decodes) == len(rank_paths)

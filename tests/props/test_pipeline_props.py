@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.hotpath import hot_path_cct
 from repro.core.metrics import total
 from repro.hpcprof import binio, xmlio
 from repro.hpcprof.experiment import Experiment
 from repro.hpcprof.merge import merge_ccts
 from repro.hpcprof.summarize import Moments
+from tests.oracles import hot_path_cct
 from tests.props.strategies import NUM_METRICS, cct_experiments
 
 

@@ -15,13 +15,16 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.metrics import MetricFlavor, MetricSpec
+from repro.core.metrics import MetricFlavor, MetricKind, MetricSpec
 from repro.core.store import create_store
 from repro.hpcprof import binio, database
 from repro.hpcprof.experiment import Experiment
 from repro.hpcprof.merge import merge_experiments, merge_rank_files
+from repro.sim.scale import generate_rank_files
 from repro.viewer.table import TableOptions, render_view
 from tests.file_backing import is_file_backed
 from tests.props.strategies import NUM_METRICS, cct_experiments
@@ -137,3 +140,58 @@ def test_streaming_merge_matches_in_memory_merge(data, data2):
                     assert np.array_equal(a, b)
         finally:
             streamed.close()
+
+
+def _dict_bits(exp: Experiment) -> list[tuple]:
+    """Every node's three dicts as ``(mid, float.hex)`` lists, key order kept."""
+    return [
+        tuple([(mid, float(v).hex()) for mid, v in values.items()]
+              for values in (node.raw, node.inclusive, node.exclusive))
+        for node in exp.cct.walk()
+    ]
+
+
+def _assert_open_equals_reattribution(store_exp) -> None:
+    """Node dicts after the single-pass open == decoding the skeleton and
+    re-running ``attribute`` plus the stored overlays, in key order and
+    ``float.hex``."""
+    with open(store_exp.store.skeleton_path, "rb") as fh:
+        reference = binio.loads_binary(fh.read())
+    assert _dict_bits(store_exp) == _dict_bits(reference)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=cct_experiments(), overlay=st.data())
+def test_open_store_equals_full_reattribution(data, overlay):
+    """Random trees with random summary overlays (explicit zeros too)."""
+    cct, model, metrics = data
+    desc = metrics.add("m0 (mean)", kind=MetricKind.SUMMARY)
+    for node in cct.walk():
+        for values in (node.inclusive, node.exclusive):
+            if overlay.draw(st.booleans()):
+                values[desc.mid] = overlay.draw(st.sampled_from(
+                    [0.0, 1.5, -2.25, 1e16]))
+    cct.invalidate_caches()
+    exp = Experiment("prop", metrics, model, cct)
+    with tempfile.TemporaryDirectory() as tmp:
+        store_exp = create_store(exp, os.path.join(tmp, "s.rpstore"))
+        try:
+            _assert_open_equals_reattribution(store_exp)
+        finally:
+            store_exp.close()
+
+
+@pytest.mark.parametrize("fanout,depth", [(3, 3), (4, 3), (3, 4)])
+def test_open_store_equals_full_reattribution_engine_sized(tmp_path, fanout,
+                                                          depth):
+    """Merged stores of 120, 255 and 363 rows, with the merge's summary
+    overlays: both sides of ``COLUMNAR_MIN_NODES``, so both branches of
+    the open's scatter."""
+    paths = generate_rank_files(str(tmp_path / "ranks"), 3, fanout=fanout,
+                                depth=depth)
+    merge_rank_files(paths, str(tmp_path / "m.rpstore"), summarize="all")
+    store_exp = database.load(str(tmp_path / "m.rpstore"))
+    try:
+        _assert_open_equals_reattribution(store_exp)
+    finally:
+        store_exp.close()

@@ -141,6 +141,39 @@ def test_malformed_manifest_is_trace_corrupt(fig1_traces, tmp_path):
         open_trace(path)
 
 
+def test_canonical_manifest_verifies_without_reencoding(fig1_store,
+                                                       monkeypatch):
+    """The self-CRC of a manifest as written is checked over its stored
+    bytes; the canonical re-encode is only the fallback."""
+    import repro.trace.store as trace_store
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("manifest re-encoded on open")
+
+    monkeypatch.setattr(trace_store.json, "dumps", refuse)
+    with open_trace(fig1_store.path) as store:
+        assert store.chunks_total == fig1_store.chunks_total
+
+
+def test_reformatted_manifest_still_opens(fig1_traces, tmp_path):
+    """Whitespace the canonical encoder would not write fails the byte
+    CRC, but the fallback re-encodes the parsed body and accepts it."""
+    path = str(tmp_path / "t.rpstore")
+    create_trace_store(fig1_traces, path).close()
+    manifest = os.path.join(path, TRACE_MANIFEST)
+    with open(manifest, encoding="utf-8") as fh:
+        data = json.load(fh)
+    with open(manifest, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=4)
+    with open_trace(path) as store:
+        assert store.n_events == fig1_traces.n_events
+    data["t_end"] = data["t_end"] + 1.0
+    with open(manifest, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+    with pytest.raises(TraceCorrupt, match="self-CRC32"):
+        open_trace(path)
+
+
 def test_missing_chunk_file_fails_eagerly(fig1_traces, tmp_path):
     """Size checks run at open: a deleted chunk can never serve a
     phantom (empty) window later."""
