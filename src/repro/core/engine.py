@@ -41,7 +41,13 @@ from repro.errors import MetricError
 from repro.obs.spans import traced
 from repro.core.metrics import MetricFlavor, MetricSpec, MetricValues
 
-__all__ = ["MetricEngine", "attribute_columnar", "engine_for"]
+__all__ = [
+    "MetricEngine",
+    "attribute_arrays",
+    "attribute_columnar",
+    "engine_for",
+    "level_rows",
+]
 
 # kind codes used in the per-row ``kinds`` array
 KIND_ROOT, KIND_FRAME, KIND_CALL_SITE, KIND_LOOP, KIND_STATEMENT = range(5)
@@ -223,35 +229,11 @@ class MetricEngine:
     def compute_attribution(self) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized Eq. 1 + Eq. 2 from ``raw``; returns (inclusive, exclusive).
 
-        Both accumulations sweep the depth levels bottom-up with one
-        ``np.add.at`` segment add per level, so every row is touched a
-        constant number of times regardless of shape, and additions into a
-        parent row happen in child order (``ufunc.at`` applies updates in
-        index order, and rows within a level are in preorder) — exactly
-        the dict path's evaluation order.
+        See :func:`attribute_arrays`, which this runs over the engine's
+        own structure arrays.
         """
-        parent_rows = self.parent_rows
-        kinds = self.kinds
-        inclusive = self.raw.copy()
-        within = self.raw.copy()  # within-frame raw subtotals (Eq. 1 barrier)
-        nonframe = kinds != KIND_FRAME
-        for depth in range(self.max_depth, 0, -1):
-            rows = self._rows_at_depth(depth)
-            np.add.at(inclusive, parent_rows[rows], inclusive[rows])
-            inner = rows[nonframe[rows]]
-            if len(inner):
-                np.add.at(within, parent_rows[inner], within[inner])
-
-        exclusive = self.raw.copy()  # statements, call sites, and the root
-        frames = kinds == KIND_FRAME
-        exclusive[frames] = within[frames]
-        # loops: own raw plus direct child statement / call-site raw
-        leafish = (kinds == KIND_STATEMENT) | (kinds == KIND_CALL_SITE)
-        rows = np.where(leafish & (parent_rows >= 0))[0]
-        rows = rows[kinds[parent_rows[rows]] == KIND_LOOP]
-        if len(rows):
-            np.add.at(exclusive, parent_rows[rows], self.raw[rows])
-        return inclusive, exclusive
+        levels = [self._rows_at_depth(d) for d in range(1, self.max_depth + 1)]
+        return attribute_arrays(self.parent_rows, self.kinds, levels, self.raw)
 
     def refresh(self) -> None:
         """Recompute the attributed matrices from ``raw`` in place."""
@@ -417,6 +399,56 @@ class MetricEngine:
     def memory_bytes(self) -> int:
         """Matrix memory footprint (the dense side of the ablation)."""
         return self.raw.nbytes + self.inclusive.nbytes + self.exclusive.nbytes
+
+
+def level_rows(depths: np.ndarray) -> list[np.ndarray]:
+    """Rows grouped by depth, shallowest first; rows keep their order
+    within a level (preorder when the rows are in preorder)."""
+    order = np.argsort(depths, kind="stable")
+    if not len(order):
+        return []
+    starts = np.searchsorted(depths[order],
+                             np.arange(int(depths[order[-1]]) + 2))
+    return [order[starts[d]:starts[d + 1]] for d in range(len(starts) - 1)]
+
+
+def attribute_arrays(
+    parent_rows: np.ndarray,
+    kinds: np.ndarray,
+    levels: Sequence[np.ndarray],
+    raw: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eq. 1 + Eq. 2 over a tree given as arrays; returns (inclusive, exclusive).
+
+    *parent_rows* and *kinds* describe the tree (``-1`` parent for the
+    root), *raw* is its ``(rows x metrics)`` raw matrix and *levels*
+    lists the rows of depths 1, 2, ... (see :func:`level_rows`), each
+    in preorder.  Both accumulations sweep the levels bottom-up with one
+    ``np.add.at`` segment add per level, so every row is touched a
+    constant number of times regardless of shape, and additions into a
+    parent row happen in child order (``ufunc.at`` applies updates in
+    index order, and rows within a level are in preorder) — exactly the
+    dict path's evaluation order.  No :class:`CCTNode` is needed.
+    """
+    inclusive = raw.copy()
+    within = raw.copy()  # within-frame raw subtotals (Eq. 1 barrier)
+    nonframe = kinds != KIND_FRAME
+    for rows in reversed(levels):
+        np.add.at(inclusive, parent_rows[rows], inclusive[rows])
+        inner = rows[nonframe[rows]]
+        if len(inner):
+            np.add.at(within, parent_rows[inner], within[inner])
+
+    exclusive = raw.copy()  # statements, call sites, and the root
+    frames = kinds == KIND_FRAME
+    exclusive[frames] = within[frames]
+    # loops: own raw plus direct child statement / call-site raw
+    leafish = (kinds == KIND_STATEMENT) | (kinds == KIND_CALL_SITE)
+    rows = np.where(leafish & (parent_rows >= 0))[0]
+    rows = rows[kinds[parent_rows[rows]] == KIND_LOOP]
+    if len(rows):
+        np.add.at(exclusive, parent_rows[rows], raw[rows])
+    return inclusive, exclusive
 
 
 def _sparse_rows(matrix: np.ndarray) -> list[MetricValues]:

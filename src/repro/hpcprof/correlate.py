@@ -26,7 +26,7 @@ Fusion rules (Section III-A, III-D of the paper):
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.core.cct import CCT, CCTNode
 from repro.core.metrics import MetricValues, add_into
@@ -59,7 +59,7 @@ class Correlator:
     def add_profile(self, profile: ProfileData) -> None:
         """Fuse one profile's call paths into the CCT."""
         for frames, leaf_line, costs in profile.paths():
-            self._leaf(self._insert_path(frames), leaf_line).add_raw(costs)
+            self.leaf_scope(self._insert_path(frames), leaf_line).add_raw(costs)
         self.cct.invalidate_caches()  # shape and raw values changed
 
     def add_rank(self, profile: ProfileData) -> list[tuple[CCTNode, MetricValues]]:
@@ -78,7 +78,7 @@ class Correlator:
         self._proc_cache = {}
         sums: dict[int, tuple[CCTNode, MetricValues]] = {}
         for scope, leaf_line, costs in self._frame_scopes(profile):
-            leaf = self._leaf(scope, leaf_line)
+            leaf = self.leaf_scope(scope, leaf_line)
             entry = sums.get(leaf.uid)
             if entry is None:
                 entry = sums[leaf.uid] = (leaf, {})
@@ -103,6 +103,30 @@ class Correlator:
         self._proc_cache[key] = proc
         return proc
 
+    def resolves_stably(self, frames: Iterable[Frame]) -> bool:
+        """Whether each of *frames* resolves to one procedure for good.
+
+        Resolution synthesizes a procedure for code the structure does
+        not know, and a file-less frame resolves by name only while that
+        name is unambiguous.  So once a synthesized procedure shares its
+        name with a file-less frame's, or a file-less name is already
+        ambiguous, which procedure a frame gets depends on the order
+        frames are seen (and every rank may get a new one).  True when
+        that cannot happen: resolving *frames* in any order, any number
+        of times, yields the same procedures.
+        """
+        idents = {(frame.proc, frame.file) for frame in frames}
+        synthesized: dict[str, int] = {}
+        for name, file in idents:
+            if self.structure.find_procedure(name, file or None) is None:
+                synthesized[name] = synthesized.get(name, 0) + 1
+        return all(
+            len(self.structure.procedures_named(name))
+            + synthesized.get(name, 0) == 1
+            for name, file in idents
+            if not file
+        )
+
     def _call_line_set(self, proc: StructureNode) -> set[int]:
         lines = self._call_lines.get(proc.uid)
         if lines is None:
@@ -120,16 +144,25 @@ class Correlator:
         """Insert a dynamic call path; return the innermost frame scope."""
         if not frames:
             raise CorrelationError("empty call path")
-        entry_proc = self._resolve_proc(frames[0])
-        node = self.cct.root.ensure_frame(entry_proc)
-        caller_proc = entry_proc
-        for frame in frames[1:]:
-            callee_proc = self._resolve_proc(frame)
-            anchor = self._descend_loops(node, caller_proc, frame.call_line)
-            site = anchor.ensure_call_site(frame.call_line, struct=caller_proc)
-            node = site.ensure_frame(callee_proc)
-            caller_proc = callee_proc
+        node = None
+        for frame in frames:
+            node = self.frame_scope(node, frame)
         return node
+
+    def frame_scope(self, caller: CCTNode | None, frame: Frame) -> CCTNode:
+        """Create/visit the scope of *frame* called from frame scope *caller*.
+
+        With *caller* None, *frame* is an entry frame under the root;
+        otherwise its call site nests in the loop chain that encloses
+        ``frame.call_line`` in the caller's procedure.
+        """
+        proc = self._resolve_proc(frame)
+        if caller is None:
+            return self.cct.root.ensure_frame(proc)
+        struct = caller.struct
+        anchor = self._descend_loops(caller, struct, frame.call_line)
+        site = anchor.ensure_call_site(frame.call_line, struct=struct)
+        return site.ensure_frame(proc)
 
     def _frame_scopes(self, profile: ProfileData):
         """``(frame scope, leaf line, costs)`` in ``profile.paths()`` order.
@@ -162,19 +195,10 @@ class Correlator:
             entry = entry[1]
         scope = entry[2] if entry is not None else None
         for entry in reversed(chain):
-            frame = entry[0].frame
-            proc = self._resolve_proc(frame)
-            if scope is None:
-                scope = self.cct.root.ensure_frame(proc)
-            else:
-                caller = scope.struct
-                anchor = self._descend_loops(scope, caller, frame.call_line)
-                site = anchor.ensure_call_site(frame.call_line, struct=caller)
-                scope = site.ensure_frame(proc)
-            entry[2] = scope
+            scope = entry[2] = self.frame_scope(scope, entry[0].frame)
         return scope
 
-    def _leaf(self, frame_node: CCTNode, line: int) -> CCTNode:
+    def leaf_scope(self, frame_node: CCTNode, line: int) -> CCTNode:
         """Create/visit the scope a sample at *line* of a frame lands on."""
         proc = frame_node.struct
         anchor = self._descend_loops(frame_node, proc, line)

@@ -281,6 +281,10 @@ class StructureModel:
             )
         return candidates[0]
 
+    def procedures_named(self, name: str) -> list[StructureNode]:
+        """Every procedure scope called *name*, in registration order."""
+        return list(self._procs_by_name.get(name, ()))
+
     def find_procedure(self, name: str, file: str | None = None) -> StructureNode | None:
         """Like :meth:`procedure` but returns None instead of raising."""
         try:

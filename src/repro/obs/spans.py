@@ -16,7 +16,8 @@ Design constraints, in priority order:
   with no tracer installed is one global read plus a shared no-op
   context manager (no allocation); production code paths stay clean of
   ``if tracing:`` branches;
-* **enabled cost stays small** — per span: two ``perf_counter`` calls,
+* **enabled cost stays small** — per span: two reads of the tracer's
+  clock (``perf_counter`` unless one is passed; bound per thread state),
   one list push/pop, and one dict update on thread-local state (no
   locks on the hot path; thread states are merged only at snapshot
   time);
@@ -50,8 +51,6 @@ __all__ = [
     "traced",
     "uninstall",
 ]
-
-_perf_counter = time.perf_counter
 
 #: the process-wide tracer; ``None`` keeps every hook site on the no-op
 #: fast path
@@ -101,9 +100,11 @@ _NULL_SPAN = _NullSpan()
 class _ThreadState:
     """Per-thread span stack and accumulator (merged at snapshot time)."""
 
-    __slots__ = ("stack", "acc")
+    __slots__ = ("stack", "acc", "clock")
 
-    def __init__(self) -> None:
+    def __init__(self, clock: Callable[[], float]) -> None:
+        #: the owning tracer's clock, bound once so a span reads one slot
+        self.clock = clock
         #: active spans, outermost first: [path, start, child_seconds];
         #: the full path tuple is built at push so pop stays allocation-lean
         self.stack: list[list] = []
@@ -121,16 +122,17 @@ class _Span:
         self._name = name
 
     def __enter__(self) -> "_Span":
-        stack = self._state.stack
+        state = self._state
+        stack = state.stack
         path = (stack[-1][0] + (self._name,)) if stack else (self._name,)
-        stack.append([path, _perf_counter(), 0.0])
+        stack.append([path, state.clock(), 0.0])
         return self
 
     def __exit__(self, *exc) -> bool:
         state = self._state
         stack = state.stack
         path, start, child_s = stack.pop()
-        elapsed = _perf_counter() - start
+        elapsed = state.clock() - start
         if stack:
             stack[-1][2] += elapsed
         slot = state.acc.get(path)
@@ -152,6 +154,7 @@ class SpanTracer:
     """
 
     def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
+        #: seconds source every span of this tracer reads
         self.clock = clock
         self.started_at = time.time()
         self._registry_lock = threading.Lock()
@@ -162,7 +165,7 @@ class SpanTracer:
     def _state(self) -> _ThreadState:
         state = getattr(self._local, "state", None)
         if state is None:
-            state = _ThreadState()
+            state = _ThreadState(self.clock)
             self._local.state = state
             with self._registry_lock:
                 self._states.append(state)

@@ -23,13 +23,15 @@ arrays — there is no per-node Python loop between "query parsed" and
   per-depth-level nearest-selected-ancestor sweep (O(depth) vector
   ops, the engine's level-order trick).
 
-Two frame adapters feed those kernels: :class:`EngineFrame` sits
+Three frame adapters feed those kernels: :class:`EngineFrame` sits
 directly on a :class:`~repro.core.engine.MetricEngine` (in-memory,
 ``.rpdb``-loaded, and mmap ``.rpstore`` experiments all share it — the
-matrices are the backend-uniformity guarantee), and :class:`ViewFrame`
-adapts a presentation view (callers/flat aggregations, derived-metric
-cells) for queries run on a view, the advisor, and the interactive
-viewer's ``find``.
+matrices are the backend-uniformity guarantee); :class:`TreeFrame`
+holds a tree given only as arrays and attributes it with the engine's
+level kernel (a trace store's windowed queries, with no CCT built);
+and :class:`ViewFrame` adapts a presentation view (callers/flat
+aggregations, derived-metric cells) for queries run on a view, the
+advisor, and the interactive viewer's ``find``.
 """
 
 from __future__ import annotations
@@ -54,13 +56,15 @@ from repro.core.engine import (
     KIND_LOOP,
     KIND_ROOT,
     KIND_STATEMENT,
+    attribute_arrays,
+    level_rows,
 )
 from repro.core.metrics import MetricFlavor, MetricKind, MetricSpec
 from repro.errors import QueryError
 from repro.query.lang import ANY_DEPTH, MetricPred, Query, Step
 from repro.query.result import QueryResult
 
-__all__ = ["EngineFrame", "ViewFrame", "build_frame", "run_query"]
+__all__ = ["EngineFrame", "TreeFrame", "ViewFrame", "build_frame", "run_query"]
 
 #: engine kind code -> query category string (CCT-level vocabulary)
 _KIND_CATEGORY = {
@@ -261,16 +265,7 @@ class _FrameBase:
     def _level_rows(self):
         """Rows grouped by depth, shallowest first (cached)."""
         if self._levels is None:
-            order = np.argsort(self.depth, kind="stable")
-            depths = self.depth[order]
-            starts = np.searchsorted(
-                depths, np.arange(depths[-1] + 2 if len(depths) else 1)
-            )
-            self._levels = [
-                order[starts[d]: starts[d + 1]]
-                for d in range(len(starts) - 1)
-                if starts[d] < starts[d + 1]
-            ]
+            self._levels = level_rows(self.depth)
         return self._levels
 
     def nearest_selected_ancestor(self, sel: np.ndarray) -> np.ndarray:
@@ -293,32 +288,20 @@ class _FrameBase:
         return tuple(reversed(names))
 
 
-class EngineFrame(_FrameBase):
-    """A frame straight over an experiment's :class:`MetricEngine`.
+class _MatrixFrame(_FrameBase):
+    """A frame over a tree's raw / inclusive / exclusive matrices.
 
-    In-memory experiments, eager ``.rpdb`` loads, and mmap-backed
-    ``.rpstore`` experiments all surface here through the same three
-    matrices, which is what makes query results bit-identical across
-    backends.
+    Rows are in preorder with engine kind codes as categories; measured
+    metrics read matrix columns, derived metrics evaluate vectorized
+    over them, and a total is the root's inclusive cell.
     """
 
     cat_names = [_KIND_CATEGORY[k] for k in sorted(_KIND_CATEGORY)]
 
-    def __init__(self, experiment) -> None:
-        super().__init__()
-        engine = experiment.engine
-        if engine is None:
-            raise QueryError(
-                "cannot query an experiment with no metrics")
-        self.experiment = experiment
-        self.engine = engine
-        self.metrics = experiment.metrics
-        self.n = len(engine.nodes)
-        self.names = [node.name for node in engine.nodes]
-        self.parent = engine.parent_rows
-        self.depth = engine.depths
-        self.end = engine.subtree_end
-        self.cat_codes = engine.kinds
+    def _set_matrices(self, metrics, raw, inclusive, exclusive) -> None:
+        self.metrics = metrics
+        self._matrices = {"raw": raw, "inclusive": inclusive,
+                          "exclusive": exclusive}
         self._derived_cache: dict[tuple[int, str], np.ndarray] = {}
         self._derived_guard: set[int] = set()
 
@@ -326,10 +309,7 @@ class EngineFrame(_FrameBase):
         desc = self.metrics.by_id(mid)
         if desc.kind is MetricKind.DERIVED:
             return self._derived_column(desc, flavor)
-        matrix = {"raw": self.engine.raw,
-                  "inclusive": self.engine.inclusive,
-                  "exclusive": self.engine.exclusive}[flavor]
-        return matrix[:, mid]
+        return self._matrices[flavor][:, mid]
 
     def _derived_column(self, desc, flavor: str) -> np.ndarray:
         key = (desc.mid, flavor)
@@ -364,7 +344,64 @@ class EngineFrame(_FrameBase):
                 desc.formula,
                 resolver=lambda other: self.total(other),
             )
-        return self.engine.total(mid)
+        return float(self._matrices["inclusive"][0, mid])
+
+
+class EngineFrame(_MatrixFrame):
+    """A frame straight over an experiment's :class:`MetricEngine`.
+
+    In-memory experiments, eager ``.rpdb`` loads, and mmap-backed
+    ``.rpstore`` experiments all surface here through the same three
+    matrices, which is what makes query results bit-identical across
+    backends.
+    """
+
+    def __init__(self, experiment) -> None:
+        super().__init__()
+        engine = experiment.engine
+        if engine is None:
+            raise QueryError(
+                "cannot query an experiment with no metrics")
+        self.experiment = experiment
+        self.engine = engine
+        self.n = len(engine.nodes)
+        self.names = [node.name for node in engine.nodes]
+        self.parent = engine.parent_rows
+        self.depth = engine.depths
+        self.end = engine.subtree_end
+        self.cat_codes = engine.kinds
+        self._set_matrices(experiment.metrics, engine.raw, engine.inclusive,
+                           engine.exclusive)
+
+
+class TreeFrame(_MatrixFrame):
+    """A frame over a tree given only as arrays, with no CCT behind it.
+
+    *names*, *parent*, *depth* and *kinds* (engine kind codes) describe
+    the rows in preorder, root first; *raw* is the ``(rows x metrics)``
+    raw matrix.  Eq. 1/2 run with the engine's level kernel
+    (:func:`~repro.core.engine.attribute_arrays`), so the columns equal
+    those of an :class:`EngineFrame` over a CCT of the same shape and
+    raw values, bit for bit.  A trace store answers windowed queries
+    with one of these.
+    """
+
+    def __init__(self, metrics, names, parent, depth, kinds,
+                 raw) -> None:
+        super().__init__()
+        self.n = len(names)
+        self.names = names
+        self.parent = parent
+        self.depth = depth
+        self.cat_codes = kinds
+        self._levels = level_rows(depth)
+        sizes = np.ones(self.n, dtype=np.int64)
+        for rows in reversed(self._levels[1:]):
+            np.add.at(sizes, parent[rows], sizes[rows])
+        self.end = np.arange(self.n, dtype=np.int64) + sizes
+        inclusive, exclusive = attribute_arrays(parent, kinds,
+                                                self._levels[1:], raw)
+        self._set_matrices(metrics, raw, inclusive, exclusive)
 
 
 class ViewFrame(_FrameBase):
@@ -536,11 +573,14 @@ def _value_columns(frame, q: Query):
 def run_query(q: Query, target) -> QueryResult:
     """Evaluate *q* against *target*; the engine behind ``Query.run``."""
     if hasattr(target, "window_experiment"):
-        # trace-capable target (TraceSet / TraceStore): materialize the
-        # windowed CCT — the whole trace when the query is untimed —
-        # then evaluate the rest of the query against it as usual
+        # trace-capable target (TraceSet / TraceStore): evaluate the rest
+        # of the query on the window — the whole trace when the query is
+        # untimed.  A store answers with a frame built straight from its
+        # tick sums; the in-memory trace materializes the windowed CCT
         t0, t1 = q.time_window if q.time_window is not None else (None, None)
-        target = target.window_experiment(t0, t1)
+        window_frame = getattr(target, "window_frame", None)
+        target = (window_frame(t0, t1) if window_frame is not None
+                  else target.window_experiment(t0, t1))
         q = replace(q, time_window=None)
     elif q.time_window is not None:
         raise QueryError(

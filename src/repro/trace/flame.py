@@ -3,8 +3,9 @@
 Both functions accept either backend — an in-memory
 :class:`~repro.trace.model.TraceSet` or an on-disk
 :class:`~repro.trace.store.TraceStore` — through the shared windowing
-protocol (``events_window`` / ``window_ticks``), so the server's
-``/v1/trace`` endpoint is storage-agnostic.
+protocol (``events_window`` / ``events_windows`` and the
+``context_table``), so the server's ``/v1/trace`` endpoint is
+storage-agnostic.
 
 A **flame slab** is the per-depth span decomposition of one rank's
 window: consecutive events that share the same call-path prefix up to a
@@ -82,21 +83,11 @@ def flame_slab(
     event_ticks = ticks[:, mid]
 
     # prefix ids: one integer per distinct call-path prefix at each
-    # depth of the contexts this window uses; -1 past a path's leaf
-    used, inverse = np.unique(ctx_ids, return_inverse=True)
-    paths = [source.contexts[int(ci)][0] for ci in used]
-    max_depth = max((len(p) for p in paths), default=0)
-    prefix_of = np.full((max_depth, len(used)), -1, dtype=np.int64)
-    prefix_ids: dict[tuple, int] = {}
-    frames: list = []  # prefix id -> the frame it ends in
-    for u, path in enumerate(paths):
-        for d in range(len(path)):
-            pid = prefix_ids.get(path[: d + 1])
-            if pid is None:
-                pid = prefix_ids[path[: d + 1]] = len(frames)
-                frames.append(path[d])
-            prefix_of[d, u] = pid
-    prefix = prefix_of[:, inverse]
+    # depth, from the source's context table; -1 past a path's leaf
+    table = source.context_table
+    max_depth = int(table.lengths[ctx_ids].max()) if len(ctx_ids) else 0
+    prefix = table.prefix[:max_depth, ctx_ids]
+    frames = table.prefix_frames  # prefix id -> the frame it ends in
 
     # a span at depth d is a run of consecutive events with one prefix
     # id; it closes at the event after its last one (len(times) at the
@@ -215,15 +206,14 @@ def idleness_series(
     unbounded = math.isinf(hi)
     if unbounded and source.t_end is None:
         raise TraceError("cannot bin an empty trace without bounds")
-    # each rank's events are fetched once; an unbounded window extends to
-    # the extent of the last events of the whole stream, so it fetches
+    # every rank's events come from one pass; an unbounded window extends
+    # to the extent of the last events of the whole stream, so it fetches
     # everything and cuts the window start locally (times are sorted)
     events = []
     extent = -math.inf
-    for r in range(source.nranks):
-        times, _ctx, ticks = source.events_window(
-            r, None if unbounded else t0, t1
-        )
+    for times, _ctx, ticks in source.events_windows(
+        None if unbounded else t0, t1
+    ):
         ends = times + _duration_seconds(source, ticks)
         if unbounded and len(times):
             extent = max(extent, float(np.max(ends)))

@@ -37,6 +37,7 @@ from repro.errors import TraceError
 from repro.core.metrics import MetricTable
 from repro.hpcrun.profile_data import Frame, ProfileData
 from repro.obs.spans import span, traced
+from repro.trace.contexts import ContextTable
 
 __all__ = [
     "DEFAULT_RESOLUTION",
@@ -373,6 +374,7 @@ class TraceSet:
                     index[key] = gi
                 local[ci] = gi
             self._remap.append(local)
+        self._context_table = None
 
     # ------------------------------------------------------------------ #
     @property
@@ -424,6 +426,19 @@ class TraceSet:
             t.ticks[sel],
         )
 
+    def events_windows(
+        self, t0: float | None = None, t1: float | None = None
+    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Every rank's :meth:`events_window`, as one list."""
+        return [self.events_window(r, t0, t1) for r in range(self.nranks)]
+
+    @property
+    def context_table(self) -> ContextTable:
+        """Call-path prefix ids of :attr:`contexts` (built once)."""
+        if self._context_table is None:
+            self._context_table = ContextTable(self.contexts)
+        return self._context_table
+
     # ------------------------------------------------------------------ #
     @traced("trace.skeleton-basis")
     def skeleton_basis(self):
@@ -455,6 +470,10 @@ def window_experiment(source, t0: float | None, t1: float | None):
     which :meth:`~repro.hpcprof.experiment.Experiment.from_profiles`
     correlates straight into the union tree (a single-rank trace gives a
     serial experiment).  Per-rank trees are built only if read.
+
+    This is the reference construction: a store's windowed queries take
+    :meth:`~repro.trace.store.TraceStore.window_frame` instead, which
+    yields the same rows and values without building the CCT.
     """
     from repro.hpcprof.experiment import Experiment
 

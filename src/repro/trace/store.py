@@ -23,7 +23,10 @@ slab without reading a single event, and only the (at most two) edge
 chunks read their event arrays.  Because slabs and event ticks are
 integers, slab-answered and event-answered chunks compose exactly —
 the windowed CCT is bit-identical to the in-memory evaluation (see
-:mod:`repro.trace.model`).
+:mod:`repro.trace.model`).  A windowed query goes one step further and
+never builds that CCT: the store cuts the window's tree out of its
+once-per-open context table (:mod:`repro.trace.contexts`) and
+attributes it as arrays.
 
 Crash safety mirrors the corpus discipline: every chunk and the
 skeleton are fully written and fsynced *before* the manifest is
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
 import os
 import shutil
 import zlib
@@ -47,8 +51,9 @@ import numpy as np
 from repro.errors import DatabaseError, TraceCorrupt, TraceError
 from repro.core.metrics import MetricTable
 from repro.hpcrun.profile_data import Frame
-from repro.obs.spans import traced
+from repro.obs.spans import span, traced
 from repro.testing.faults import crash_point, register_crash_points
+from repro.trace.contexts import ContextTable, UnionTree
 from repro.trace.model import TraceSet, check_window, window_experiment
 
 __all__ = [
@@ -261,6 +266,23 @@ def create_trace_store(
 _CRC_LINE = b'\n  "manifest_crc32": '
 
 
+def _split_by_rank(nranks: int, ranks: np.ndarray, times: np.ndarray,
+                  ctx: np.ndarray, ticks: np.ndarray
+                  ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Events of many ranks as one ``(times, ctx ids, ticks)`` per rank.
+
+    A stable sort by rank: each rank keeps its events' input order.
+    """
+    order = np.argsort(ranks, kind="stable")
+    cuts = np.zeros(nranks + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ranks, minlength=nranks), out=cuts[1:])
+    out = []
+    for r in range(nranks):
+        sel = order[cuts[r]:cuts[r + 1]]
+        out.append((times[sel], ctx[sel], ticks[sel]))
+    return out
+
+
 def _stored_body_crc(raw: bytes) -> int | None:
     """CRC32 of the self-CRC'd body, read straight from the stored bytes.
 
@@ -310,7 +332,7 @@ class _Chunk:
         "index", "t_lo", "t_hi", "n_events",
         "events_file", "events_bytes", "events_crc32",
         "slab_file", "slab_bytes", "slab_crc32",
-        "_events", "_slab", "_by_rank",
+        "_events", "_slab",
     )
 
     def __init__(self, entry: dict) -> None:
@@ -335,9 +357,6 @@ class _Chunk:
             )
         self._events = None
         self._slab = None
-        #: ``(order, cuts)``: event indices grouped by rank (time order
-        #: kept within a rank); rank r's are ``order[cuts[r]:cuts[r+1]]``
-        self._by_rank = None
 
 
 class TraceStore:
@@ -427,6 +446,10 @@ class TraceStore:
         self.chunks_touched = 0
         self._skeleton_exp = None
         self._basis = None
+        self._context_table = None
+        #: ``(UnionTree | None,)`` once built: None inside means the
+        #: procedures do not resolve stably
+        self._union = None
 
         # fail fast on missing/truncated files; content CRCs are lazy
         for chunk in self._chunks:
@@ -455,13 +478,20 @@ class TraceStore:
     def _verified_map(self, fname: str, expected_crc: int) -> np.ndarray:
         """One read-only mapping of *fname*, CRC-checked in place.
 
-        The bytes come back as a plain ``uint8`` view of the mapping
-        (``.base`` leads to the ``mmap.mmap``): element access skips the
-        ``np.memmap`` subclass, and the mapping lives exactly as long as
-        some array derived from it does.
+        The bytes come back as a plain read-only ``uint8`` array over
+        an ``mmap.mmap`` (its ``.base``): no ``np.memmap`` subclass to
+        construct or to skip on element access, and the mapping lives
+        exactly as long as some array derived from it does.
         """
-        raw = np.memmap(os.path.join(self.path, fname), dtype=np.uint8,
-                        mode="r").view(np.ndarray)
+        fd = os.open(os.path.join(self.path, fname), os.O_RDONLY)
+        try:
+            size = os.fstat(fd).st_size
+            if not size:  # mmap refuses empty files
+                return np.zeros(0, dtype=np.uint8)
+            mapped = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
+        finally:
+            os.close(fd)  # the mapping keeps its own reference
+        raw = np.ndarray((size,), dtype=np.uint8, buffer=mapped)
         if zlib.crc32(raw) != expected_crc:
             raise TraceCorrupt(f"{fname} fails its manifest CRC32")
         return raw
@@ -501,23 +531,13 @@ class TraceStore:
         if chunk._slab is None:
             raw = self._verified_map(chunk.slab_file, chunk.slab_crc32)
             shape = (self.nranks, len(self.contexts), len(self.metrics))
-            need = int(np.prod(shape)) * 8
+            need = math.prod(shape) * 8
             if len(raw) != need:
                 raise TraceCorrupt(
                     f"{chunk.slab_file} does not match the manifest geometry"
                 )
             chunk._slab = raw.view(_IDS_DTYPE).reshape(shape)
         return chunk._slab
-
-    def _rank_index(self, chunk: _Chunk) -> tuple[np.ndarray, np.ndarray]:
-        """The chunk's events grouped by rank, built once per chunk."""
-        if chunk._by_rank is None:
-            ranks = self._chunk_events(chunk)[1]
-            order = np.argsort(ranks, kind="stable")
-            cuts = np.zeros(self.nranks + 1, dtype=np.int64)
-            np.cumsum(np.bincount(ranks, minlength=self.nranks), out=cuts[1:])
-            chunk._by_rank = (order, cuts)
-        return chunk._by_rank
 
     def _overlapping(self, lo: float, hi: float):
         for chunk in self._chunks:
@@ -555,41 +575,92 @@ class TraceStore:
             np.add.at(out, (ranks[mask], ctx[mask]), ticks[mask])
         return out
 
+    def _events_in(self, lo: float, hi: float):
+        """``(times, ranks, ctx, ticks)`` of every event in ``[lo, hi)``.
+
+        One pass over the overlapping chunks, in time order (rank order
+        breaks ties); only a chunk the window covers partially filters
+        by time.
+        """
+        parts = []
+        for chunk in self._overlapping(lo, hi):
+            self.chunks_touched += 1
+            events = self._chunk_events(chunk)
+            if not (lo <= chunk.t_lo and chunk.t_hi < hi):
+                times = events[0]
+                keep = (times >= lo) & (times < hi)
+                events = tuple(column[keep] for column in events)
+            parts.append(events)
+        if not parts:
+            return (np.zeros(0), np.zeros(0, np.int64), np.zeros(0, np.int64),
+                    np.zeros((0, len(self.metrics)), np.int64))
+        return tuple(np.concatenate(column) for column in zip(*parts))
+
     @traced("trace.events-window")
     def events_window(
         self, rank: int, t0: float | None = None, t1: float | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One rank's events in a window: ``(times, ctx ids, ticks)``.
-
-        Each overlapping chunk contributes its slice of the rank index;
-        only a chunk the window covers partially filters by time.
-        """
+        """One rank's events in a window: ``(times, ctx ids, ticks)``."""
         if not (0 <= rank < self.nranks):
             raise TraceError(f"rank {rank} out of range [0, {self.nranks})")
-        lo, hi = check_window(t0, t1)
-        times_parts, ctx_parts, tick_parts = [], [], []
-        for chunk in self._overlapping(lo, hi):
-            self.chunks_touched += 1
-            times, _ranks, ctx, ticks = self._chunk_events(chunk)
-            order, cuts = self._rank_index(chunk)
-            sel = order[cuts[rank]:cuts[rank + 1]]
-            if not (lo <= chunk.t_lo and chunk.t_hi < hi):
-                at = times[sel]
-                sel = sel[(at >= lo) & (at < hi)]
-            times_parts.append(times[sel])
-            ctx_parts.append(ctx[sel])
-            tick_parts.append(ticks[sel])
-        if not times_parts:
-            return (
-                np.zeros(0),
-                np.zeros(0, np.int64),
-                np.zeros((0, len(self.metrics)), np.int64),
-            )
-        return (
-            np.concatenate(times_parts),
-            np.concatenate(ctx_parts),
-            np.concatenate(tick_parts),
-        )
+        times, ranks, ctx, ticks = self._events_in(*check_window(t0, t1))
+        sel = np.flatnonzero(ranks == rank)
+        return times[sel], ctx[sel], ticks[sel]
+
+    @traced("trace.events-windows")
+    def events_windows(
+        self, t0: float | None = None, t1: float | None = None
+    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Every rank's events in a window, from one pass over the chunks.
+
+        Entry ``r`` is what ``events_window(r, t0, t1)`` returns; each
+        overlapping chunk is read (and counted in :attr:`chunks_touched`)
+        once, not once per rank.
+        """
+        times, ranks, ctx, ticks = self._events_in(*check_window(t0, t1))
+        return _split_by_rank(self.nranks, ranks, times, ctx, ticks)
+
+    # ------------------------------------------------------------------ #
+    # the context table and window frames
+    # ------------------------------------------------------------------ #
+    @property
+    def context_table(self) -> ContextTable:
+        """Call-path prefix ids of :attr:`contexts` (built once per open)."""
+        if self._context_table is None:
+            with span("trace.context-table"):
+                self._context_table = ContextTable(self.contexts)
+        return self._context_table
+
+    def _union_tree(self) -> UnionTree | None:
+        """The correlated union of every context (built once per open);
+        None when the store's procedures do not resolve stably."""
+        if self._union is None:
+            table = self.context_table
+            structure = self.skeleton_basis()[1]
+            with span("trace.context-table"):
+                self._union = (UnionTree.build(table, structure),)
+        return self._union[0]
+
+    def window_frame(self, t0: float | None = None, t1: float | None = None):
+        """The query frame of a window, straight from its tick sums.
+
+        Equal — names, rows, parents, ``float.hex`` values — to the
+        frame over :meth:`window_experiment`'s CCT, without building
+        that CCT: the window's tree is cut out of the union tree.  When
+        procedure resolution is order-dependent the window experiment
+        itself is built instead.
+        """
+        tree = self._union_tree()
+        if tree is None:
+            from repro.query.engine import build_frame
+
+            return build_frame(self.window_experiment(t0, t1))
+        ticks = self.window_ticks(t0, t1)
+        metrics = self.skeleton_basis()[0]
+        with span("trace.window-frame"):
+            resolutions = np.array(
+                [self.resolutions[mid] for mid in range(ticks.shape[2])])
+            return tree.window_frame(ticks, resolutions, metrics)
 
     # ------------------------------------------------------------------ #
     # materialization
@@ -667,9 +738,10 @@ class TraceStore:
         for chunk in self._chunks:
             chunk._events = None
             chunk._slab = None
-            chunk._by_rank = None
         self._skeleton_exp = None
         self._basis = None
+        self._context_table = None
+        self._union = None
 
     def __enter__(self) -> "TraceStore":
         return self

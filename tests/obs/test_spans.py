@@ -10,7 +10,6 @@ and a conserved total across threads.
 from __future__ import annotations
 
 import threading
-import time
 
 import pytest
 
@@ -92,21 +91,24 @@ class TestRecording:
 
     def test_self_time_sums_to_wall_time(self):
         """Self times are a partition: their sum equals the root's
-        inclusive wall time (the Eq. 1 invariant the export relies on)."""
-        tracer = install()
-        t0 = time.perf_counter()
+        inclusive time (the Eq. 1 invariant the export relies on).
+
+        The tracer reads a scripted clock, so the self times are exact:
+        root runs 0→5 with its child 2→3.5 and its grandchild 2.5→3."""
+        ticks = iter([0.0, 2.0, 2.5, 3.0, 3.5, 5.0])
+        tracer = install(SpanTracer(clock=lambda: next(ticks)))
         with span("root"):
-            time.sleep(0.01)
             with span("child"):
-                time.sleep(0.01)
-        elapsed = time.perf_counter() - t0
+                with span("grandchild"):
+                    pass
         snap = tracer.snapshot()
-        total_self = sum(s for _n, s in snap.values())
-        assert total_self <= elapsed
-        assert total_self == pytest.approx(elapsed, rel=0.25)
-        # the child's self time must NOT be double counted in the root
-        assert snap[("root",)][1] == pytest.approx(0.01, rel=0.5)
-        assert snap[("root", "child")][1] == pytest.approx(0.01, rel=0.5)
+        assert snap == {
+            ("root",): (1, 3.5),
+            ("root", "child"): (1, 1.0),
+            ("root", "child", "grandchild"): (1, 0.5),
+        }
+        # the child's time is NOT double counted in the root
+        assert sum(s for _n, s in snap.values()) == 5.0
 
     def test_exception_still_pops(self):
         tracer = install()

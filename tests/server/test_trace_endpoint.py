@@ -93,6 +93,18 @@ def test_series_view(app, trace_path):
     assert out["chunks_total"] >= 2
 
 
+def test_series_view_counts_each_chunk_once(app, trace_path):
+    """``chunks_touched`` counts chunks, not chunk-rank pairs: the whole
+    trace touches every chunk exactly once, a narrow window fewer."""
+    _status, whole = call(app, {"path": trace_path, "view": "series",
+                                "bins": 4})
+    assert whole["chunks_touched"] == whole["chunks_total"]
+    t0 = 0.25 * 9.0
+    _status, narrow = call(app, {"path": trace_path, "view": "series",
+                                 "t0": t0, "t1": t0 + 0.5, "bins": 4})
+    assert 0 < narrow["chunks_touched"] < narrow["chunks_total"]
+
+
 def test_series_view_via_get(app, trace_path):
     status, out = app.handle(
         "GET",

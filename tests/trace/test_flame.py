@@ -93,18 +93,31 @@ def test_idleness_series_validates_bins(fig1_traces):
 
 
 def test_trace_read_path_records_spans(fig1_store):
-    """With a tracer installed, the store scans and both kernels show up
-    as ``trace.*`` spans, nested under the kernel that called them."""
+    """With a tracer installed, the store scans, the kernels and the
+    window frame show up as ``trace.*`` spans, nested under the kernel
+    that called them: the context table once per open, the window frame
+    once per query, and one events pass per idleness series."""
     from repro.obs import install, uninstall
+    from repro.query import query, run_query
 
     tracer = install()
     try:
         fig1_store.window_ticks()
         flame_slab(fig1_store, rank=0)
         idleness_series(fig1_store, bins=4)
+        for _ in range(2):
+            run_query(query("**/*").window(None, None), fig1_store)
     finally:
         uninstall()
-    paths = set(tracer.snapshot())
-    assert ("trace.window-ticks",) in paths
-    assert ("trace.flame-slab", "trace.events-window") in paths
-    assert ("trace.idleness-series", "trace.events-window") in paths
+    snap = tracer.snapshot()
+    calls = {path: n for path, (n, _s) in snap.items()}
+    assert ("trace.window-ticks",) in calls
+    assert ("trace.flame-slab", "trace.events-window") in calls
+    assert calls[("trace.idleness-series", "trace.events-windows")] == 1
+    assert ("trace.idleness-series", "trace.events-window") not in calls
+    # flame builds the prefix table, the first query the union tree
+    assert calls[("trace.flame-slab", "trace.context-table")] == 1
+    assert calls[("trace.context-table",)] == 1
+    assert calls[("trace.window-frame",)] == 2
+    assert calls[("trace.window-ticks",)] == 3
+    assert not any("trace.window-experiment" in path for path in calls)

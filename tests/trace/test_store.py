@@ -215,3 +215,77 @@ def test_window_experiment_equals_in_memory_query(fig1_store,
     q = query("**/*").window(t0, t1).sort(metric)
     assert run_query(q, fig1_store).to_rows() == \
         run_query(q, fig1_traces).to_rows()
+
+
+# --------------------------------------------------------------------- #
+# deterministic counts: what a windowed read builds and maps
+# --------------------------------------------------------------------- #
+def _count_calls(monkeypatch, owner, name: str) -> list:
+    """Record the arguments of every call to ``owner.name``."""
+    seen = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        seen.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return seen
+
+
+def test_window_query_builds_no_tree_after_the_first(fig1_store,
+                                                     monkeypatch):
+    """After the first windowed query a full-window query constructs no
+    CCT node, profile or correlator: it is answered from arrays."""
+    from repro.core.cct import CCTNode
+    from repro.hpcprof.correlate import Correlator
+    from repro.hpcrun.profile_data import ProfileData
+    from repro.query import query, run_query
+
+    q = query("**/*").window(None, None)
+    first = run_query(q, fig1_store)
+    built = [_count_calls(monkeypatch, cls, "__init__")
+             for cls in (CCTNode, ProfileData, Correlator)]
+    again = run_query(q, fig1_store)
+    assert [len(calls) for calls in built] == [0, 0, 0]
+    assert again.to_rows() == first.to_rows()
+
+
+def test_each_chunk_file_is_mapped_once_per_open(fig1_traces, tmp_path,
+                                                 monkeypatch):
+    from repro.query import query, run_query
+    from repro.trace import flame_slab, idleness_series
+    from repro.trace.store import TraceStore
+
+    span = fig1_traces.t_end - fig1_traces.t_begin
+    path = str(tmp_path / "t")
+    create_trace_store(fig1_traces, path,
+                       chunk_duration=span / 5).close()
+    mapped = _count_calls(monkeypatch, TraceStore, "_verified_map")
+    with open_trace(path) as store:
+        mid = fig1_traces.t_begin + span / 2
+        for t0, t1 in ((None, None), (mid, mid + span / 7), (None, mid)):
+            run_query(query("**/*").window(t0, t1), store)
+            flame_slab(store, rank=1, t0=t0, t1=t1)
+            idleness_series(store, t0, t1, bins=3)
+        names = [args[1] for args in mapped]
+        assert names and len(names) == len(set(names))
+        assert len(names) == 2 * store.chunks_total  # events + slab
+
+
+def test_idleness_series_visits_each_overlapping_chunk_once(fig1_store,
+                                                           monkeypatch):
+    from repro.trace import idleness_series
+    from repro.trace.store import TraceStore
+
+    span = fig1_store.t_end - fig1_store.t_begin
+    read = _count_calls(monkeypatch, TraceStore, "_chunk_events")
+    for t0, t1 in ((None, None), (fig1_store.t_begin + span / 3,
+                                  fig1_store.t_begin + span / 2)):
+        fig1_store.reset_counters()
+        read.clear()
+        idleness_series(fig1_store, t0, t1, bins=4)
+        lo, hi = (-np.inf, np.inf) if t0 is None else (t0, t1)
+        overlapping = list(fig1_store._overlapping(lo, hi))
+        assert fig1_store.chunks_touched == len(overlapping)
+        assert [args[1] for args in read] == overlapping
