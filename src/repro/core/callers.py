@@ -25,7 +25,14 @@ from __future__ import annotations
 
 from repro.core.cct import CCT, CCTKind
 from repro.core.metrics import MetricTable
-from repro.core.views import LevelExpander, NodeCategory, View, ViewKind, ViewNode
+from repro.core.views import (
+    LevelBuilder,
+    LevelExpander,
+    NodeCategory,
+    View,
+    ViewKind,
+    ViewNode,
+)
 
 __all__ = ["CallersView"]
 
@@ -44,15 +51,18 @@ class CallersView(View):
         self, cct: CCT, metrics: MetricTable, eager: bool = False, engine=None
     ) -> None:
         super().__init__(
-            metrics, title="Callers View", totals=cct.root.inclusive, engine=engine
+            _Builder(cct, metrics, engine),
+            title="Callers View",
+            totals=cct.root.inclusive,
         )
         self.cct = cct
         self._eager = eager
 
     # ------------------------------------------------------------------ #
     def _build_roots(self) -> list[ViewNode]:
+        builder = self._builder
         by_proc = self.cct.frames_by_procedure()
-        values = self._aggregate_exposed(list(by_proc.values()))
+        values = builder.aggregate_exposed(list(by_proc.values()))
         roots = [
             ViewNode(
                 name=proc.name,
@@ -62,7 +72,7 @@ class CallersView(View):
                 struct=proc,
                 line=proc.location.line,
                 cct_nodes=frames,
-                expander=LevelExpander(self, (frames, frames)),
+                expander=LevelExpander(builder, (frames, frames)),
             )
             for (proc, frames), (inclusive, exclusive) in zip(
                 by_proc.items(), values
@@ -75,8 +85,11 @@ class CallersView(View):
                 level = [child for row in level for child in row.children]
         return roots
 
-    # ------------------------------------------------------------------ #
-    def _expand_level(self, payloads: list) -> list[list[ViewNode]]:
+
+class _Builder(LevelBuilder):
+    """Callers rows: one level walks each payload's chains one caller up."""
+
+    def expand_level(self, payloads: list) -> list[list[ViewNode]]:
         """Caller rows for every payload of one level.
 
         Each row's children group its entries by the procedure of the
@@ -84,12 +97,23 @@ class CallersView(View):
         """
         per_row = []
         groups = []
+        # frame -> (caller frame, call line): one step up, walked once per
+        # level (a level's chains share most of their frames)
+        steps: dict = {}
         for instances, chain in payloads:
             # caller procedure -> (instances, caller frames, call lines)
             by_proc: dict = {}
             for instance, frame in zip(instances, chain):
-                site = frame.parent
-                caller = site.enclosing_frame if site is not None else None
+                step = steps.get(frame)
+                if step is None:
+                    site = frame.parent
+                    caller = site.enclosing_frame if site is not None else None
+                    call_line = None
+                    if caller is not None and site.kind is CCTKind.CALL_SITE:
+                        file = site.struct.location.file if site.struct is not None else ""
+                        call_line = (file, site.line)
+                    step = steps[frame] = (caller, call_line)
+                caller, call_line = step
                 if caller is None:
                     continue  # chain reached an entry point; nothing above
                 entry = by_proc.get(caller.struct)
@@ -97,12 +121,11 @@ class CallersView(View):
                     entry = by_proc[caller.struct] = ([], [], set())
                 entry[0].append(instance)
                 entry[1].append(caller)
-                if site.kind is CCTKind.CALL_SITE:
-                    file = site.struct.location.file if site.struct is not None else ""
-                    entry[2].add((file, site.line))
+                if call_line is not None:
+                    entry[2].add(call_line)
             per_row.append(by_proc)
             groups.extend(entry[0] for entry in by_proc.values())
-        values = iter(self._aggregate_exposed(groups))
+        values = iter(self.aggregate_exposed(groups))
         levels = []
         for by_proc in per_row:
             rows: list[ViewNode] = []
@@ -125,7 +148,7 @@ class CallersView(View):
             levels.append(rows)
         return levels
 
-    def _level_has_children(self, payload) -> bool:
+    def has_children(self, payload) -> bool:
         _instances, chain = payload
         return any(
             frame.parent is not None and frame.parent.enclosing_frame is not None

@@ -29,10 +29,11 @@ from __future__ import annotations
 import itertools
 from enum import Enum
 from typing import Callable, Iterator, Optional
+from weakref import ref
 
-from repro.errors import CorrelationError
+from repro.errors import CorrelationError, StructureError
 from repro.core.metrics import MetricValues, add_into
-from repro.hpcstruct.model import StructKind, StructureNode
+from repro.hpcstruct.model import StructKind, StructureModel, StructureNode
 
 __all__ = ["CCTKind", "CCTNode", "CCT"]
 
@@ -60,19 +61,28 @@ _uid_counter = itertools.count(1)
 
 
 class CCTNode:
-    """One scope instance in a canonical CCT."""
+    """One scope instance in a canonical CCT.
+
+    A node owns its children; its link to its parent is weak, so a tree
+    holds no reference cycle and is freed by reference counting as soon
+    as its owner (normally a :class:`CCT`) is dropped.  A node is valid
+    while its owner lives: once the parent is gone, :attr:`parent`
+    raises :class:`~repro.errors.StructureError` rather than reading as
+    the root's "no parent".
+    """
 
     __slots__ = (
         "uid",
         "kind",
         "struct",
         "line",
-        "parent",
+        "_parent",
         "children",
         "raw",
         "exclusive",
         "inclusive",
         "_child_index",
+        "__weakref__",
     )
 
     def __init__(
@@ -90,7 +100,7 @@ class CCTNode:
         self.struct = struct
         #: source line for CALL_SITE / STATEMENT scopes
         self.line = line
-        self.parent = parent
+        self._parent: ref | None = None
         self.children: list[CCTNode] = []
         self.raw: MetricValues = {}
         self.exclusive: MetricValues = {}
@@ -98,6 +108,17 @@ class CCTNode:
         self._child_index: dict[tuple, CCTNode] = {}
         if parent is not None:
             parent._attach(self)
+
+    @property
+    def parent(self) -> Optional["CCTNode"]:
+        """The enclosing scope; None only for a root."""
+        link = self._parent
+        if link is None:
+            return None
+        node = link()
+        if node is None:
+            raise _owner_gone(self)
+        return node
 
     # ------------------------------------------------------------------ #
     # identity
@@ -150,12 +171,18 @@ class CCTNode:
     @property
     def enclosing_frame(self) -> Optional["CCTNode"]:
         """The innermost enclosing procedure frame (self, if a frame)."""
-        node: CCTNode | None = self
-        while node is not None:
-            if node.kind is CCTKind.FRAME:
-                return node
-            node = node.parent
-        return None
+        node = self
+        while node.kind is not CCTKind.FRAME:
+            # the parent links, read inline: this walk is on the Callers
+            # View's per-instance path
+            link = node._parent
+            if link is None:
+                return None
+            parent = link()
+            if parent is None:
+                raise _owner_gone(node)
+            node = parent
+        return node
 
     # ------------------------------------------------------------------ #
     # construction
@@ -163,7 +190,7 @@ class CCTNode:
     def _attach(self, child: "CCTNode") -> None:
         self._child_index[child.key] = child
         self.children.append(child)
-        child.parent = self
+        child._parent = ref(self)
 
     def _ensure(self, kind: CCTKind, struct: StructureNode | None, line: int) -> "CCTNode":
         struct_id = struct.uid if struct is not None else 0
@@ -225,10 +252,15 @@ class CCTNode:
 
     def ancestors(self) -> Iterator["CCTNode"]:
         """Proper ancestors, innermost first."""
-        node = self.parent
-        while node is not None:
-            yield node
-            node = node.parent
+        node = self
+        link = node._parent
+        while link is not None:
+            parent = link()
+            if parent is None:
+                raise _owner_gone(node)
+            yield parent
+            node = parent
+            link = node._parent
 
     def call_path(self) -> list["CCTNode"]:
         """The chain of procedure frames from the root down to this scope."""
@@ -246,8 +278,20 @@ class CCTNode:
         return f"<CCTNode {self.kind.value} {self.name!r} uid={self.uid}>"
 
 
+def _owner_gone(node: CCTNode) -> StructureError:
+    return StructureError(
+        f"the tree owning scope {node.kind.value} uid={node.uid} was "
+        f"dropped; keep its CCT alive while using its nodes"
+    )
+
+
 class CCT:
     """A canonical calling context tree: a root plus node-count bookkeeping.
+
+    The tree owns its nodes (see :class:`CCTNode`) and pins *structure*,
+    the :class:`~repro.hpcstruct.model.StructureModel` its scopes' static
+    links point into, so a scope's file and procedure stay readable for
+    as long as the tree lives.
 
     The tree carries a *version* counter used to invalidate derived caches
     (the ``frames_by_procedure`` index and the columnar
@@ -259,8 +303,10 @@ class CCT:
     do the same before relying on cached projections.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, structure: StructureModel | None = None) -> None:
         self.root = CCTNode(CCTKind.ROOT)
+        #: the structure model this tree's ``struct`` links point into
+        self.structure = structure
         self._version: int = 0
         self._frames_cache: dict[StructureNode, list[CCTNode]] | None = None
         #: cached columnar projection, managed by :mod:`repro.core.engine`

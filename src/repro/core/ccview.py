@@ -23,9 +23,24 @@ from __future__ import annotations
 
 from repro.core.cct import CCT, CCTKind, CCTNode
 from repro.core.metrics import MetricTable, MetricValues, add_into
-from repro.core.views import LevelExpander, NodeCategory, View, ViewKind, ViewNode
+from repro.core.views import (
+    LevelBuilder,
+    LevelExpander,
+    NodeCategory,
+    View,
+    ViewKind,
+    ViewNode,
+)
 
 __all__ = ["CallingContextView"]
+
+_CATEGORY = {
+    CCTKind.FRAME: NodeCategory.PROCEDURE_FRAME,
+    CCTKind.CALL_SITE: NodeCategory.CALL_SITE,
+    CCTKind.LOOP: NodeCategory.LOOP,
+    CCTKind.STATEMENT: NodeCategory.STATEMENT,
+    CCTKind.ROOT: NodeCategory.ROOT,
+}
 
 
 class CallingContextView(View):
@@ -37,19 +52,25 @@ class CallingContextView(View):
         self, cct: CCT, metrics: MetricTable, fused: bool = True, engine=None
     ) -> None:
         super().__init__(
-            metrics,
+            _Builder(cct, metrics, engine, fused),
             title="Calling Context View",
             totals=cct.root.inclusive,
-            engine=engine,
         )
         self.cct = cct
         self.fused = fused
 
-    # ------------------------------------------------------------------ #
     def _build_roots(self) -> list[ViewNode]:
-        return self._rows_for(self.cct.root.children)
+        return self._builder.rows_for(self.cct.root.children)
 
-    def _rows_for(self, cct_children: list[CCTNode]) -> list[ViewNode]:
+
+class _Builder(LevelBuilder):
+    """Calling Context rows: one level is the CCT children of its payloads."""
+
+    def __init__(self, cct: CCT, metrics: MetricTable, engine, fused: bool) -> None:
+        super().__init__(cct, metrics, engine)
+        self.fused = fused
+
+    def rows_for(self, cct_children: list[CCTNode]) -> list[ViewNode]:
         rows: list[ViewNode] = []
         for node in cct_children:
             if node.kind is CCTKind.CALL_SITE and self.fused:
@@ -58,10 +79,10 @@ class CallingContextView(View):
                 rows.append(self._plain_row(node))
         return rows
 
-    def _expand_level(self, payloads: list[CCTNode]) -> list[list[ViewNode]]:
-        return [self._rows_for(node.children) for node in payloads]
+    def expand_level(self, payloads: list[CCTNode]) -> list[list[ViewNode]]:
+        return [self.rows_for(node.children) for node in payloads]
 
-    def _level_has_children(self, node: CCTNode) -> bool:
+    def has_children(self, node: CCTNode) -> bool:
         for child in node.children:
             if child.kind is not CCTKind.CALL_SITE or not self.fused:
                 return True  # a plain row
@@ -71,13 +92,7 @@ class CallingContextView(View):
 
     # ------------------------------------------------------------------ #
     def _plain_row(self, node: CCTNode) -> ViewNode:
-        category = {
-            CCTKind.FRAME: NodeCategory.PROCEDURE_FRAME,
-            CCTKind.CALL_SITE: NodeCategory.CALL_SITE,
-            CCTKind.LOOP: NodeCategory.LOOP,
-            CCTKind.STATEMENT: NodeCategory.STATEMENT,
-            CCTKind.ROOT: NodeCategory.ROOT,
-        }[node.kind]
+        category = _CATEGORY[node.kind]
         if (
             node.kind is CCTKind.LOOP
             and node.struct is not None

@@ -323,20 +323,17 @@ def formula_columns(expr: Expr | str) -> set[int]:
     if isinstance(expr, str):
         expr = parse_formula(expr)
     out: set[int] = set()
-
-    def visit(node: Expr) -> None:
+    stack = [expr]
+    while stack:
+        node = stack.pop()
         if isinstance(node, Col):
             out.add(node.mid)
         elif isinstance(node, UnaryOp):
-            visit(node.operand)
+            stack.append(node.operand)
         elif isinstance(node, BinaryOp):
-            visit(node.left)
-            visit(node.right)
+            stack.extend((node.left, node.right))
         elif isinstance(node, Func):
-            for arg in node.args:
-                visit(arg)
-
-    visit(expr)
+            stack.extend(node.args)
     return out
 
 

@@ -81,7 +81,7 @@ class MetricEngine:
             raise MetricError("num_metrics must be >= 1")
         if matrices is not None and num_metrics is None:
             num_metrics = int(matrices[0].shape[1])
-        self.cct = cct
+        # no link back to *cct*: the CCT caches its engine (``_engine``)
         self.version = cct.version
 
         # structural walk: explicit stack (deep chains exceed the

@@ -32,7 +32,14 @@ from __future__ import annotations
 
 from repro.core.cct import CCT, CCTKind, CCTNode
 from repro.core.metrics import MetricTable, MetricValues, add_into, total
-from repro.core.views import LevelExpander, NodeCategory, View, ViewKind, ViewNode
+from repro.core.views import (
+    LevelBuilder,
+    LevelExpander,
+    NodeCategory,
+    View,
+    ViewKind,
+    ViewNode,
+)
 from repro.hpcstruct.model import StructKind, StructureNode
 
 __all__ = ["FlatView"]
@@ -56,7 +63,9 @@ class FlatView(View):
         engine=None,
     ) -> None:
         super().__init__(
-            metrics, title="Flat View", totals=cct.root.inclusive, engine=engine
+            _Builder(cct, metrics, engine, fused),
+            title="Flat View",
+            totals=cct.root.inclusive,
         )
         self.cct = cct
         self.fused = fused
@@ -69,6 +78,7 @@ class FlatView(View):
     # construction
     # ------------------------------------------------------------------ #
     def _build_roots(self) -> list[ViewNode]:
+        builder = self._builder
         by_proc = self.cct.frames_by_procedure()
         files: dict[StructureNode, list[tuple[StructureNode, list[CCTNode]]]] = {}
         for proc, frames in by_proc.items():
@@ -86,12 +96,12 @@ class FlatView(View):
             for lm, scopes in modules.items()
         } if self.show_load_modules else {}
         # procedure rows, then file and load-module inclusives: one batch
-        values = iter(self._aggregate_exposed(
+        values = iter(builder.aggregate_exposed(
             list(by_proc.values()) + list(file_frames.values())
             + list(lm_frames.values())
         ))
         proc_rows = {
-            proc: self._procedure_row(proc, frames, *next(values))
+            proc: builder.procedure_row(proc, frames, *next(values))
             for proc, frames in by_proc.items()
         }
 
@@ -134,7 +144,48 @@ class FlatView(View):
         return lm_rows
 
     # ------------------------------------------------------------------ #
-    def _procedure_row(
+    # flattening
+    # ------------------------------------------------------------------ #
+    def flatten(self) -> None:
+        """Elide the current top level; show its children instead."""
+        self.flatten_depth += 1
+
+    def unflatten(self) -> None:
+        if self.flatten_depth > 0:
+            self.flatten_depth -= 1
+
+    def current_roots(self) -> list[ViewNode]:
+        """Roots after applying the current flattening depth.
+
+        Flattening a leaf has no effect: leaves at the elided level are
+        retained, so costs never disappear from the view.
+        """
+        rows = list(self.roots)
+        for _ in range(self.flatten_depth):
+            self.expand_rows(rows)
+            nxt: list[ViewNode] = []
+            changed = False
+            for row in rows:
+                children = row.children
+                if children:
+                    nxt.extend(children)
+                    changed = True
+                else:
+                    nxt.append(row)
+            rows = nxt
+            if not changed:
+                break
+        return rows
+
+
+class _Builder(LevelBuilder):
+    """Flat rows: one level merges the inner scopes of each payload group."""
+
+    def __init__(self, cct: CCT, metrics: MetricTable, engine, fused: bool) -> None:
+        super().__init__(cct, metrics, engine)
+        self.fused = fused
+
+    def procedure_row(
         self,
         proc: StructureNode,
         frames: list[CCTNode],
@@ -153,7 +204,7 @@ class FlatView(View):
             has_source=not proc.location.file.startswith("<unknown"),
         )
 
-    def _expand_level(self, payloads: list) -> list[list[ViewNode]]:
+    def expand_level(self, payloads: list) -> list[list[ViewNode]]:
         """Rows merging the inner scopes of each payload group, one level.
 
         Per group: loops (by structure), statements (by line), then
@@ -189,7 +240,7 @@ class FlatView(View):
                 groups.extend(by_callee.values())
             per_row.append((loops, stmts, sites, callees))
         # consumed below in the order queued: loops, statements, callees
-        values = iter(self._aggregate_exposed(groups))
+        values = iter(self.aggregate_exposed(groups))
         levels = []
         for loops, stmts, sites, callees in per_row:
             rows: list[ViewNode] = []
@@ -288,7 +339,7 @@ class FlatView(View):
             )
         return rows
 
-    def _level_has_children(self, payload) -> bool:
+    def has_children(self, payload) -> bool:
         quiet_sites: dict[int, list[CCTNode]] = {}
         for node in payload:
             for child in node.children:
@@ -300,37 +351,3 @@ class FlatView(View):
                     return True
         # a call line with no observed callee shows only if it was sampled
         return any(total(s.raw for s in sites) for sites in quiet_sites.values())
-
-    # ------------------------------------------------------------------ #
-    # flattening
-    # ------------------------------------------------------------------ #
-    def flatten(self) -> None:
-        """Elide the current top level; show its children instead."""
-        self.flatten_depth += 1
-
-    def unflatten(self) -> None:
-        if self.flatten_depth > 0:
-            self.flatten_depth -= 1
-
-    def current_roots(self) -> list[ViewNode]:
-        """Roots after applying the current flattening depth.
-
-        Flattening a leaf has no effect: leaves at the elided level are
-        retained, so costs never disappear from the view.
-        """
-        rows = list(self.roots)
-        for _ in range(self.flatten_depth):
-            self.expand_rows(rows)
-            nxt: list[ViewNode] = []
-            changed = False
-            for row in rows:
-                children = row.children
-                if children:
-                    nxt.extend(children)
-                    changed = True
-                else:
-                    nxt.append(row)
-            rows = nxt
-            if not changed:
-                break
-        return rows

@@ -16,6 +16,15 @@ The three views make the unit of laziness a *level*: their rows carry a
 of every pending row of one level together — for the Callers and Flat
 views with a single batched exposed-instance aggregation (expanding one
 row is a level of one).
+
+Ownership: a view owns its rows and a row owns its children; a row's
+link to its parent is weak, and a :class:`LevelExpander` holds the
+view's :class:`LevelBuilder` — the CCT, engine and metric table, with
+nothing pointing back at rows — never the view itself.  So a view holds
+no reference cycle and is freed by reference counting when dropped, and
+rows kept past their view still expand.  A row is valid while its owner
+lives: once its parent row is gone, :attr:`ViewNode.parent` raises
+:class:`~repro.errors.ViewError`.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ from __future__ import annotations
 import threading
 from enum import Enum
 from typing import Callable, Iterator, Optional, Sequence
+from weakref import ref
 
 from repro.errors import ViewError
 from repro.core.metrics import (
@@ -33,7 +43,14 @@ from repro.core.metrics import (
     MetricValues,
 )
 
-__all__ = ["ViewKind", "NodeCategory", "ViewNode", "View", "LevelExpander"]
+__all__ = [
+    "ViewKind",
+    "NodeCategory",
+    "ViewNode",
+    "View",
+    "LevelBuilder",
+    "LevelExpander",
+]
 
 
 class ViewKind(Enum):
@@ -68,11 +85,12 @@ class ViewNode:
         "file",
         "inclusive",
         "exclusive",
-        "parent",
+        "_parent",
         "cct_nodes",
         "_children",
         "_expander",
         "has_source",
+        "__weakref__",
     )
 
     def __init__(
@@ -96,7 +114,7 @@ class ViewNode:
         self.file = file or (struct.location.file if struct is not None else "")
         self.inclusive: MetricValues = inclusive if inclusive is not None else {}
         self.exclusive: MetricValues = exclusive if exclusive is not None else {}
-        self.parent = parent
+        self._parent: ref | None = ref(parent) if parent is not None else None
         #: underlying CCT scopes this row aggregates (drill-down support)
         self.cct_nodes = list(cct_nodes) if cct_nodes else []
         self._children: list[ViewNode] | None = None
@@ -106,6 +124,20 @@ class ViewNode:
 
     # ------------------------------------------------------------------ #
     @property
+    def parent(self) -> Optional["ViewNode"]:
+        """The enclosing row; None only for a root row."""
+        link = self._parent
+        if link is None:
+            return None
+        node = link()
+        if node is None:
+            raise ViewError(
+                f"the parent of row {self.name!r} was dropped with its view; "
+                f"keep the view alive while walking up from its rows"
+            )
+        return node
+
+    @property
     def children(self) -> list["ViewNode"]:
         """Child rows; lazily constructed on first access."""
         if self._children is None:
@@ -113,9 +145,7 @@ class ViewNode:
                 self._children = []
             else:
                 expander, self._expander = self._expander, None
-                self._children = expander(self)
-                for child in self._children:
-                    child.parent = self
+                self.set_children(expander(self))
         return self._children
 
     @property
@@ -134,8 +164,9 @@ class ViewNode:
 
     def set_children(self, children: list["ViewNode"]) -> None:
         self._children = list(children)
+        link = ref(self)
         for child in self._children:
-            child.parent = self
+            child._parent = link
 
     def value(self, spec: MetricSpec) -> float:
         """The value of one metric column at this row (0.0 when absent)."""
@@ -172,10 +203,59 @@ class ViewNode:
         return f"<ViewNode {self.category.value} {self.name!r}>"
 
 
+class LevelBuilder:
+    """Everything a view's lazy rows need to build their children.
+
+    Holds the backing CCT, the metric table, the optional columnar
+    engine and (in subclasses) the view's options — and nothing that
+    points back at rows, so rows that hold it through their
+    :class:`LevelExpander` form no cycle with their view.  Each of the
+    three views subclasses it with its own level rules.
+    """
+
+    def __init__(self, cct, metrics: MetricTable, engine=None) -> None:
+        self.cct = cct
+        self.metrics = metrics
+        self.engine = engine
+
+    def aggregate_exposed(
+        self, groups: Sequence[Sequence]
+    ) -> list[tuple[MetricValues, MetricValues]]:
+        """Exposed-instance aggregates of a level's row groups (Sec. IV-B).
+
+        One ``(inclusive, exclusive)`` pair per group of CCT instances.
+        With a columnar engine attached the whole level is one batched
+        kernel call (bit-identical results; see the engine's docstring),
+        else each group goes through the dict-path reference in
+        :mod:`repro.core.attribution`.
+        """
+        if not groups:
+            return []
+        if self.engine is None:
+            from repro.core.attribution import aggregate_exposed
+
+            return [aggregate_exposed(group) for group in groups]
+        rows: list[int] = []
+        offsets = [0]
+        rows_of = self.engine.rows_of
+        for group in groups:
+            rows.extend(rows_of(group))
+            offsets.append(len(rows))
+        return self.engine.aggregate_exposed(rows, offsets)
+
+    def expand_level(self, payloads: list) -> list[list[ViewNode]]:
+        """Children of each :class:`LevelExpander` payload of one level."""
+        raise NotImplementedError  # pragma: no cover - level views only
+
+    def has_children(self, payload) -> bool:
+        """Whether a payload would expand to any row, from structure only."""
+        raise NotImplementedError  # pragma: no cover - level views only
+
+
 class LevelExpander:
     """A lazy row's children, built together with the rest of its level.
 
-    *payload* is whatever the owning view needs to derive the row's
+    *payload* is whatever the view's *builder* needs to derive the row's
     children: the CCT scope whose children a Calling Context row shows,
     the CCT instances a Callers or Flat row aggregates.
     Called as an ordinary expander it builds one row's children as a
@@ -183,29 +263,34 @@ class LevelExpander:
     of a whole level and builds all of their children at once.
     """
 
-    __slots__ = ("view", "payload")
+    __slots__ = ("builder", "payload")
 
-    def __init__(self, view: "View", payload) -> None:
-        self.view = view
+    def __init__(self, builder: LevelBuilder, payload) -> None:
+        self.builder = builder
         self.payload = payload
 
     def __call__(self, row: ViewNode) -> list[ViewNode]:
-        return self.view._expand_level([self.payload])[0]
+        return self.builder.expand_level([self.payload])[0]
 
 
 class View:
-    """Base class for the three views: a forest of rows over one metric table."""
+    """Base class for the three views: a forest of rows over one metric table.
+
+    *builder* is the view's :class:`LevelBuilder`, which carries the
+    metric table and engine; lazy rows expand through it, not through
+    the view.
+    """
 
     kind: ViewKind
 
     def __init__(
         self,
-        metrics: MetricTable,
+        builder: LevelBuilder,
         title: str = "",
         totals: MetricValues | None = None,
-        engine=None,
     ) -> None:
-        self.metrics = metrics
+        self._builder = builder
+        self.metrics = builder.metrics
         self.title = title or type(self).__name__
         #: experiment-aggregate inclusive totals (percentage denominators);
         #: normally the CCT root's inclusive vector
@@ -213,7 +298,7 @@ class View:
         #: optional columnar :class:`~repro.core.engine.MetricEngine` over
         #: the backing CCT; when present, ``total`` and ``sorted_children``
         #: read measured columns from its matrices instead of the dicts
-        self.engine = engine
+        self.engine = builder.engine
         self._roots: list[ViewNode] | None = None
         #: guards lazy root construction under concurrent first access
         #: (the analysis server renders one view from many threads)
@@ -248,55 +333,27 @@ class View:
         self._roots = None
         self._derived_cache.clear()
 
-    def _aggregate_exposed(
-        self, groups: Sequence[Sequence]
-    ) -> list[tuple[MetricValues, MetricValues]]:
-        """Exposed-instance aggregates of a level's row groups (Sec. IV-B).
-
-        One ``(inclusive, exclusive)`` pair per group of CCT instances.
-        With a columnar engine attached the whole level is one batched
-        kernel call (bit-identical results; see the engine's docstring),
-        else each group goes through the dict-path reference in
-        :mod:`repro.core.attribution`.
-        """
-        if not groups:
-            return []
-        if self.engine is None:
-            from repro.core.attribution import aggregate_exposed
-
-            return [aggregate_exposed(group) for group in groups]
-        rows: list[int] = []
-        offsets = [0]
-        rows_of = self.engine.rows_of
-        for group in groups:
-            rows.extend(rows_of(group))
-            offsets.append(len(rows))
-        return self.engine.aggregate_exposed(rows, offsets)
-
-    def _expand_level(self, payloads: list) -> list[list[ViewNode]]:
-        """Children of each :class:`LevelExpander` payload of one level."""
-        raise NotImplementedError  # pragma: no cover - level views only
-
-    def _level_has_children(self, payload) -> bool:
-        """Whether a payload would expand to any row, from structure only."""
-        raise NotImplementedError  # pragma: no cover - level views only
-
     def expand_rows(self, rows: Sequence[ViewNode]) -> None:
         """Materialize the children of *rows*, one level, in one batch.
 
-        Rows carrying a :class:`LevelExpander` are built together by
-        :meth:`_expand_level`; any other lazy row materializes on its own
-        when its ``children`` are first read.
+        Rows carrying one of this view's :class:`LevelExpander`\\ s are
+        built together by :meth:`LevelBuilder.expand_level`; any other lazy
+        row materializes on its own when its ``children`` are first read.
         """
+        builder = self._builder
         pending: list[ViewNode] = []
         payloads = []
         for row in rows:
             expander = row._expander
-            if row._children is None and isinstance(expander, LevelExpander):
+            if (
+                row._children is None
+                and isinstance(expander, LevelExpander)
+                and expander.builder is builder
+            ):
                 pending.append(row)
                 payloads.append(expander.payload)
         if pending:
-            for row, children in zip(pending, self._expand_level(payloads)):
+            for row, children in zip(pending, builder.expand_level(payloads)):
                 row._expander = None
                 row.set_children(children)
 
@@ -305,7 +362,7 @@ class View:
         view can answer from structure alone (the ``+`` marker probe)."""
         expander = row._expander
         if row._children is None and isinstance(expander, LevelExpander):
-            return self._level_has_children(expander.payload)
+            return expander.builder.has_children(expander.payload)
         return bool(row.children)
 
     def value(self, node: ViewNode, spec: MetricSpec) -> float:

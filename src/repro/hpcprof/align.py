@@ -235,7 +235,7 @@ def align_members(
         )
 
     canonical = StructureModel(name)
-    union = CCT()
+    union = CCT(canonical)
     metrics: MetricTable | None = None
     signature: tuple | None = None
     records: _GraftRecords | None = None

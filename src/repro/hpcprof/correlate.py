@@ -32,7 +32,12 @@ from repro.core.cct import CCT, CCTNode
 from repro.core.metrics import MetricValues, add_into
 from repro.errors import CorrelationError
 from repro.hpcrun.profile_data import Frame, ProfileData
-from repro.hpcstruct.model import StructKind, StructureModel, StructureNode
+from repro.hpcstruct.model import (
+    UNKNOWN_FILE,
+    StructKind,
+    StructureModel,
+    StructureNode,
+)
 
 __all__ = ["Correlator", "correlate", "rank_tree"]
 
@@ -51,7 +56,7 @@ class Correlator:
 
     def __init__(self, structure: StructureModel) -> None:
         self.structure = structure
-        self.cct = CCT()
+        self.cct = CCT(structure)
         self._proc_cache: dict[tuple[str, str], StructureNode] = {}
         self._call_lines: dict[int, set[int]] = {}
 
@@ -95,10 +100,14 @@ class Correlator:
         if proc is not None:
             return proc
         proc = self.structure.find_procedure(frame.proc, frame.file or None)
+        if proc is None and not frame.file:
+            # an ambiguous file-less name: the procedure synthesized for
+            # it before (by another rank or correlator), if there is one
+            proc = self.structure.find_procedure(frame.proc, UNKNOWN_FILE)
         if proc is None:
             # binary-only code: synthesize structure under <unknown>
             lm = self.structure.add_load_module(_UNKNOWN_MODULE)
-            file_scope = self.structure.add_file(lm, frame.file or "<unknown file>")
+            file_scope = self.structure.add_file(lm, frame.file or UNKNOWN_FILE)
             proc = self.structure.add_procedure(file_scope, frame.proc, 0)
         self._proc_cache[key] = proc
         return proc

@@ -59,6 +59,8 @@ class Experiment:
         self.structure = structure
         self.cct = cct
         self._rank_ccts: list[CCT] | None = list(rank_ccts) if rank_ccts else None
+        for tree in [cct, *(self._rank_ccts or ())]:
+            self._pin(tree)
         #: per-rank ``Correlator.add_rank`` leaves, until the trees are built
         self._rank_leaves: list | None = None
         self._rank_lock = threading.Lock()
@@ -76,10 +78,17 @@ class Experiment:
                 if self._rank_leaves is not None:
                     trees = [rank_tree(leaves) for leaves in self._rank_leaves]
                     for tree in trees:
+                        self._pin(tree)
                         attribute(tree)
                     self._rank_ccts = trees
                     self._rank_leaves = None
         return self._rank_ccts
+
+    def _pin(self, tree: CCT) -> None:
+        """Let *tree* keep this experiment's structure model alive (its
+        scopes' file and procedure walks go through the model)."""
+        if tree.structure is None:
+            tree.structure = self.structure
 
     @property
     def engine(self):

@@ -69,7 +69,7 @@ def merge_ccts(ccts: Sequence[CCT], attribute_result: bool = True) -> CCT:
     is associative and commutative up to child order — a property the
     test suite checks — because scope identity is structural.
     """
-    out = CCT()
+    out = CCT(ccts[0].structure if ccts else None)
     for cct in ccts:
         _graft(out.root, cct.root)
     if attribute_result:

@@ -178,14 +178,21 @@ def _read_structure(elem: ET.Element, model: StructureModel) -> dict[int, Struct
         if kind is StructKind.PROCEDURE:
             model._register_procedure(node)
         by_id[int(selem.get("i"))] = node
-        for child in selem:
-            build(child, node)
         return node
 
     roots = list(elem)
     if len(roots) != 1:
         raise DatabaseError("Structure section must contain exactly one root")
-    build(roots[0], None)
+    # preorder with an explicit stack of child iterators: nesting deeper
+    # than the recursion limit loads too
+    stack = [(build(roots[0], None), iter(roots[0]))]
+    while stack:
+        node, children = stack[-1]
+        child = next(children, None)
+        if child is None:
+            stack.pop()
+        else:
+            stack.append((build(child, node), iter(child)))
     return by_id
 
 
@@ -195,14 +202,22 @@ def _read_cct(elem: ET.Element, structs: dict[int, StructureNode]) -> CCT:
     def build(nelem: ET.Element, parent: CCTNode | None) -> CCTNode:
         kind = CCTKind(nelem.get("k"))
         if kind is CCTKind.ROOT:
-            node = cct.root
-        else:
-            sid = int(nelem.get("s", "-1"))
-            struct = structs.get(sid)
-            node = CCTNode(
-                kind, struct=struct, line=int(nelem.get("l", "0")), parent=parent
-            )
-        for child in nelem:
+            return cct.root
+        sid = int(nelem.get("s", "-1"))
+        return CCTNode(
+            kind, struct=structs.get(sid), line=int(nelem.get("l", "0")),
+            parent=parent,
+        )
+
+    roots = list(elem)
+    if len(roots) != 1:
+        raise DatabaseError("CCT section must contain exactly one root")
+    # preorder with an explicit stack of child iterators, metric elements
+    # applied in document order
+    stack = [(build(roots[0], None), iter(roots[0]))]
+    while stack:
+        node, children = stack[-1]
+        for child in children:
             if child.tag == "M":
                 node.raw[int(child.get("i"))] = float(child.get("v"))
             elif child.tag == "MI":
@@ -210,13 +225,10 @@ def _read_cct(elem: ET.Element, structs: dict[int, StructureNode]) -> CCT:
             elif child.tag == "ME":
                 node.exclusive[int(child.get("i"))] = float(child.get("v"))
             else:
-                build(child, node)
-        return node
-
-    roots = list(elem)
-    if len(roots) != 1:
-        raise DatabaseError("CCT section must contain exactly one root")
-    build(roots[0], None)
+                stack.append((build(child, node), iter(child)))
+                break
+        else:
+            stack.pop()
     return cct
 
 

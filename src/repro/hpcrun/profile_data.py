@@ -133,17 +133,20 @@ class ProfileData:
         return out
 
     def paths(self) -> Iterator[tuple[list[Frame], int, MetricValues]]:
-        """Yield ``(frames, leaf_line, costs)`` for every recorded context."""
+        """Yield ``(frames, leaf_line, costs)`` for every recorded context.
 
-        def visit(node: PathNode, prefix: list[Frame]):
+        Preorder over the trie (a node's contexts before its children's),
+        with an explicit stack, so call paths deeper than the interpreter
+        recursion limit are walked too.
+        """
+        stack: list[tuple[PathNode, list[Frame]]] = [(self.root, [])]
+        while stack:
+            node, prefix = stack.pop()
             if node.frame is not None:
                 prefix = prefix + [node.frame]
             for line, costs in node.leaf_costs.items():
                 yield prefix, line, costs
-            for child in node.children.values():
-                yield from visit(child, prefix)
-
-        yield from visit(self.root, [])
+            stack.extend((child, prefix) for child in reversed(node.children.values()))
 
     # ------------------------------------------------------------------ #
     # transforms
@@ -152,14 +155,9 @@ class ProfileData:
         """Accumulate this profile's costs into *other* (same metric table)."""
         if other.metrics.names() != self.metrics.names():
             raise ProfilerError("cannot merge profiles with different metric tables")
-
-        def visit(src: PathNode, dst: PathNode) -> None:
+        for src, dst in _walk_into(self.root, other.root):
             for line, costs in src.leaf_costs.items():
                 dst.add_cost(line, costs)
-            for key, child in src.children.items():
-                visit(child, dst.ensure_child(child.frame))
-
-        visit(self.root, other.root)
         other.sample_count += self.sample_count
 
     def resampled(self, period: float, rng) -> "ProfileData":
@@ -173,8 +171,7 @@ class ProfileData:
             raise ProfilerError(f"period must be positive, got {period}")
         out = ProfileData(self.metrics, rank=self.rank, thread=self.thread,
                           program=self.program)
-
-        def visit(src: PathNode, dst: PathNode) -> None:
+        for src, dst in _walk_into(self.root, out.root):
             for line, costs in src.leaf_costs.items():
                 noisy = {}
                 for mid, value in costs.items():
@@ -183,9 +180,19 @@ class ProfileData:
                         noisy[mid] = drawn
                 if noisy:
                     dst.add_cost(line, noisy)
-            for child in src.children.values():
-                visit(child, dst.ensure_child(child.frame))
-
-        visit(self.root, out.root)
         out.sample_count = self.sample_count
         return out
+
+
+def _walk_into(src: PathNode, dst: PathNode) -> Iterator[tuple[PathNode, PathNode]]:
+    """``(source node, its twin under dst)`` in preorder, with an explicit
+    stack, so tries deeper than the recursion limit copy too.  Twins are
+    created in child order, so every children dict under *dst* gets the
+    insertion order a recursive copy gives it."""
+    stack = [(src, dst)]
+    while stack:
+        node, twin = stack.pop()
+        yield node, twin
+        pairs = [(child, twin.ensure_child(child.frame))
+                 for child in node.children.values()]
+        stack.extend(reversed(pairs))

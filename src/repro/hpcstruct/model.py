@@ -31,6 +31,7 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Optional
+from weakref import ref
 
 from repro.errors import StructureError
 
@@ -100,6 +101,11 @@ class StructureNode:
     :attr:`key` — ``(kind, name, file, line)`` relative to the parent — so
     two independently built structure trees for the same program agree on
     node identity.
+
+    A node owns its children and links to its parent weakly, so the tree
+    is acyclic and is freed by reference counting.  A node is valid while
+    its owner (normally a :class:`StructureModel`) lives: once the parent
+    is gone, :attr:`parent` raises :class:`~repro.errors.StructureError`.
     """
 
     __slots__ = (
@@ -107,10 +113,11 @@ class StructureNode:
         "kind",
         "name",
         "location",
-        "parent",
+        "_parent",
         "children",
         "calls",
         "_child_index",
+        "__weakref__",
     )
 
     def __init__(
@@ -124,13 +131,24 @@ class StructureNode:
         self.kind = kind
         self.name = name
         self.location = location or SourceLocation()
-        self.parent = parent
+        self._parent: ref | None = None
         self.children: list[StructureNode] = []
         #: procedure names this statement may call (call-site statements only)
         self.calls: tuple[str, ...] = ()
         self._child_index: dict[tuple, StructureNode] = {}
         if parent is not None:
             parent._attach(self)
+
+    @property
+    def parent(self) -> Optional["StructureNode"]:
+        """The enclosing scope; None only for a root."""
+        link = self._parent
+        if link is None:
+            return None
+        node = link()
+        if node is None:
+            raise _owner_gone(self)
+        return node
 
     # ------------------------------------------------------------------ #
     # identity & hierarchy
@@ -147,17 +165,22 @@ class StructureNode:
             )
         self._child_index[child.key] = child
         self.children.append(child)
-        child.parent = self
+        child._parent = ref(self)
 
     def child_by_key(self, key: tuple) -> Optional["StructureNode"]:
         return self._child_index.get(key)
 
     def ancestors(self) -> Iterator["StructureNode"]:
         """Yield proper ancestors, innermost first."""
-        node = self.parent
-        while node is not None:
-            yield node
-            node = node.parent
+        node = self
+        link = node._parent
+        while link is not None:
+            parent = link()
+            if parent is None:
+                raise _owner_gone(node)
+            yield parent
+            node = parent
+            link = node._parent
 
     def walk(self) -> Iterator["StructureNode"]:
         """Yield this node and all descendants, preorder."""
@@ -170,24 +193,31 @@ class StructureNode:
     # ------------------------------------------------------------------ #
     # typed navigation
     # ------------------------------------------------------------------ #
+    def _enclosing(self, kinds: tuple) -> Optional["StructureNode"]:
+        """The innermost of self and its ancestors of one of *kinds*.
+
+        Reads the parent links inline: every CCT scope's display name
+        walks up to its file through here.
+        """
+        node = self
+        while node.kind not in kinds:
+            link = node._parent
+            if link is None:
+                return None
+            parent = link()
+            if parent is None:
+                raise _owner_gone(node)
+            node = parent
+        return node
+
     @property
     def enclosing_procedure(self) -> Optional["StructureNode"]:
         """The innermost enclosing (possibly inlined) procedure scope."""
-        node: StructureNode | None = self
-        while node is not None:
-            if node.kind in (StructKind.PROCEDURE, StructKind.INLINED_PROC):
-                return node
-            node = node.parent
-        return None
+        return self._enclosing(_PROCEDURE_KINDS)
 
     @property
     def enclosing_file(self) -> Optional["StructureNode"]:
-        node: StructureNode | None = self
-        while node is not None:
-            if node.kind is StructKind.FILE:
-                return node
-            node = node.parent
-        return None
+        return self._enclosing(_FILE_KINDS)
 
     def describe(self) -> str:
         """Human-readable description, e.g. ``procedure g @ file2.c:2``."""
@@ -196,6 +226,17 @@ class StructureNode:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<StructureNode {self.describe()}>"
+
+
+_PROCEDURE_KINDS = (StructKind.PROCEDURE, StructKind.INLINED_PROC)
+_FILE_KINDS = (StructKind.FILE,)
+
+
+def _owner_gone(node: StructureNode) -> StructureError:
+    return StructureError(
+        f"the structure model owning {node.describe()} was dropped; "
+        f"keep it alive (a CCT pins its own) while using its scopes"
+    )
 
 
 class StructureModel:
@@ -322,21 +363,21 @@ class StructureModel:
         return chain
 
     def merge_from(self, other: "StructureModel") -> None:
-        """Graft scopes from *other* into this model (union by key)."""
+        """Graft scopes from *other* into this model (union by key).
 
-        def graft(dst: StructureNode, src: StructureNode) -> None:
-            for child in src.children:
-                mine = dst.child_by_key(child.key)
-                if mine is None:
-                    mine = StructureNode(
-                        child.kind, child.name, child.location, parent=dst
-                    )
-                    mine.calls = child.calls
-                    if child.kind is StructKind.PROCEDURE:
-                        self._register_procedure(mine)
-                graft(mine, child)
-
-        graft(self.root, other.root)
+        Preorder with an explicit stack, so scopes are created (and
+        procedures registered) in the order a recursive graft visits them.
+        """
+        stack = [(self.root, child) for child in reversed(other.root.children)]
+        while stack:
+            dst, child = stack.pop()
+            mine = dst.child_by_key(child.key)
+            if mine is None:
+                mine = StructureNode(child.kind, child.name, child.location, parent=dst)
+                mine.calls = child.calls
+                if child.kind is StructKind.PROCEDURE:
+                    self._register_procedure(mine)
+            stack.extend((mine, grandchild) for grandchild in reversed(child.children))
 
     def stats(self) -> dict[str, int]:
         """Count scopes by kind — useful for tests and reports."""

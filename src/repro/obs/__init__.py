@@ -13,7 +13,10 @@ argument to the reproduction itself:
 * :mod:`repro.obs.promexport` — Prometheus text exposition for the
   server's ``GET /metrics`` endpoint;
 * :mod:`repro.obs.slowlog` — a bounded slow-request log keyed by
-  trace id.
+  trace id;
+* :mod:`repro.obs.gcstats` — garbage-collector collections, freed
+  objects and pause time per generation (its hook is registered on
+  import), optionally booked as ``gc`` spans.
 
 Dogfooding loop::
 
@@ -22,6 +25,7 @@ Dogfooding loop::
 """
 
 from repro.obs.export import save_self_profile, tracer_experiment, tracer_profile
+from repro.obs.gcstats import gc_stats, register as _register_gc_hook
 from repro.obs.promexport import Histogram
 from repro.obs.slowlog import SlowLog
 from repro.obs.spans import (
@@ -41,6 +45,7 @@ __all__ = [
     "SpanTracer",
     "current_trace_id",
     "current_tracer",
+    "gc_stats",
     "install",
     "reset_trace_id",
     "save_self_profile",
@@ -50,3 +55,5 @@ __all__ = [
     "tracer_profile",
     "uninstall",
 ]
+
+_register_gc_hook()

@@ -151,11 +151,21 @@ class SpanTracer:
     merged by :meth:`snapshot`; the recording hot path itself takes no
     lock.  The tracer survives arbitrarily many install/uninstall
     cycles — data accumulates until :meth:`reset`.
+
+    With *gc_pauses*, every garbage-collector pause while the tracer is
+    installed becomes a ``gc`` child of the span it interrupted (see
+    :mod:`repro.obs.gcstats`).
     """
 
-    def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
+    def __init__(
+        self,
+        clock: Callable[[], float] = time.perf_counter,
+        gc_pauses: bool = False,
+    ) -> None:
         #: seconds source every span of this tracer reads
         self.clock = clock
+        #: book collector pauses as ``gc`` spans
+        self.gc_pauses = gc_pauses
         self.started_at = time.time()
         self._registry_lock = threading.Lock()
         self._states: list[_ThreadState] = []
@@ -173,6 +183,25 @@ class SpanTracer:
 
     def span(self, name: str) -> _Span:
         return _Span(self._state(), name)
+
+    def add_child(self, name: str, seconds: float) -> None:
+        """Book one completed *name* span of *seconds* under this thread's
+        open span (a root span when none is open), taking the time out of
+        the open span's self time as a nested span would."""
+        state = self._state()
+        stack = state.stack
+        if stack:
+            top = stack[-1]
+            top[2] += seconds
+            path = top[0] + (name,)
+        else:
+            path = (name,)
+        slot = state.acc.get(path)
+        if slot is None:
+            state.acc[path] = [1.0, seconds]
+        else:
+            slot[0] += 1.0
+            slot[1] += seconds
 
     # -- inspection ---------------------------------------------------- #
     def snapshot(self) -> dict[tuple[str, ...], tuple[int, float]]:

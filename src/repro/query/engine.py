@@ -362,7 +362,7 @@ class EngineFrame(_MatrixFrame):
         if engine is None:
             raise QueryError(
                 "cannot query an experiment with no metrics")
-        self.experiment = experiment
+        # no link back to *experiment*: its CCT caches this frame
         self.engine = engine
         self.n = len(engine.nodes)
         self.names = [node.name for node in engine.nodes]

@@ -60,6 +60,7 @@ from urllib.parse import parse_qsl, urlsplit
 from repro.errors import ReproError
 from repro.core.metrics import MetricFlavor
 from repro.core.views import ViewKind
+from repro.obs.gcstats import GENERATIONS, gc_stats
 from repro.obs.promexport import Histogram, render_metrics
 from repro.obs.slowlog import SlowLog
 from repro.obs.spans import reset_trace_id, set_trace_id, span
@@ -794,6 +795,7 @@ class AnalysisApp:
             "sessions": len(self.registry),
             "resident_scopes": self.registry.total_cost(),
             "evictions": self.registry.evictions,
+            "gc": gc_stats(),
         }
         if self.corpus is not None:
             payload["corpus"] = {
@@ -842,6 +844,7 @@ class AnalysisApp:
             "slow_observed": (
                 self.slowlog.observed if self.slowlog is not None else None
             ),
+            "gc": gc_stats(),
         }
 
     def prometheus_text(self) -> str:
@@ -1449,6 +1452,12 @@ def _merge_metrics_states(states: list[dict]) -> dict:
         slow = state.get("slow_observed")
         if slow is not None:
             merged["slow_observed"] = (merged["slow_observed"] or 0) + slow
+        for generation, counts in state.get("gc", {}).items():
+            into = merged.setdefault("gc", {}).setdefault(
+                generation, dict.fromkeys(counts, 0)
+            )
+            for key, value in counts.items():
+                into[key] += value
     return merged
 
 
@@ -1558,4 +1567,22 @@ def prometheus_from_states(states: list[dict]) -> str:
             "Requests over the configured slowness threshold.",
             [("", None, state["slow_observed"])],
         ))
+    gc_counts = state.get("gc")
+    if gc_counts:
+        families.extend(
+            (
+                f"repro_gc_{name}", "counter", help_text,
+                [("", {"generation": generation.removeprefix("gen")},
+                  gc_counts[generation][key])
+                 for generation in GENERATIONS if generation in gc_counts],
+            )
+            for name, key, help_text in (
+                ("collections_total", "collections",
+                 "Garbage collections run, by generation."),
+                ("collected_objects_total", "collected",
+                 "Objects the garbage collector freed, by generation."),
+                ("pause_seconds_total", "pause_s",
+                 "Seconds spent in garbage collection, by generation."),
+            )
+        )
     return render_metrics(families)

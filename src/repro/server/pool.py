@@ -279,8 +279,9 @@ def merge_stats_payloads(payloads: list[dict]) -> dict:
     """Sum per-worker ``/stats`` payloads into one pool-wide view.
 
     Counters (requests, errors, shed, cache hits/misses, evictions,
-    resident scopes) add; per-endpoint latency merges as weighted mean /
-    min-of-min / max-of-max; ``uptime_s`` is the oldest worker's.
+    resident scopes, garbage-collector counts and pauses) add;
+    per-endpoint latency merges as weighted mean / min-of-min /
+    max-of-max; ``uptime_s`` is the oldest worker's.
     ``sessions`` adds too: a session adopted by two workers (creator and
     affinity owner) genuinely is resident twice.
     """
@@ -303,6 +304,8 @@ def merge_stats_payloads(payloads: list[dict]) -> dict:
         for key in ("sessions", "resident_scopes", "evictions"):
             merged[key] += payload.get(key, 0)
         _sum_counters(merged["cache"], payload.get("cache", {}))
+        if "gc" in payload:
+            _sum_counters(merged.setdefault("gc", {}), payload["gc"])
         for label, entry in payload.get("endpoints", {}).items():
             into = endpoints.setdefault(label, {
                 "count": 0, "errors": 0,

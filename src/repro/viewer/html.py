@@ -114,13 +114,18 @@ def render_html(
     head.append("<tr>" + "".join(header_cells) + "</tr>")
 
     body: list[str] = []
-    counter = [0]
-
-    def emit(node: ViewNode, depth: int, parent_id: str, visible: bool) -> None:
-        if counter[0] >= max_rows:
-            return
-        counter[0] += 1
-        row_id = f"r{counter[0]}"
+    emitted = 0
+    # preorder with an explicit stack: (row, depth, parent row id, visible)
+    stack = [
+        (root, 0, "top", True)
+        for root in reversed(sorted(
+            view.roots, key=lambda r: view.value(r, columns[0]), reverse=True
+        ))
+    ]
+    while stack and emitted < max_rows:
+        node, depth, parent_id, visible = stack.pop()
+        emitted += 1
+        row_id = f"r{emitted}"
         is_hot = id(node) in hot_ids
         descend = depth < max_depth or (is_hot and hot is not None)
         children = node.children if descend else []
@@ -157,19 +162,18 @@ def render_html(
             + "</tr>"
         )
         child_visible = visible and (depth < 2 or is_hot)
-        for child in sorted(
+        ordered = sorted(
             children,
             key=lambda c: view.value(c, columns[0]),
             reverse=True,
-        ):
-            emit(child, depth + 1, row_id, child_visible)
-
-    for root in sorted(view.roots,
-                       key=lambda r: view.value(r, columns[0]), reverse=True):
-        emit(root, 0, "top", True)
+        )
+        stack.extend(
+            (child, depth + 1, row_id, child_visible)
+            for child in reversed(ordered)
+        )
 
     tail = ["</table>"]
-    if counter[0] >= max_rows:
+    if emitted >= max_rows:
         tail.append(f"<p>(truncated at {max_rows} rows)</p>")
     tail.append("</body></html>")
     return "\n".join(head + body + tail)

@@ -129,12 +129,16 @@ class NavigationState:
         descending into expanded rows only (lazy rows stay unexpanded)."""
         key = (attrgetter("name") if self.sort_by_name_mode
                else self.view.value_getter(self.column))
-
-        def emit(rows, depth):
-            ordered = sorted(rows, key=key, reverse=self.descending)
-            for row in ordered:
-                yield row, depth
-                if self.is_expanded(row):
-                    yield from emit(row.children, depth + 1)
-
-        yield from emit(self.view.roots if roots is None else roots, 0)
+        # one sorted-sibling iterator per open level; the stack depth is
+        # the display depth
+        levels = [iter(sorted(self.view.roots if roots is None else roots,
+                              key=key, reverse=self.descending))]
+        while levels:
+            row = next(levels[-1], None)
+            if row is None:
+                levels.pop()
+                continue
+            yield row, len(levels) - 1
+            if self.is_expanded(row):
+                levels.append(iter(sorted(row.children, key=key,
+                                          reverse=self.descending)))

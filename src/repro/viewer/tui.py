@@ -83,16 +83,14 @@ def _elide(view: View, rows: Sequence[ViewNode], patterns: Sequence[str],
             incl = MetricSpec(spec.mid, MetricFlavor.INCLUSIVE)
             floor = share * total
 
-    def visit(row: ViewNode, out: list[ViewNode]) -> None:
+    out: list[ViewNode] = []
+    stack = list(reversed(rows))
+    while stack:
+        row = stack.pop()
         if any(fnmatch.fnmatchcase(row.name, p) for p in patterns):
-            for child in row.children:
-                visit(child, out)
+            stack.extend(reversed(row.children))
         elif floor is None or view.value(row, incl) >= floor:
             out.append(row)
-
-    out: list[ViewNode] = []
-    for row in rows:
-        visit(row, out)
     return out
 
 
@@ -208,20 +206,22 @@ class InteractiveViewer(cmd.Cmd):
 
         view = state.view
 
-        def emit(rows, depth):
-            ordered = sorted(
-                rows, key=lambda r: view.value(r, state.column),
-                reverse=state.descending,
-            )
-            for row in ordered:
-                yield row, depth
-                if state.is_expanded(row):
-                    yield from emit(
-                        _elide(view, row.children, self._elided,
-                               self._threshold),
-                        depth + 1)
+        def ordered(rows):
+            return iter(sorted(rows, key=lambda r: view.value(r, state.column),
+                               reverse=state.descending))
 
-        yield from emit(roots, 0)
+        # one sorted-sibling iterator per open level (as in
+        # NavigationState.visible_rows); the stack depth is the depth
+        levels = [ordered(roots)]
+        while levels:
+            row = next(levels[-1], None)
+            if row is None:
+                levels.pop()
+                continue
+            yield row, len(levels) - 1
+            if state.is_expanded(row):
+                levels.append(ordered(_elide(view, row.children, self._elided,
+                                             self._threshold)))
 
     def do_top(self, arg: str) -> None:
         """top N — show at most N rows in listings."""

@@ -105,3 +105,26 @@ class TestCorrelation:
     def test_empty_profile_gives_empty_tree(self, structure):
         cct = correlate(make_profile([]), structure)
         assert len(cct) == 1
+
+    def test_ambiguous_fileless_name_reuses_synthesized_procedure(self, structure):
+        """An unknown ``kernel`` in z.c makes a file-less ``kernel``
+        ambiguous; every later correlation (a second correlator, or the
+        next rank of one) resolves it to the ``<unknown file>`` procedure
+        the first one synthesized instead of synthesizing it again."""
+        from repro.hpcprof.experiment import Experiment
+
+        profile = make_profile([
+            ([MAIN, Frame("kernel", "z.c", 20)], 5, 1.0),
+            ([MAIN, Frame("kernel", "", 20)], 5, 2.0),
+        ])
+        first = correlate(profile, structure)
+        second = correlate(profile, structure)
+        ranks = Experiment.from_profiles([profile, profile], structure)
+        synthesized = structure.procedure("kernel", "<unknown file>")
+        assert [p.location.file for p in structure.procedures_named("kernel")] \
+            == ["corr.c", "z.c", "<unknown file>"]
+        for cct, total in ((first, 3.0), (second, 3.0), (ranks.cct, 6.0),
+                           *((tree, 3.0) for tree in ranks.rank_ccts)):
+            attribute(cct)
+            assert synthesized in {f.struct for f in cct.frames()}
+            assert cct.root.inclusive == {0: total}

@@ -17,7 +17,9 @@ from repro.core.attribution import attribute, attribute_dicts
 from repro.core.engine import attribute_columnar
 from repro.core.cct import CCT
 from repro.core.metrics import MetricTable
+from repro.hpcprof.correlate import correlate
 from repro.hpcprof.merge import merge_ccts, scale_and_difference
+from repro.hpcrun.profile_data import Frame, ProfileData
 from repro.hpcstruct.model import StructureModel
 
 DEPTH = 5000
@@ -107,3 +109,42 @@ class TestDeepChain:
             float(DEPTH) + 0.0,
             float(DEPTH) + 1.0,
         ]
+
+
+class TestDeepCallPath:
+    """A measured call path *DEPTH* frames deep: the profile side must
+    walk it as iteratively as the CCT side (``Correlator.add_profile``
+    reads :meth:`ProfileData.paths`)."""
+
+    @staticmethod
+    def deep_profile() -> ProfileData:
+        metrics = MetricTable()
+        metrics.add("cycles")
+        profile = ProfileData(metrics)
+        frames = [Frame("rec", "deep.c", 0)] + \
+            [Frame("rec", "deep.c", 5)] * (DEPTH - 1)
+        profile.add_sample(frames, 2, {0: 3.0})
+        profile.add_sample(frames[: DEPTH // 2], 2, {0: 1.0})
+        return profile
+
+    def test_paths(self):
+        paths = list(self.deep_profile().paths())
+        assert [(len(frames), line, costs) for frames, line, costs in paths] \
+            == [(DEPTH // 2, 2, {0: 1.0}), (DEPTH, 2, {0: 3.0})]
+
+    def test_merge_into(self):
+        profile = self.deep_profile()
+        merged = ProfileData(profile.metrics)
+        profile.merge_into(merged)
+        profile.merge_into(merged)
+        assert [(len(frames), costs) for frames, _line, costs in merged.paths()] \
+            == [(DEPTH // 2, {0: 2.0}), (DEPTH, {0: 6.0})]
+        assert merged.sample_count == 4
+
+    def test_correlate_and_attribute(self, structure):
+        cct = correlate(self.deep_profile(), structure)
+        attribute(cct)
+        assert cct.root.inclusive == {0: 4.0}
+        # root + (frame + statement-or-call-site) per level, + the
+        # mid-chain frame's statement
+        assert len(cct) == 2 * DEPTH + 2

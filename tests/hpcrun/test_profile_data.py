@@ -58,6 +58,29 @@ class TestProfileData:
         assert seen[(("main", "work"), 12)] == {0: 1.0}
         assert seen[(("main",), 3)] == {0: 2.0}
 
+    def test_paths_and_copies_keep_preorder(self):
+        """Contexts come out in trie preorder (a frame's own lines before
+        its callees, callees in first-sample order), and merge_into and
+        resampled rebuild the trie with that same child order."""
+        p = ProfileData(table())
+        p.add_sample([MAIN, HELP], 20, {0: 1.0})
+        p.add_sample([MAIN, WORK, HELP], 21, {0: 2.0})
+        p.add_sample([MAIN], 3, {0: 3.0})
+        p.add_sample([MAIN, WORK], 12, {0: 4.0})
+        p.add_sample([MAIN], 4, {0: 5.0})
+        order = [(tuple(f.proc for f in frames), line)
+                 for frames, line, _costs in p.paths()]
+        assert order == [
+            (("main",), 3), (("main",), 4), (("main", "help"), 20),
+            (("main", "work"), 12), (("main", "work", "help"), 21),
+        ]
+        merged = ProfileData(table())
+        p.merge_into(merged)
+        resampled = p.resampled(period=1.0, rng=np.random.default_rng(0))
+        for copy in (merged, resampled):
+            assert [(tuple(f.proc for f in frames), line)
+                    for frames, line, _costs in copy.paths()] == order
+
     def test_merge_into(self):
         a, b = ProfileData(table()), ProfileData(table())
         a.add_sample([MAIN, WORK], 12, {0: 1.0})

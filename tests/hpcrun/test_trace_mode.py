@@ -76,7 +76,9 @@ class TestSamplerTraceMode:
             SamplingProfiler(trace=True, all_threads=True)
 
     def test_deterministic_samples_land_in_trace(self):
-        sampler = SamplingProfiler(roots=[HERE], trace=True)
+        # an hour-long period: the background thread never fires during
+        # the test, so exactly the five explicit samples are recorded
+        sampler = SamplingProfiler(roots=[HERE], trace=True, period=3600.0)
         sampler.start()
         try:
             for _ in range(5):

@@ -220,15 +220,15 @@ def test_ambiguous_procedures_fall_back_to_the_experiment(tmp_path):
     """fig1 knows ``g`` in file2.c; an unknown ``g`` in z.c makes the
     file-less ``g`` ambiguous, so which procedure it gets depends on
     the order frames resolve in.  No fixed union tree stands for every
-    window then, and the store answers through the window experiment.
-    (The file-less context carries no ticks: resolving it would
-    synthesize a second ``<unknown file>`` ``g``.)"""
+    window then, and the store answers through the window experiment,
+    which resolves the file-less ``g`` to one ``<unknown file>`` ``g``
+    however many windows (and ranks) touch it."""
     main = Frame("m", "file1.c")
     contexts = [((main, Frame("g", "z.c", 8)), 3),
                 ((main, Frame("g", "", 8)), 3),
                 ((main,), 2)]
-    traces = trace_set([[(0, 1.0, [5, 1]), (2, 2.0, [7, 2])],
-                        [(2, 3.0, [9, 3]), (0, 4.0, [1, 1])]],
+    traces = trace_set([[(0, 1.0, [5, 1]), (1, 1.5, [3, 2]), (2, 2.0, [7, 2])],
+                        [(2, 3.0, [9, 3]), (1, 3.5, [2, 1]), (0, 4.0, [1, 1])]],
                        contexts=contexts,
                        structure=build_structure(fig1.build()))
     store = create_trace_store(traces, str(tmp_path / "t"))
