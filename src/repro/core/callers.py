@@ -55,7 +55,6 @@ class CallersView(View):
             title="Callers View",
             totals=cct.root.inclusive,
         )
-        self.cct = cct
         self._eager = eager
 
     # ------------------------------------------------------------------ #
@@ -97,23 +96,12 @@ class _Builder(LevelBuilder):
         """
         per_row = []
         groups = []
-        # frame -> (caller frame, call line): one step up, walked once per
-        # level (a level's chains share most of their frames)
-        steps: dict = {}
         for instances, chain in payloads:
             # caller procedure -> (instances, caller frames, call lines)
             by_proc: dict = {}
             for instance, frame in zip(instances, chain):
-                step = steps.get(frame)
-                if step is None:
-                    site = frame.parent
-                    caller = site.enclosing_frame if site is not None else None
-                    call_line = None
-                    if caller is not None and site.kind is CCTKind.CALL_SITE:
-                        file = site.struct.location.file if site.struct is not None else ""
-                        call_line = (file, site.line)
-                    step = steps[frame] = (caller, call_line)
-                caller, call_line = step
+                site = frame.parent
+                caller = site.enclosing_frame if site is not None else None
                 if caller is None:
                     continue  # chain reached an entry point; nothing above
                 entry = by_proc.get(caller.struct)
@@ -121,8 +109,9 @@ class _Builder(LevelBuilder):
                     entry = by_proc[caller.struct] = ([], [], set())
                 entry[0].append(instance)
                 entry[1].append(caller)
-                if call_line is not None:
-                    entry[2].add(call_line)
+                if site.kind is CCTKind.CALL_SITE:
+                    file = site.struct.location.file if site.struct is not None else ""
+                    entry[2].add((file, site.line))
             per_row.append(by_proc)
             groups.extend(entry[0] for entry in by_proc.values())
         values = iter(self.aggregate_exposed(groups))

@@ -172,16 +172,8 @@ class CCTNode:
     def enclosing_frame(self) -> Optional["CCTNode"]:
         """The innermost enclosing procedure frame (self, if a frame)."""
         node = self
-        while node.kind is not CCTKind.FRAME:
-            # the parent links, read inline: this walk is on the Callers
-            # View's per-instance path
-            link = node._parent
-            if link is None:
-                return None
-            parent = link()
-            if parent is None:
-                raise _owner_gone(node)
-            node = parent
+        while node is not None and node.kind is not CCTKind.FRAME:
+            node = node.parent
         return node
 
     # ------------------------------------------------------------------ #
@@ -252,15 +244,10 @@ class CCTNode:
 
     def ancestors(self) -> Iterator["CCTNode"]:
         """Proper ancestors, innermost first."""
-        node = self
-        link = node._parent
-        while link is not None:
-            parent = link()
-            if parent is None:
-                raise _owner_gone(node)
-            yield parent
-            node = parent
-            link = node._parent
+        node = self.parent
+        while node is not None:
+            yield node
+            node = node.parent
 
     def call_path(self) -> list["CCTNode"]:
         """The chain of procedure frames from the root down to this scope."""

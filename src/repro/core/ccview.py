@@ -56,8 +56,11 @@ class CallingContextView(View):
             title="Calling Context View",
             totals=cct.root.inclusive,
         )
-        self.cct = cct
-        self.fused = fused
+
+    @property
+    def fused(self) -> bool:
+        """Whether call sites and callees share one row (Section V-B)."""
+        return self._builder.fused
 
     def _build_roots(self) -> list[ViewNode]:
         return self._builder.rows_for(self.cct.root.children)

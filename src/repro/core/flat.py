@@ -67,12 +67,15 @@ class FlatView(View):
             title="Flat View",
             totals=cct.root.inclusive,
         )
-        self.cct = cct
-        self.fused = fused
         #: when False, files are the top level (load modules elided), which
         #: matches the single-binary examples in the paper's figures.
         self.show_load_modules = show_load_modules
         self.flatten_depth = 0
+
+    @property
+    def fused(self) -> bool:
+        """Whether call sites and callees share one row (Section V-B)."""
+        return self._builder.fused
 
     # ------------------------------------------------------------------ #
     # construction

@@ -290,15 +290,10 @@ class View:
         totals: MetricValues | None = None,
     ) -> None:
         self._builder = builder
-        self.metrics = builder.metrics
         self.title = title or type(self).__name__
         #: experiment-aggregate inclusive totals (percentage denominators);
         #: normally the CCT root's inclusive vector
         self.totals: MetricValues = dict(totals) if totals else {}
-        #: optional columnar :class:`~repro.core.engine.MetricEngine` over
-        #: the backing CCT; when present, ``total`` and ``sorted_children``
-        #: read measured columns from its matrices instead of the dicts
-        self.engine = builder.engine
         self._roots: list[ViewNode] | None = None
         #: guards lazy root construction under concurrent first access
         #: (the analysis server renders one view from many threads)
@@ -318,6 +313,24 @@ class View:
     # -- to be provided by subclasses ----------------------------------- #
     def _build_roots(self) -> list[ViewNode]:  # pragma: no cover - abstract
         raise NotImplementedError
+
+    # -- the build context, held only by the builder -------------------- #
+    @property
+    def cct(self):
+        """The backing canonical CCT."""
+        return self._builder.cct
+
+    @property
+    def metrics(self) -> MetricTable:
+        """The metric table the view's columns come from."""
+        return self._builder.metrics
+
+    @property
+    def engine(self):
+        """Optional columnar :class:`~repro.core.engine.MetricEngine` over
+        the backing CCT; when present, ``total`` and ``sorted_children``
+        read measured columns from its matrices instead of the dicts."""
+        return self._builder.engine
 
     # ------------------------------------------------------------------ #
     @property

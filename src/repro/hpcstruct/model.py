@@ -172,15 +172,10 @@ class StructureNode:
 
     def ancestors(self) -> Iterator["StructureNode"]:
         """Yield proper ancestors, innermost first."""
-        node = self
-        link = node._parent
-        while link is not None:
-            parent = link()
-            if parent is None:
-                raise _owner_gone(node)
-            yield parent
-            node = parent
-            link = node._parent
+        node = self.parent
+        while node is not None:
+            yield node
+            node = node.parent
 
     def walk(self) -> Iterator["StructureNode"]:
         """Yield this node and all descendants, preorder."""
@@ -194,20 +189,10 @@ class StructureNode:
     # typed navigation
     # ------------------------------------------------------------------ #
     def _enclosing(self, kinds: tuple) -> Optional["StructureNode"]:
-        """The innermost of self and its ancestors of one of *kinds*.
-
-        Reads the parent links inline: every CCT scope's display name
-        walks up to its file through here.
-        """
+        """The innermost of self and its ancestors of one of *kinds*."""
         node = self
-        while node.kind not in kinds:
-            link = node._parent
-            if link is None:
-                return None
-            parent = link()
-            if parent is None:
-                raise _owner_gone(node)
-            node = parent
+        while node is not None and node.kind not in kinds:
+            node = node.parent
         return node
 
     @property

@@ -9,16 +9,14 @@ generation:
 
 * ``collections`` — collections run;
 * ``collected`` — objects they freed (cyclic garbage);
-* ``uncollectable`` — objects they found but could not free;
 * ``pause_s`` — seconds spent inside them.
 
 :func:`gc_stats` snapshots the counters; the server exposes them in
-``GET /v1/stats`` and ``GET /v1/metrics``.  When the installed
-:class:`~repro.obs.spans.SpanTracer` was built with ``gc_pauses=True``
-(the server's ``--self-profile`` tracer is), each pause is also booked
-as a ``gc`` child of the open span, timed with the tracer's clock, so
-the self-profile shows collector time as its own ``obs://gc`` row
-instead of inflating the span it interrupted.
+``GET /v1/stats`` and ``GET /v1/metrics``.  While a
+:class:`~repro.obs.spans.SpanTracer` is installed, each pause is also
+booked as a ``gc`` child of the open span, timed with the tracer's
+clock, so the self-profile shows collector time as its own ``obs://gc``
+row instead of inflating the span it interrupted.
 
 The hook only observes: it never changes when or how often the
 collector runs.
@@ -39,7 +37,6 @@ GENERATIONS = ("gen0", "gen1", "gen2")
 
 _collections = [0, 0, 0]
 _collected = [0, 0, 0]
-_uncollectable = [0, 0, 0]
 _pause_s = [0.0, 0.0, 0.0]
 
 #: the collection in progress: ``(start, tracer, tracer clock at start)``;
@@ -51,7 +48,7 @@ def _on_gc(phase: str, info: dict) -> None:
     global _pending
     if phase == "start":
         tracer = spans._tracer
-        if tracer is not None and tracer.gc_pauses:
+        if tracer is not None:
             _pending = (time.perf_counter(), tracer, tracer.clock())
         else:
             _pending = (time.perf_counter(), None, 0.0)
@@ -60,14 +57,13 @@ def _on_gc(phase: str, info: dict) -> None:
     gen = info["generation"]
     _collections[gen] += 1
     _collected[gen] += info["collected"]
-    _uncollectable[gen] += info["uncollectable"]
     _pause_s[gen] += time.perf_counter() - start
     if tracer is not None:
         tracer.add_child("gc", tracer.clock() - tracer_start)
 
 
 def _reset() -> None:
-    for counters in (_collections, _collected, _uncollectable):
+    for counters in (_collections, _collected):
         counters[:] = [0, 0, 0]
     _pause_s[:] = [0.0, 0.0, 0.0]
 
@@ -90,7 +86,6 @@ def gc_stats() -> dict[str, dict[str, float]]:
         name: {
             "collections": _collections[gen],
             "collected": _collected[gen],
-            "uncollectable": _uncollectable[gen],
             "pause_s": _pause_s[gen],
         }
         for gen, name in enumerate(GENERATIONS)

@@ -152,22 +152,19 @@ class SpanTracer:
     lock.  The tracer survives arbitrarily many install/uninstall
     cycles — data accumulates until :meth:`reset`.
 
-    With *gc_pauses*, every garbage-collector pause while the tracer is
-    installed becomes a ``gc`` child of the span it interrupted (see
-    :mod:`repro.obs.gcstats`).
+    While the tracer is installed, every garbage-collector pause becomes
+    a ``gc`` child of the span it interrupted (see
+    :mod:`repro.obs.gcstats`).  A collection can start at any allocation,
+    including one made under the registry lock, and its ``gc`` span may
+    be a thread's first: the lock is reentrant so that registering the
+    thread there cannot deadlock.
     """
 
-    def __init__(
-        self,
-        clock: Callable[[], float] = time.perf_counter,
-        gc_pauses: bool = False,
-    ) -> None:
+    def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
         #: seconds source every span of this tracer reads
         self.clock = clock
-        #: book collector pauses as ``gc`` spans
-        self.gc_pauses = gc_pauses
         self.started_at = time.time()
-        self._registry_lock = threading.Lock()
+        self._registry_lock = threading.RLock()
         self._states: list[_ThreadState] = []
         self._local = threading.local()
 

@@ -1411,6 +1411,20 @@ class AnalysisApp:
 # --------------------------------------------------------------------- #
 # metrics aggregation (shared by single-process serving and the pool)
 # --------------------------------------------------------------------- #
+def _sum_counters(into: dict, counters: dict) -> None:
+    """Add *counters* into *into*: numbers add, nested dicts (the cache's
+    per-operation counters, the collector's per-generation counters)
+    merge alike, anything else (e.g. a capacity echoed as None) keeps
+    its first value."""
+    for key, value in counters.items():
+        if isinstance(value, dict):
+            _sum_counters(into.setdefault(key, {}), value)
+        elif isinstance(value, (int, float)):
+            into[key] = into.get(key, 0) + value
+        else:
+            into.setdefault(key, value)
+
+
 def _merge_metrics_states(states: list[dict]) -> dict:
     """Sum a list of :meth:`AnalysisApp.metrics_state` dicts into one."""
     endpoints: dict[str, dict] = {}
@@ -1452,12 +1466,8 @@ def _merge_metrics_states(states: list[dict]) -> dict:
         slow = state.get("slow_observed")
         if slow is not None:
             merged["slow_observed"] = (merged["slow_observed"] or 0) + slow
-        for generation, counts in state.get("gc", {}).items():
-            into = merged.setdefault("gc", {}).setdefault(
-                generation, dict.fromkeys(counts, 0)
-            )
-            for key, value in counts.items():
-                into[key] += value
+        if "gc" in state:
+            _sum_counters(merged.setdefault("gc", {}), state["gc"])
     return merged
 
 

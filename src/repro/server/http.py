@@ -25,7 +25,7 @@ import uuid
 import zlib
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from repro.obs import SpanTracer, install, save_self_profile, uninstall
+from repro.obs import install, save_self_profile, uninstall
 from repro.server.app import (
     DEFAULT_MAX_BODY,
     DEFAULT_MAX_INFLIGHT,
@@ -323,7 +323,7 @@ def main(argv: list[str] | None = None) -> int:
         from repro.server.pool import run_pool
 
         return run_pool(args)
-    tracer = install(SpanTracer(gc_pauses=True)) if args.self_profile else None
+    tracer = install() if args.self_profile else None
     server = build_server(
         host=args.host,
         port=args.port,

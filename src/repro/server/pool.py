@@ -60,7 +60,11 @@ import time
 import uuid
 import zlib
 
-from repro.server.app import AnalysisApp, prometheus_from_states
+from repro.server.app import (
+    AnalysisApp,
+    _sum_counters,
+    prometheus_from_states,
+)
 
 __all__ = ["PoolWorker", "ServerPool", "merge_stats_payloads", "worker_main"]
 
@@ -262,19 +266,6 @@ def worker_main(ctrl: socket.socket, config: dict, slot: int) -> None:
 # --------------------------------------------------------------------- #
 # stats merging (the /stats analogue of prometheus_from_states)
 # --------------------------------------------------------------------- #
-def _sum_counters(into: dict, counters: dict) -> None:
-    """Add *counters* into *into*: numbers add, nested dicts (the cache's
-    per-operation counters) merge alike, anything else (e.g. a capacity
-    echoed as None) keeps its first value."""
-    for key, value in counters.items():
-        if isinstance(value, dict):
-            _sum_counters(into.setdefault(key, {}), value)
-        elif isinstance(value, (int, float)):
-            into[key] = into.get(key, 0) + value
-        else:
-            into.setdefault(key, value)
-
-
 def merge_stats_payloads(payloads: list[dict]) -> dict:
     """Sum per-worker ``/stats`` payloads into one pool-wide view.
 

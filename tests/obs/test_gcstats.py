@@ -1,31 +1,33 @@
 """Garbage-collector accounting: counters, exposition, and ``gc`` spans.
 
-Automatic collection is switched off around the span tests, so the only
-collections are the explicit ``gc.collect()`` calls (which run the
-registered callbacks like any other collection) and a scripted tracer
-clock gives exact pause times.
+Automatic collection is switched off around the span tests (the
+``no_automatic_gc`` fixture), so the only collections are the explicit
+``gc.collect()`` calls (which run the registered callbacks like any
+other collection) and a scripted tracer clock gives exact pause times.
 """
 
 from __future__ import annotations
 
+import builtins
 import gc
 import json
 import os
+import threading
 
 import pytest
 
 from repro.obs import gc_stats
+from repro.obs import spans
 from repro.obs.export import tracer_experiment
 from repro.obs.spans import SpanTracer, install, span, uninstall
 from repro.server.app import AnalysisApp, prometheus_from_states
 from repro.server.pool import merge_stats_payloads
 
 
-@pytest.fixture()
-def no_automatic_gc():
-    gc.disable()
+@pytest.fixture(autouse=True)
+def clean_tracer():
+    uninstall()
     yield
-    gc.enable()
     uninstall()
 
 
@@ -60,7 +62,7 @@ class TestPauseSpans:
     def test_pause_is_a_gc_child_of_the_open_span(self, no_automatic_gc):
         # outer opens at 0, the collection runs 1 -> 3, outer closes at 5
         ticks = iter([0.0, 1.0, 3.0, 5.0])
-        tracer = install(SpanTracer(clock=lambda: next(ticks), gc_pauses=True))
+        tracer = install(SpanTracer(clock=lambda: next(ticks)))
         with span("outer"):
             gc.collect()
         assert tracer.snapshot() == {("outer",): (1, 3.0),
@@ -68,23 +70,41 @@ class TestPauseSpans:
 
     def test_pause_outside_any_span_is_a_root_gc_span(self, no_automatic_gc):
         ticks = iter([1.0, 1.5])
-        tracer = install(SpanTracer(clock=lambda: next(ticks), gc_pauses=True))
+        tracer = install(SpanTracer(clock=lambda: next(ticks)))
         gc.collect()
         assert tracer.snapshot() == {("gc",): (1, 0.5)}
 
-    def test_tracers_record_pauses_only_when_asked(self, no_automatic_gc):
-        tracer = install()
-        with span("outer"):
-            gc.collect()
-        assert set(tracer.snapshot()) == {("outer",)}
-
     def test_self_profile_gets_its_own_gc_row(self, no_automatic_gc):
-        tracer = install(SpanTracer(gc_pauses=True))
+        tracer = install()
         with span("server.request"):
             gc.collect()
         uninstall()
         flat = tracer_experiment(tracer).flat_view()
         assert "obs://gc" in {row.name for row in flat.roots}
+
+
+    def test_collection_under_the_registry_lock_cannot_deadlock(
+        self, monkeypatch
+    ):
+        """A collection may start at any allocation, including the copy
+        :meth:`SpanTracer.snapshot` makes under its registry lock, and on
+        a thread whose first span is that collection's ``gc`` span."""
+        tracer = install()
+
+        def collecting_list(items=()):
+            gc.collect()
+            return builtins.list(items)
+
+        monkeypatch.setattr(spans, "list", collecting_list, raising=False)
+        done = []
+        worker = threading.Thread(
+            target=lambda: done.append(tracer.snapshot()), daemon=True
+        )
+        worker.start()
+        worker.join(timeout=10.0)
+        assert done, "snapshot() deadlocked on its own gc span"
+        monkeypatch.undo()
+        assert tracer.snapshot()[("gc",)][0] >= 1
 
 
 class TestServerExposition:

@@ -22,7 +22,7 @@ from repro.obs.export import tracer_profile
 
 
 @pytest.fixture()
-def tracer():
+def tracer(no_automatic_gc):
     tracer = install()
     yield tracer
     uninstall()

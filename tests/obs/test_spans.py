@@ -28,7 +28,7 @@ from repro.obs.spans import (
 
 
 @pytest.fixture(autouse=True)
-def clean_tracer():
+def clean_tracer(no_automatic_gc):
     uninstall()
     yield
     uninstall()
