@@ -106,7 +106,7 @@ def test_bench_disabled_span_is_noop(benchmark):
 def test_bench_server_http_roundtrip(benchmark, server):
     """Socket-to-socket latency of one cached render over real HTTP."""
     host, port = server.server_address[:2]
-    url = f"http://{host}:{port}/sessions/s1/render"
+    url = f"http://{host}:{port}/v1/sessions/s1/render"
 
     def roundtrip():
         req = urllib.request.Request(url, data=RENDER, method="POST")

@@ -7,8 +7,8 @@ a corpus: :func:`align_experiments` structurally aligns N runs into one
 matrix, built by :mod:`repro.hpcprof.align`), on top of which
 
 * :meth:`EnsembleView.stats` / :meth:`~EnsembleView.attach_stats`
-  compute per-scope mean/std/min/max (via the exact Welford reduction
-  shared with rank summarization) and quantiles across members;
+  compute per-scope mean/std/min/max (via the Welford accumulator shared
+  with rank summarization) and quantiles across members;
 * :meth:`EnsembleView.diff` builds pairwise or baseline-vs-corpus diff
   *experiments* whose raw values are ``target - factor * baseline`` per
   scope — re-attributed through Eq. 1/2, so the three views, hot paths
@@ -68,8 +68,9 @@ class EnsembleStats:
 
     Every array has one entry per union node, in preorder (row order of
     the alignment matrices).  ``mean``/``stddev`` come from the same
-    sequential Welford recurrence the rank summaries use, advanced in
-    member order, so they are bit-identical to the ``.rpstore`` summary
+    accumulator the rank summaries use
+    (:class:`~repro.hpcprof.summarize.RowMoments`), stepped in member
+    order, so they are bit-identical to the ``.rpstore`` summary
     path over the same inputs.
     """
 
@@ -224,23 +225,19 @@ class EnsembleView:
         quantiles: Sequence[float] = DEFAULT_QUANTILES,
     ) -> EnsembleStats:
         """Per-scope mean/std/min/max/quantiles across the members."""
-        from repro.hpcprof.summarize import welford_moments
+        from repro.hpcprof.summarize import RowMoments
 
         mid = self._mid(metric)
         matrix = self.alignment.matrix(mid, flavor)
-        count, mean, m2, minimum, maximum = welford_moments(matrix.T)
-        if count > 1:
-            variance = m2 / count
-        else:
-            variance = np.zeros_like(mean)
+        moments = RowMoments.of(matrix)
         return EnsembleStats(
             metric=self.union.metrics.by_id(mid).name,
             flavor=flavor,
-            count=count,
-            mean=mean,
-            stddev=np.sqrt(np.maximum(variance, 0.0)),
-            minimum=minimum,
-            maximum=maximum,
+            count=moments.count,
+            mean=moments.mean,
+            stddev=moments.stddev,
+            minimum=moments.minimum,
+            maximum=moments.maximum,
             quantiles={
                 float(q): np.quantile(matrix, q, axis=0) for q in quantiles
             },
@@ -249,28 +246,20 @@ class EnsembleView:
     def attach_stats(self, metric: str | None = None):
         """Attach mean/min/max/stddev columns over *members* to the union.
 
-        Same descriptor names and ids as rank summarization
-        (:func:`~repro.hpcprof.summarize.register_summary_ids`), so an
-        ensemble session's stat columns render exactly like a parallel
+        Same descriptor names, ids and accumulator as rank summarization
+        (:func:`~repro.hpcprof.summarize.summarize_rows`), so an ensemble
+        session's stat columns render exactly like a parallel
         experiment's — idempotent per metric.
         """
-        from repro.hpcprof.summarize import (
-            apply_summary_stats,
-            register_summary_ids,
-            welford_moments,
-        )
+        from repro.hpcprof.summarize import FLAVORS, summarize_rows
 
         mid = self._mid(metric)
         ids = self._summaries.get(mid)
         if ids is not None:
             return ids
-        ids = register_summary_ids(self.union.metrics, mid)
-        for flavor in ("inclusive", "exclusive"):
-            matrix = self.alignment.matrix(mid, flavor)
-            stats = welford_moments(matrix.T)
-            mask = np.any(matrix != 0.0, axis=0)
-            apply_summary_stats(self.nodes, flavor, ids, stats, mask)
-        self.union.cct.invalidate_caches()
+        rows = zip(*[self.alignment.matrix(mid, flavor) for flavor in FLAVORS])
+        ids = summarize_rows(self.union.cct, self.union.metrics, [mid],
+                             rows)[mid]
         self._summaries[mid] = ids
         self.union._summaries[mid] = ids
         return ids
@@ -435,17 +424,14 @@ def detect_regressions(
     if not corpus:
         raise MetricError("regression baseline corpus is empty")
 
-    from repro.hpcprof.summarize import welford_moments
+    from repro.hpcprof.summarize import RowMoments
 
     incl = ensemble.alignment.matrix(mid, "inclusive")
     totals = incl[:, 0]  # row 0 is the root: each member's own total
     safe = np.where(totals == 0.0, 1.0, totals)
     shares = incl / safe[:, None]
-    count, mean, m2, _minimum, _maximum = welford_moments(shares[corpus].T)
-    if count > 1:
-        stddev = np.sqrt(np.maximum(m2 / count, 0.0))
-    else:
-        stddev = np.zeros_like(mean)
+    moments = RowMoments.of(shares[corpus])
+    mean, stddev = moments.mean, moments.stddev
     delta = shares[t_index] - mean
 
     findings: list[RegressionFinding] = []

@@ -42,13 +42,8 @@ from repro.core.views import ViewNode
 from repro.errors import DatabaseError, ViewError
 from repro.obs.spans import span
 from repro.hpcprof.experiment import Experiment
-from repro.hpcprof.summarize import (
-    SummaryIds,
-    apply_summary_stats,
-    register_summary_ids,
-    welford_state,
-    welford_step,
-)
+from repro.hpcprof.merge import rank_rows
+from repro.hpcprof.summarize import FLAVORS, SummaryIds, summarize_rows
 
 __all__ = [
     "STORE_EXTENSION",
@@ -71,6 +66,8 @@ _COLUMNS_DIR = "columns"
 _RANKS_DIR = "ranks"
 _MATRIX_NAMES = ("raw", "inclusive", "exclusive")
 _FLAVOR_TAG = {"inclusive": "incl", "exclusive": "excl"}
+#: every entry a store directory holds, sealed or not
+_OWN = {MANIFEST_NAME, SKELETON_NAME, _COLUMNS_DIR, _RANKS_DIR}
 _DTYPE = np.dtype("<f8")
 
 
@@ -91,7 +88,9 @@ class StoreWriter:
 
     The manifest is written last, so a crashed or aborted build leaves a
     directory that :func:`is_store_path` rejects rather than a store
-    that opens half-populated.
+    that opens half-populated.  ``overwrite`` accepts such a leftover,
+    a sealed store or an empty directory — any directory holding only
+    a store's own entries — and refuses everything else.
     """
 
     def __init__(self, path: str, overwrite: bool = False) -> None:
@@ -101,10 +100,9 @@ class StoreWriter:
                 raise DatabaseError(
                     f"store path already exists: {path} (pass overwrite)"
                 )
-            if os.path.isfile(path) or not (
-                is_store_path(path) or not os.listdir(path)
-            ):
-                # refuse to clobber anything that is not a store we own
+            if os.path.isfile(path) or not set(os.listdir(path)) <= _OWN:
+                # refuse to clobber anything that is not a store we own;
+                # an unsealed build (say, a failed merge) is one
                 raise DatabaseError(
                     f"refusing to overwrite non-store path: {path}"
                 )
@@ -399,31 +397,21 @@ class StoreExperiment(Experiment):
                 out += np.asarray(matrix[:, row], dtype=np.float64)
         return out
 
-    def summarize(self, metric: str, max_workers: int | None = None
-                  ) -> SummaryIds:
+    def summarize(self, metric: str) -> SummaryIds:
         """Summary columns for *metric* (Section IV finalization).
 
         Columns baked in at merge time are returned directly; otherwise
-        they are computed on demand from the store's rank matrices by
-        the same sequential Welford recurrence the bounded merge uses,
-        one rank row at a time — never materializing the full matrix.
+        they are computed on demand from the store's rank matrices, one
+        rank row at a time, by the same accumulator the bounded merge
+        steps — never materializing the full matrix.
         """
         mid = self.metric_id(metric)
         ids = self._summaries.get(mid)
-        if ids is not None:
-            return ids
-        del max_workers  # the store path is already out-of-core
-        matrix_incl = self.store.rank_matrix(mid, "inclusive")
-        matrix_excl = self.store.rank_matrix(mid, "exclusive")
-        nodes = list(self.cct.walk())
-        ids = register_summary_ids(self.metrics, mid)
-        for flavor, matrix in (
-            ("inclusive", matrix_incl), ("exclusive", matrix_excl)
-        ):
-            stats, mask = _streaming_moments(matrix)
-            apply_summary_stats(nodes, flavor, ids, stats, mask)
-        self.cct.invalidate_caches()
-        self._summaries[mid] = ids
+        if ids is None:
+            rows = zip(*[self.store.rank_matrix(mid, flavor)
+                         for flavor in FLAVORS])
+            ids = summarize_rows(self.cct, self.metrics, [mid], rows)[mid]
+            self._summaries[mid] = ids
         return ids
 
     # ------------------------------------------------------------------ #
@@ -437,23 +425,6 @@ class StoreExperiment(Experiment):
     def close(self) -> None:
         self.release()
         self.store.close()
-
-
-def _streaming_moments(matrix: np.ndarray):
-    """Sequential per-node Welford over rank rows, one row resident.
-
-    Steps through :func:`~repro.hpcprof.summarize.welford_step` like
-    the bounded merge and the in-memory reference
-    (``summarize_ranks_exact``), so all three are bit-identical.
-    """
-    nranks, nnodes = matrix.shape
-    state = welford_state(nnodes)
-    nonzero = np.zeros(nnodes, dtype=bool)
-    for r in range(nranks):
-        x = np.asarray(matrix[r], dtype=np.float64)
-        welford_step(state, x, r + 1)
-        nonzero |= x != 0.0
-    return (nranks, *state), nonzero
 
 
 # --------------------------------------------------------------------- #
@@ -477,30 +448,21 @@ def create_store(
     nodes = engine.nodes
     rank_mids: list[int] = []
     if experiment.rank_ccts:
-        from repro.hpcprof.merge import _walk_aligned
-
-        index = {node.uid: row for row, node in enumerate(nodes)}
+        rank_mids = [d.mid for d in experiment.metrics
+                     if d.kind is MetricKind.RAW]
         nranks = len(experiment.rank_ccts)
-        for desc in experiment.metrics:
-            if desc.kind is not MetricKind.RAW:
-                continue
-            rank_mids.append(desc.mid)
-            for flavor in ("inclusive", "exclusive"):
-                mm = writer.create_rank_matrix(
-                    desc.mid, flavor, nranks, len(nodes)
-                )
-
-                def sink(cnode, rnode, rank, _mm=mm, _mid=desc.mid,
-                         _flavor=flavor):
-                    values = getattr(rnode, _flavor)
-                    value = values.get(_mid, 0.0)
-                    if value != 0.0:
-                        _mm[rank, index[cnode.uid]] += value
-
-                for rank, cct in enumerate(experiment.rank_ccts):
-                    _walk_aligned(experiment.cct.root, cct.root, rank, sink)
-                mm.flush()
-                del mm
+        maps = [
+            writer.create_rank_matrix(mid, flavor, nranks, len(nodes))
+            for mid in rank_mids for flavor in FLAVORS
+        ]
+        rows = rank_rows(experiment.cct, experiment.rank_ccts, rank_mids,
+                         FLAVORS)
+        for rank, row in enumerate(rows):
+            for mm, x in zip(maps, row):
+                mm[rank, :] = x
+        for mm in maps:
+            mm.flush()
+        del maps
     writer.finish(
         name=experiment.name,
         nnodes=len(nodes),

@@ -257,21 +257,18 @@ class Experiment:
         view = view or self.calling_context_view()
         return hot_path(view, self.spec(metric), start=start, threshold=threshold)
 
-    def summarize(self, metric: str, max_workers: int | None = None) -> SummaryIds:
+    def summarize(self, metric: str) -> SummaryIds:
         """Attach mean/min/max/stddev columns over ranks (Section VII).
 
-        ``max_workers > 1`` reduces the per-rank moments through a process
-        pool (see :func:`repro.hpcprof.summarize.rank_moments`); the
-        result is bit-identical to the serial reduction.
+        The same accumulator, stepped in rank order, as the merged and
+        stored summaries, so all three agree bit for bit.
         """
         if not self.rank_ccts:
             raise ViewError("summarize() requires a parallel experiment")
         mid = self.metric_id(metric)
         ids = self._summaries.get(mid)
         if ids is None:
-            ids = summarize_ranks(
-                self.cct, self.rank_ccts, self.metrics, mid, max_workers=max_workers
-            )
+            ids = summarize_ranks(self.cct, self.rank_ccts, self.metrics, mid)
             self._summaries[mid] = ids
         return ids
 

@@ -6,11 +6,22 @@ scope identity is the path of node keys — and supports two cross-
 experiment analyses from the paper:
 
 * :func:`collect_rank_vectors` — per-node vectors of one metric across all
-  ranks, the raw material for load-imbalance presentation (Figure 7) and
-  for statistical summarization (:mod:`repro.hpcprof.summarize`);
+  ranks, the raw material for load-imbalance presentation (Figure 7);
+  :func:`rank_rows` yields the same values rank by rank for statistical
+  summarization (:mod:`repro.hpcprof.summarize`);
 * :func:`scale_and_difference` — the derived scaling-loss metric of
   Section VI-A: scale the profile of a small run and subtract it from a
   large run, attributing scaling loss to individual contexts.
+
+Independently loaded profiles — rank databases, ensemble members — go
+through one union reducer (:class:`_Reducer`): each member is loaded
+once, its structure united into a canonical model by structural key,
+and its CCT grafted into the union while its values are recorded beside
+the union nodes they land on; afterwards each member's values come back
+as rows over the union's preorder.  :func:`merge_rank_files` writes
+those rows into a column store's rank matrices and summary
+accumulators; :func:`repro.hpcprof.align.align_members` keeps them as
+in-memory ensemble matrices.  Only one member is ever resident.
 """
 
 from __future__ import annotations
@@ -32,6 +43,7 @@ from repro.hpcstruct.model import StructKind, StructureModel, StructureNode
 __all__ = [
     "merge_ccts",
     "collect_rank_matrix",
+    "rank_rows",
     "collect_rank_vectors",
     "scale_and_difference",
     "map_structure",
@@ -77,19 +89,43 @@ def merge_ccts(ccts: Sequence[CCT], attribute_result: bool = True) -> CCT:
     return out
 
 
-def _walk_aligned(combined: CCTNode, rank_root: CCTNode, rank: int, sink) -> None:
-    """Visit nodes of one rank tree aligned to the combined tree by key.
+def _walk_aligned(combined: CCTNode, rank_root: CCTNode, sink) -> None:
+    """Call ``sink(combined_node, rank_node)`` for every rank-tree node
+    that has a twin (same key path) in the combined tree.
 
     Iterative, for the same deep-chain reason as :func:`_graft`.
     """
     stack = [(combined, rank_root)]
     while stack:
         cnode, rnode = stack.pop()
-        sink(cnode, rnode, rank)
+        sink(cnode, rnode)
         for child in rnode.children:
             mine = cnode._child_index.get(child.key)
             if mine is not None:
                 stack.append((mine, child))
+
+
+def rank_rows(
+    combined: CCT,
+    rank_ccts: Sequence[CCT],
+    mids: Sequence[int],
+    flavors: Sequence[str],
+):
+    """Yield each rank tree's values as rows over ``combined.walk()``.
+
+    One aligned walk per rank records every column ``(mid, flavor)`` at
+    once (:class:`_GraftRecords`); then, rank by rank, one float64 row
+    per column, with 0 where the rank lacks the scope.  The rows are
+    reused: read each before the next step.
+    """
+    records = _GraftRecords(mids, flavors)
+    try:
+        for cct in rank_ccts:
+            _walk_aligned(combined.root, cct.root, records)
+            records.commit()
+        yield from records.rows(list(combined.walk()))
+    finally:
+        records.close()
 
 
 def collect_rank_matrix(
@@ -104,23 +140,14 @@ def collect_rank_matrix(
     combined-tree scope that is nonzero in at least one rank (row *i*
     belongs to ``nodes[i]``); ranks in which a scope never appeared
     contribute 0 (sparse semantics).  This is the raw material for
-    load-imbalance presentation (Figure 7) and for the vectorized
-    statistical summarization in :mod:`repro.hpcprof.summarize`.
+    load-imbalance presentation (Figure 7).
     """
-    nranks = len(rank_ccts)
+    flavor = "inclusive" if inclusive else "exclusive"
     nodes = list(combined.walk())
-    index = {node.uid: row for row, node in enumerate(nodes)}
-    matrix = np.zeros((len(nodes), nranks))
-
-    def sink(cnode: CCTNode, rnode: CCTNode, rank: int) -> None:
-        values = rnode.inclusive if inclusive else rnode.exclusive
-        value = values.get(mid, 0.0)
-        if value != 0.0:
-            matrix[index[cnode.uid], rank] += value
-
-    for rank, cct in enumerate(rank_ccts):
-        _walk_aligned(combined.root, cct.root, rank, sink)
-
+    matrix = np.zeros((len(nodes), len(rank_ccts)))
+    rows = rank_rows(combined, rank_ccts, [mid], [flavor])
+    for rank, (row,) in enumerate(rows):
+        matrix[:, rank] = row
     mask = np.any(matrix != 0.0, axis=1)
     kept = [node for node, keep in zip(nodes, mask.tolist()) if keep]
     return kept, matrix[mask]
@@ -319,8 +346,9 @@ def _graft_mapped(
 class _GraftRecords:
     """Member values captured during the graft pass, for the measure pass.
 
-    The graft visits every member node next to the union node it lands
-    on.  Recording the union node's uid and the member node's values per
+    The graft (or, for rank trees already merged in memory, an aligned
+    walk) visits every member node next to the union node it lands on.
+    Recording the union node's uid and the member node's values per
     column ``(mid, flavor)`` there means the measure pass never decodes
     a member again: it reads the record back and scatters it into the
     member's matrix row.  The visit order is the order a second aligned
@@ -350,8 +378,6 @@ class _GraftRecords:
         self._k = 0
         #: bytes of the largest member record so far
         self.max_bytes = 0
-        self._sorted_uids: np.ndarray | None = None
-        self._order: np.ndarray | None = None
 
     def _grow(self) -> None:
         cap = max(64, 2 * len(self._uids))
@@ -362,7 +388,7 @@ class _GraftRecords:
         self._uids, self._values = uids, values
 
     def __call__(self, unode: CCTNode, mnode: CCTNode) -> None:
-        """The :func:`_graft_mapped` sink: record one member node."""
+        """The graft or aligned-walk sink: record one member node."""
         k = self._k
         if k == len(self._uids):
             self._grow()
@@ -383,32 +409,33 @@ class _GraftRecords:
         self._k = 0
         self.max_bytes = max(self.max_bytes, k * (8 + 8 * self.width))
 
-    def index(self, nodes: Sequence[CCTNode]) -> None:
-        """Map union uids to rows of *nodes* (the matrix row order)."""
+    def rows(self, nodes: Sequence[CCTNode]):
+        """Yield each member's recorded values as rows over *nodes*.
+
+        Member by member in record order: one float64 row (length
+        ``len(nodes)``) per column ``self.columns[j]``.  Zero values are
+        skipped, exactly as the sparse per-node walk skipped them.  The
+        rows are reused: read each before the next step.
+        """
         uids = np.fromiter(
             (node.uid for node in nodes), dtype=np.int64, count=len(nodes)
         )
-        self._order = np.argsort(uids)
-        self._sorted_uids = uids[self._order]
-
-    def scatter(self, member: int, outs: Sequence[np.ndarray]) -> None:
-        """Add *member*'s recorded values into *outs*, one row per column.
-
-        ``outs[j]`` is the float64 row (length = union nodes) receiving
-        column ``self.columns[j]``; zero values are skipped, exactly as
-        the sparse per-node walk skipped them.
-        """
-        offset, k = self._extents[member]
-        uids = np.empty(k, dtype=np.int64)
-        values = np.empty((k, self.width))
-        self._file.seek(offset)
-        self._file.readinto(memoryview(uids).cast("B"))
-        self._file.readinto(memoryview(values).cast("B"))
-        rows = self._order[np.searchsorted(self._sorted_uids, uids)]
-        for j, out in enumerate(outs):
-            column = values[:, j]
-            nonzero = column != 0.0
-            np.add.at(out, rows[nonzero], column[nonzero])
+        order = np.argsort(uids)
+        sorted_uids = uids[order]
+        outs = [np.zeros(len(nodes)) for _ in self.columns]
+        for offset, k in self._extents:
+            uids = np.empty(k, dtype=np.int64)
+            values = np.empty((k, self.width))
+            self._file.seek(offset)
+            self._file.readinto(memoryview(uids).cast("B"))
+            self._file.readinto(memoryview(values).cast("B"))
+            rows = order[np.searchsorted(sorted_uids, uids)]
+            for j, out in enumerate(outs):
+                out[:] = 0.0
+                column = values[:, j]
+                nonzero = column != 0.0
+                np.add.at(out, rows[nonzero], column[nonzero])
+            yield outs
 
     def close(self) -> None:
         self._file.close()
@@ -421,6 +448,156 @@ def _metric_signature(metrics: MetricTable) -> tuple:
         for d in metrics
         if d.kind is MetricKind.RAW
     )
+
+
+# --------------------------------------------------------------------- #
+# the union reducer: N members, one resident at a time
+# --------------------------------------------------------------------- #
+#: default working-set budget for the reducer (bytes)
+DEFAULT_WORKING_SET = 256 * 1024 * 1024
+
+#: rough resident bytes per combined-tree CCT node (object + dicts)
+_NODE_COST = 700
+
+#: decoded-experiment expansion over on-disk bytes (python object cost)
+_DECODE_EXPANSION = 12
+
+
+def _load(source, strict: bool = True):
+    """Resolve one member into ``(experiment, release, file_bytes)``.
+
+    Anything that is not a path is taken to be an in-memory experiment
+    and passed through untouched.  A path goes through
+    :func:`~repro.hpcprof.database.load`: ``.rpstore`` directories open
+    as mmap-backed store experiments, which *release* closes (so their
+    file descriptors go back at once), strict ``RPDB`` files through the
+    mmap streaming reader, anything else (XML, salvage loads) through
+    the eager loader.
+    """
+    if not isinstance(source, (str, os.PathLike)):
+        return source, None, 0
+    from repro.core.store import StoreExperiment
+    from repro.hpcprof import database
+
+    path = os.fspath(source)
+    exp = database.load(path, strict=strict, out_of_core=True)
+    if isinstance(exp, StoreExperiment):
+        return exp, exp.close, 0
+    return exp, None, os.path.getsize(path)
+
+
+class _Reducer:
+    """One union CCT reduced from N members, one member resident at a time.
+
+    :meth:`graft` loads each member once (:func:`_load`), unites its
+    structure into the canonical model, grafts its CCT into the union
+    (raw sums), and records the member's value per column ``(mid,
+    flavor)`` beside each union node (:class:`_GraftRecords`, spilled to
+    a temporary file); then one Eq. 1/2 attribution pass.  :meth:`rows`
+    then yields each member's recorded values scattered into rows over
+    the union's preorder.  Both passes check one working-set estimate
+    against the budget: the union skeleton, the largest decoded member,
+    the largest member record, and what the caller keeps per node.
+
+    Node creation and raw sums follow ``merge_ccts`` over remapped
+    trees, so the union is bit-identical to the in-memory merge.  Used
+    as a context manager: the spill file goes on exit.
+    """
+
+    def __init__(self, flavors: Sequence[str], working_set_bytes: int) -> None:
+        self.flavors = flavors
+        self.budget = working_set_bytes
+        self.peak = 0
+        self.tree: CCT | None = None
+        self.metrics: MetricTable | None = None
+        self.signature: tuple | None = None
+        self.records: _GraftRecords | None = None
+        self.nodes: list[CCTNode] = []
+
+    def __enter__(self) -> "_Reducer":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self.records is not None:
+            self.records.close()
+
+    def _charge(self, estimate: int, stage: str) -> None:
+        self.peak = max(self.peak, estimate)
+        if estimate > self.budget:
+            raise DatabaseError(
+                f"working-set budget exceeded during {stage}: need about "
+                f"{estimate / 1048576:.1f} MiB, budget is "
+                f"{self.budget / 1048576:.1f} MiB (raise working_set_bytes)"
+            )
+
+    def graft(self, sources: Sequence, canonical, admit,
+              strict: bool = True) -> None:
+        """Graft every source into the union, in order.
+
+        ``canonical(first)`` gives the union's structure model, from the
+        first loaded member; the union's metric table is a copy of that
+        member's.  ``admit(i, experiment)`` vets each loaded member
+        before its graft, raising the caller's own error to refuse it
+        (:attr:`signature` is the union's RAW metric signature).
+        """
+        from repro.obs.spans import span
+
+        with span("hpcprof.reduce.graft"):
+            union_nodes = 1
+            max_file = 0
+            for i, source in enumerate(sources):
+                exp, release, nbytes = _load(source, strict=strict)
+                try:
+                    if self.tree is None:
+                        self.tree = CCT(canonical(exp))
+                        self.metrics = exp.metrics.copy()
+                        self.signature = _metric_signature(self.metrics)
+                        self.records = _GraftRecords(
+                            [d.mid for d in self.metrics
+                             if d.kind is MetricKind.RAW],
+                            self.flavors,
+                        )
+                    admit(i, exp)
+                    mapping = map_structure(self.tree.structure,
+                                            exp.structure)
+                    union_nodes += _graft_mapped(
+                        self.tree.root, exp.cct.root, mapping, self.records
+                    )
+                    self.records.commit()
+                finally:
+                    if release is not None:
+                        release()
+                del exp
+                max_file = max(max_file, nbytes)
+                self._charge(
+                    union_nodes * _NODE_COST
+                    + max_file * _DECODE_EXPANSION
+                    + self.records.max_bytes,
+                    "graft",
+                )
+            attribute(self.tree)
+            self.nodes = list(self.tree.walk())
+
+    def rows(self, resident_bytes: int):
+        """Yield each member's values as rows over :attr:`nodes`.
+
+        One float64 row per column of :attr:`records`, member by member
+        in input order; the rows are reused, so read each before the
+        next step.  *resident_bytes* is what the caller holds beside
+        them, charged to the budget first.
+        """
+        from repro.obs.spans import span
+
+        n = len(self.nodes)
+        with span("hpcprof.reduce.measure"):
+            self._charge(
+                n * _NODE_COST
+                + self.records.width * n * 8
+                + resident_bytes
+                + self.records.max_bytes,
+                "measure",
+            )
+            yield from self.records.rows(self.nodes)
 
 
 def _summary_mids(metrics: MetricTable, summarize) -> list[int]:
@@ -449,19 +626,21 @@ def merge_experiments(
     The first experiment's structure model becomes canonical; every
     other model is united into it by structural key, each input tree is
     remapped and retained as one rank tree, and the combined CCT is
-    their re-attributed union.  *summarize* (metric names, or ``"all"``)
-    attaches mean/min/max/stddev columns via the exact sequential
-    Welford path (:func:`~repro.hpcprof.summarize.summarize_ranks_exact`)
-    — the in-memory reference the bounded-memory
-    :func:`merge_rank_files` is bit-identical to.
+    their re-attributed union.  The merged experiment gets a copy of the
+    first metric table (same ids), so the inputs' tables never change.
+    *summarize* (metric names, or ``"all"``) attaches mean/min/max/stddev
+    columns via :func:`~repro.hpcprof.summarize.summarize_ranks` — the
+    in-memory reference the bounded-memory :func:`merge_rank_files` is
+    bit-identical to.
     """
     from repro.hpcprof.experiment import Experiment
-    from repro.hpcprof.summarize import summarize_ranks_exact
+    from repro.hpcprof.summarize import summarize_ranks
 
     if not experiments:
         raise MetricError("need at least one experiment to merge")
     first = experiments[0]
-    signature = _metric_signature(first.metrics)
+    metrics = first.metrics.copy()
+    signature = _metric_signature(metrics)
     canonical = first.structure
     rank_ccts: list[CCT] = []
     for exp in experiments:
@@ -474,12 +653,12 @@ def merge_experiments(
         rank_ccts.extend(remap_cct(cct, mapping) for cct in sources)
     combined = merge_ccts(rank_ccts)
     merged = Experiment(
-        name or first.name, first.metrics, canonical, combined,
+        name or first.name, metrics, canonical, combined,
         rank_ccts=rank_ccts,
     )
-    for mid in _summary_mids(first.metrics, summarize):
-        merged._summaries[mid] = summarize_ranks_exact(
-            combined, rank_ccts, first.metrics, mid
+    for mid in _summary_mids(metrics, summarize):
+        merged._summaries[mid] = summarize_ranks(
+            combined, rank_ccts, metrics, mid
         )
     return merged
 
@@ -487,16 +666,6 @@ def merge_experiments(
 # --------------------------------------------------------------------- #
 # bounded-memory merge of rank databases into a column store
 # --------------------------------------------------------------------- #
-#: default working-set budget for :func:`merge_rank_files` (bytes)
-DEFAULT_WORKING_SET = 256 * 1024 * 1024
-
-#: rough resident bytes per combined-tree CCT node (object + dicts)
-_NODE_COST = 700
-
-#: decoded-experiment expansion over on-disk bytes (python object cost)
-_DECODE_EXPANSION = 12
-
-
 @dataclass(frozen=True)
 class MergeReport:
     """What :func:`merge_rank_files` did, and how big it got."""
@@ -522,35 +691,6 @@ class MergeReport:
         )
 
 
-def _load_rank(path: str, strict: bool = True):
-    """Load one rank database, streaming when the format allows it.
-
-    Binary databases go through the mmap streaming reader (byte working
-    set = one section); XML and salvage loads fall back to the eager
-    path, still bounded to one file at a time.
-    """
-    from repro.hpcprof import binio, database
-
-    if strict:
-        try:
-            with open(path, "rb") as fh:
-                magic = fh.read(4)
-        except OSError:
-            magic = b""  # let database.load raise its canonical error
-        if magic == b"RPDB":
-            return binio.read_binary_streaming(path)
-    return database.load(path, strict=strict)
-
-
-def _budget_check(estimate: int, budget: int, stage: str) -> None:
-    if estimate > budget:
-        raise DatabaseError(
-            f"working-set budget exceeded during {stage}: need about "
-            f"{estimate / 1048576:.1f} MiB, budget is "
-            f"{budget / 1048576:.1f} MiB (raise working_set_bytes)"
-        )
-
-
 def merge_rank_files(
     paths: Sequence[str],
     out_path: str,
@@ -563,155 +703,76 @@ def merge_rank_files(
 ) -> MergeReport:
     """Fold N single-rank databases into one mmap-backed column store.
 
-    Each database is decoded exactly once.  Two passes, neither of which
-    ever holds more than one decoded rank (or one rank's record) plus
-    the combined skeleton and O(scopes x metrics) accumulators (checked
-    against *working_set_bytes*):
-
-    1. **graft** — each database is loaded (streaming reader), its
-       structure united into the canonical model, and its CCT grafted
-       into the combined tree in rank order, recording each rank node's
-       inclusive/exclusive values beside the union node it landed on
-       (spilled to a temporary file); then one Eq. 1/2 attribution pass
-       over the union.
-    2. **measure** — each rank's record is read back and scattered into
-       one contiguous row of the on-disk ``(nranks x nnodes)`` rank
-       matrices, and the summary accumulators advance by the exact
-       Welford recurrence.
+    The union reducer (:class:`_Reducer`) grafts the databases in rank
+    order, decoding each exactly once, and then yields each rank's
+    values; each is written as one contiguous row of the on-disk
+    ``(nranks x nnodes)`` rank matrices and feeds the summary
+    accumulators (:func:`~repro.hpcprof.summarize.summarize_rows`).
+    Nothing ever holds more than one decoded rank (or one rank's
+    record) plus the combined skeleton and O(scopes x metrics)
+    accumulators, checked against *working_set_bytes*.
 
     The result is bit-identical to ``merge_experiments(...,
     summarize=...)`` over the same files — the differential suite pins
     raw sums, attribution, summary columns, and rendered tables.
     """
     from repro.core.store import StoreWriter, store_size_bytes
-    from repro.hpcprof.summarize import welford_state, welford_step
-    from repro.obs.spans import span
+    from repro.hpcprof.experiment import Experiment
+    from repro.hpcprof.summarize import FLAVORS, summarize_rows
 
     paths = list(paths)
     if not paths:
         raise DatabaseError("need at least one rank database to merge")
 
     writer = StoreWriter(out_path, overwrite=overwrite)
-    combined = CCT()
-    canonical: StructureModel | None = None
-    metrics: MetricTable | None = None
-    signature: tuple | None = None
-    records: _GraftRecords | None = None
-    flavors = ("inclusive", "exclusive")
-    merged_name = name
-    union_nodes = 1
-    max_file = 0
-    peak = 0
+    names: list[str] = []
 
-    try:
-        # pass 1: graft every rank tree into the combined skeleton,
-        # recording each rank's values on the way
-        with span("hpcprof.reduce.graft"):
-            for path in paths:
-                exp = _load_rank(path, strict=strict)
-                if exp.rank_ccts:
-                    raise DatabaseError(
-                        f"{path}: merge inputs must be single-rank databases "
-                        f"(this one holds {len(exp.rank_ccts)} rank trees)"
-                    )
-                if metrics is None:
-                    metrics = exp.metrics
-                    signature = _metric_signature(metrics)
-                    canonical = exp.structure
-                    if merged_name is None:
-                        merged_name = exp.name
-                    records = _GraftRecords(
-                        [d.mid for d in metrics if d.kind is MetricKind.RAW],
-                        flavors,
-                    )
-                elif _metric_signature(exp.metrics) != signature:
-                    raise DatabaseError(
-                        f"{path}: metric table differs from {paths[0]}"
-                    )
-                mapping = map_structure(canonical, exp.structure)
-                union_nodes += _graft_mapped(
-                    combined.root, exp.cct.root, mapping, records
-                )
-                records.commit()
-                del exp
-                max_file = max(max_file, os.path.getsize(path))
-                estimate = (
-                    union_nodes * _NODE_COST
-                    + max_file * _DECODE_EXPANSION
-                    + records.max_bytes
-                )
-                peak = max(peak, estimate)
-                _budget_check(estimate, working_set_bytes, "graft")
-            attribute(combined)
-
-        # pass 2: scatter the records into matrices + exact Welford
-        # summaries
-        with span("hpcprof.reduce.measure"):
-            nodes = list(combined.walk())
-            n = len(nodes)
-            nranks = len(paths)
-            mids = [d.mid for d in metrics if d.kind is MetricKind.RAW]
-            summary_mids = _summary_mids(
-                metrics, summarize
-            ) if summarize else []
-
-            maps = {
-                key: writer.create_rank_matrix(*key, nranks, n)
-                for key in records.columns
-            }
-            cols = {key: np.zeros(n) for key in maps}
-            acc = {
-                (mid, flavor): (welford_state(n), np.zeros(n, dtype=bool))
-                for mid in summary_mids
-                for flavor in flavors
-            }
-            accumulator_bytes = (len(maps) + 5 * len(acc)) * n * 8
-            estimate = (
-                n * _NODE_COST + accumulator_bytes + records.max_bytes
+    def admit(i: int, exp) -> None:
+        if exp.nranks > 1:
+            raise DatabaseError(
+                f"{paths[i]}: merge inputs must be single-rank databases "
+                f"(this one holds {exp.nranks} rank trees)"
             )
-            peak = max(peak, estimate)
-            _budget_check(estimate, working_set_bytes, "measure")
+        if _metric_signature(exp.metrics) != reducer.signature:
+            raise DatabaseError(
+                f"{paths[i]}: metric table differs from {paths[0]}"
+            )
+        names.append(exp.name)
 
-            records.index(nodes)
-            outs = [cols[key] for key in records.columns]
-            for r in range(nranks):
-                for buf in outs:
-                    buf[:] = 0.0
-                records.scatter(r, outs)
-                for key, mm in maps.items():
-                    x = cols[key]
+    with _Reducer(FLAVORS, working_set_bytes) as reducer:
+        reducer.graft(paths, operator.attrgetter("structure"), admit,
+                      strict=strict)
+        combined, metrics = reducer.tree, reducer.metrics
+        n, nranks = len(reducer.nodes), len(paths)
+        summary_mids = _summary_mids(metrics, summarize)
+        columns = reducer.records.columns
+        maps = [
+            writer.create_rank_matrix(mid, flavor, nranks, n)
+            for mid, flavor in columns
+        ]
+        picks = [
+            columns.index((mid, flavor))
+            for mid in summary_mids for flavor in FLAVORS
+        ]
+
+        def measured():
+            # five accumulator arrays per summarized column
+            rows = reducer.rows(5 * len(picks) * n * 8)
+            for r, row in enumerate(rows):
+                for mm, x in zip(maps, row):
                     mm[r, :] = x
-                    stats = acc.get(key)
-                    if stats is not None:
-                        state, nonzero = stats
-                        welford_step(state, x, r + 1)
-                        nonzero |= x != 0.0
+                yield [row[j] for j in picks]
 
-            for mm in maps.values():
-                mm.flush()
-            maps.clear()
-    finally:
-        if records is not None:
-            records.close()
+        summaries = summarize_rows(combined, metrics, summary_mids,
+                                   measured())
+        for mm in maps:
+            mm.flush()
+        del maps
 
-    # finalize: register + write summary columns, then seal the store
-    from repro.hpcprof.experiment import Experiment
-    from repro.hpcprof.summarize import (
-        apply_summary_stats,
-        register_summary_ids,
+    merged = Experiment(
+        (names[0] if name is None else name) or "merged",
+        metrics, combined.structure, combined,
     )
-
-    summaries = {}
-    for mid in summary_mids:
-        ids = register_summary_ids(metrics, mid)
-        summaries[mid] = ids
-        for flavor in flavors:
-            state, nonzero = acc[(mid, flavor)]
-            apply_summary_stats(nodes, flavor, ids, (nranks, *state), nonzero)
-    if summaries:
-        combined.invalidate_caches()
-
-    merged = Experiment(merged_name or "merged", metrics, canonical, combined)
     skeleton_bytes = writer.write_skeleton(merged)
     writer.write_matrices(merged.engine)
     writer.finish(
@@ -719,12 +780,12 @@ def merge_rank_files(
         nnodes=n,
         num_metrics=len(metrics),
         nranks=nranks,
-        rank_mids=mids,
+        rank_mids=[d.mid for d in metrics if d.kind is MetricKind.RAW],
         summaries=summaries,
         extra={
             "skeleton_bytes": skeleton_bytes,
             "working_set_bytes": working_set_bytes,
-            "peak_estimate_bytes": peak,
+            "peak_estimate_bytes": reducer.peak,
         },
     )
     return MergeReport(
@@ -734,7 +795,7 @@ def merge_rank_files(
         num_metrics=len(metrics),
         summarized=tuple(summary_mids),
         working_set_bytes=working_set_bytes,
-        peak_estimate_bytes=peak,
+        peak_estimate_bytes=reducer.peak,
         skeleton_bytes=skeleton_bytes,
         store_bytes=store_size_bytes(out_path),
     )

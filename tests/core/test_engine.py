@@ -9,7 +9,6 @@ aggregation, view-row gathers) against their naive counterparts.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core.attribution import (
@@ -73,9 +72,10 @@ class TestBitwiseParity:
         assert snapshot(exp.cct) == reference
 
     def test_summary_columns_match_per_vector_reference(self):
-        """The columnar summary (axis reductions over the rank matrix)
-        equals the per-vector np calls of the historical dict path."""
+        """The columnar summary (one accumulator stepped over the rank
+        rows) equals a scalar Welford pass over each scope's vector."""
         from repro.hpcprof.merge import collect_rank_vectors
+        from tests.oracles import Moments
 
         exp = spmd_experiment(pflotran.build(), nranks=16)
         vectors = collect_rank_vectors(exp.cct, exp.rank_ccts, 0)
@@ -85,10 +85,11 @@ class TestBitwiseParity:
             if vec is None:
                 assert ids.mean not in node.inclusive
                 continue
-            assert node.inclusive[ids.mean] == float(np.mean(vec))
-            assert node.inclusive[ids.minimum] == float(np.min(vec))
-            assert node.inclusive[ids.maximum] == float(np.max(vec))
-            assert node.inclusive[ids.stddev] == float(np.std(vec))
+            reference = Moments.of(vec.tolist())
+            assert node.inclusive[ids.mean] == reference.mean
+            assert node.inclusive[ids.minimum] == reference.minimum
+            assert node.inclusive[ids.maximum] == reference.maximum
+            assert node.inclusive[ids.stddev] == reference.stddev
 
     def test_dispatcher_threshold(self):
         small = Experiment.from_program(fig1.build())

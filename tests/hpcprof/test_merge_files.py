@@ -116,17 +116,12 @@ class TestMergeRankFiles:
         )
         assert report.store_bytes == walked
 
-    def test_multi_rank_input_rejected(self, tmp_path, monkeypatch):
+    def test_multi_rank_input_rejected(self, tmp_path):
         # serialization never writes rank trees, so the guard can only
-        # trip on an in-process loader handing back a multi-rank
-        # experiment — simulate exactly that
-        from repro.hpcprof import merge as merge_mod
-
+        # trip on an in-memory multi-rank experiment
         multi = Experiment.from_program(fig1.build(), nranks=3)
-        monkeypatch.setattr(merge_mod, "_load_rank",
-                            lambda path, strict=True: multi)
         with pytest.raises(DatabaseError, match="single-rank"):
-            merge_rank_files(["fake.rpdb"], str(tmp_path / "m.rpstore"))
+            merge_rank_files([multi], str(tmp_path / "m.rpstore"))
 
     def test_metric_signature_mismatch_rejected(self, rank_paths, tmp_path):
         odd_prog = scale_program(fanout=3, depth=2, metric="instructions")
@@ -151,6 +146,52 @@ class TestMergeRankFiles:
             merge_rank_files(rank_paths, out)
         report = merge_rank_files(rank_paths[:3], out, overwrite=True)
         assert report.nranks == 3
+
+    def test_failed_merge_does_not_block_its_retry(self, rank_paths,
+                                                   tmp_path):
+        out = str(tmp_path / "m.rpstore")
+        with pytest.raises(DatabaseError, match="working-set budget"):
+            merge_rank_files(rank_paths, out, working_set_bytes=1024)
+        assert sorted(os.listdir(out)) == ["columns", "ranks"]  # unsealed
+        report = merge_rank_files(rank_paths, out, overwrite=True)
+        assert report.nranks == 5
+        database.load(out).close()
+
+    def test_overwrite_refuses_a_foreign_directory(self, rank_paths,
+                                                   tmp_path):
+        out = tmp_path / "m.rpstore"
+        (out / "columns").mkdir(parents=True)
+        (out / "notes.txt").write_text("mine")
+        with pytest.raises(DatabaseError, match="non-store"):
+            merge_rank_files(rank_paths, str(out), overwrite=True)
+        assert (out / "notes.txt").read_text() == "mine"
+
+
+class TestMergeExperiments:
+    def test_summarized_merge_leaves_its_inputs_unchanged(self, rank_paths):
+        loaded = [database.load(p) for p in rank_paths]
+
+        def tables():
+            return [[(d.mid, d.name, d.kind) for d in exp.metrics]
+                    for exp in loaded]
+
+        before = tables()
+        first = merge_experiments(loaded, summarize="all")
+        assert tables() == before
+        again = merge_experiments(loaded, summarize="all")
+        assert tables() == before
+        assert [(d.mid, d.name) for d in again.metrics] == [
+            (d.mid, d.name) for d in first.metrics
+        ]
+
+        def bits(exp):
+            return [
+                [(mid, v.hex()) for values in (n.inclusive, n.exclusive)
+                 for mid, v in values.items()]
+                for n in exp.cct.walk()
+            ]
+
+        assert bits(again) == bits(first)
 
 
 class TestStructureMapping:

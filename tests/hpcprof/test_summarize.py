@@ -1,4 +1,4 @@
-"""Tests for statistical summarization (Moments, summary metrics)."""
+"""Tests for statistical summarization (RowMoments, summary metrics)."""
 
 from __future__ import annotations
 
@@ -9,8 +9,18 @@ import pytest
 
 from repro.errors import MetricError
 from repro.hpcprof.experiment import Experiment
-from repro.hpcprof.summarize import Moments, imbalance_factor, summarize_ranks
-from tests.hpcprof.test_merge import make_rank_program
+from repro.core.cct import CCT
+from repro.core.metrics import MetricTable
+from repro.hpcprof.merge import collect_rank_matrix, merge_ccts
+from repro.hpcprof.summarize import (
+    RowMoments,
+    imbalance_factor,
+    summarize_ranks,
+)
+from repro.sim.spmd import spmd_experiment
+from repro.sim.workloads import pflotran
+from tests.hpcprof.test_merge import make_rank_program, rank_ccts  # noqa: F401
+from tests.oracles import Moments
 
 
 class TestMoments:
@@ -96,6 +106,58 @@ class TestSummarizeRanks:
         root = experiment.cct.root
         summary_keys = [k for k in root.inclusive if k in ids.all()]
         assert len(summary_keys) == 4
+
+
+class TestRowMoments:
+    @pytest.fixture(scope="class")
+    def matrix64(self):
+        exp = spmd_experiment(pflotran.build(), nranks=64)
+        _nodes, matrix = collect_rank_matrix(exp.cct, exp.rank_ccts, 0)
+        return matrix
+
+    def test_matches_scalar_accumulator(self, matrix64):
+        """Stepping rank columns equals the scalar Welford oracle per row,
+        bit for bit."""
+        moments = RowMoments.of(matrix64.T)
+        assert moments.count == 64
+        for row in range(0, matrix64.shape[0], 7):
+            reference = Moments.of(matrix64[row])
+            assert (moments.mean[row], moments.m2[row], moments.minimum[row],
+                    moments.maximum[row]) == (
+                reference.mean, reference.m2, reference.minimum,
+                reference.maximum)
+            assert moments.stddev[row] == reference.stddev
+
+    def test_matches_numpy_closely(self, matrix64):
+        """Welford vs. numpy's pairwise axis kernels: the same statistics
+        up to rounding (they sum in different orders by design)."""
+        moments = RowMoments.of(matrix64.T)
+        assert moments.mean == pytest.approx(matrix64.mean(axis=1), rel=1e-12)
+        assert np.array_equal(moments.minimum, matrix64.min(axis=1))
+        assert np.array_equal(moments.maximum, matrix64.max(axis=1))
+        assert moments.stddev == pytest.approx(
+            matrix64.std(axis=1), rel=1e-9, abs=1e-12
+        )
+        assert np.array_equal(moments.nonzero, np.any(matrix64 != 0.0, axis=1))
+
+
+class TestSummarizeRanksDirect:
+    def test_rejects_no_ranks(self):
+        with pytest.raises(MetricError):
+            summarize_ranks(CCT(), [], MetricTable(), 0)
+
+    def test_sparse_scope_averages_over_all_ranks(self, rank_ccts):
+        """A scope present in one rank only averages over ALL ranks: the
+        rank that lacks it contributes a 0."""
+        combined = merge_ccts(rank_ccts[:1])
+        metrics = MetricTable()
+        metrics.add("cycles")
+        ids = summarize_ranks(combined, [rank_ccts[0], CCT()], metrics, 0)
+        root = combined.root
+        value = rank_ccts[0].root.inclusive[0]
+        assert root.inclusive[ids.mean] == value / 2
+        assert root.inclusive[ids.minimum] == 0.0
+        assert root.inclusive[ids.maximum] == value
 
 
 class TestImbalanceFactor:

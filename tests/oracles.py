@@ -6,6 +6,10 @@ replaced; tests compare the two ``float.hex`` by ``float.hex``.
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+from typing import Iterable
+
 import numpy as np
 
 from repro.core.hotpath import DEFAULT_THRESHOLD, HotPathResult, hot_path_generic
@@ -56,3 +60,65 @@ def hot_path_cct(start, mid, threshold=DEFAULT_THRESHOLD) -> HotPathResult:
         children_fn=lambda n: n.children,
         threshold=threshold,
     )
+
+
+@dataclass
+class Moments:
+    """Scalar Welford statistics over a stream of values, plus the exact
+    parallel combination (Chan et al.) — the oracle for the per-row
+    accumulator :class:`repro.hpcprof.summarize.RowMoments`."""
+
+    count: int = 0
+    mean: float = 0.0
+    m2: float = 0.0
+    minimum: float = math.inf
+    maximum: float = -math.inf
+
+    def add(self, x: float) -> None:
+        """Welford online update with one value."""
+        self.count += 1
+        delta = x - self.mean
+        self.mean += delta / self.count
+        self.m2 += delta * (x - self.mean)
+        self.minimum = min(self.minimum, x)
+        self.maximum = max(self.maximum, x)
+
+    def merge(self, other: "Moments") -> "Moments":
+        """Fold *other* in: same count/mean/M2 as one stream, up to rounding."""
+        if other.count == 0:
+            return self
+        if self.count == 0:
+            self.count = other.count
+            self.mean = other.mean
+            self.m2 = other.m2
+            self.minimum = other.minimum
+            self.maximum = other.maximum
+            return self
+        n = self.count + other.count
+        delta = other.mean - self.mean
+        self.m2 = self.m2 + other.m2 + delta * delta * self.count * other.count / n
+        self.mean = (self.count * self.mean + other.count * other.mean) / n
+        self.count = n
+        self.minimum = min(self.minimum, other.minimum)
+        self.maximum = max(self.maximum, other.maximum)
+        return self
+
+    @property
+    def variance(self) -> float:
+        """Population variance (0 for fewer than 2 values)."""
+        return self.m2 / self.count if self.count > 1 else 0.0
+
+    @property
+    def stddev(self) -> float:
+        return math.sqrt(max(self.variance, 0.0))
+
+    @property
+    def total(self) -> float:
+        return self.mean * self.count
+
+    @classmethod
+    def of(cls, values: Iterable[float]) -> "Moments":
+        m = cls()
+        for x in values:
+            m.add(x)
+        return m

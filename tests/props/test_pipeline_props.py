@@ -10,7 +10,7 @@ from repro.core.metrics import total
 from repro.hpcprof import binio, xmlio
 from repro.hpcprof.experiment import Experiment
 from repro.hpcprof.merge import merge_ccts
-from repro.hpcprof.summarize import Moments
+from tests.oracles import Moments
 from tests.oracles import hot_path_cct
 from tests.props.strategies import NUM_METRICS, cct_experiments
 
