@@ -17,6 +17,8 @@ format pipeline against drift.
 from __future__ import annotations
 
 import os
+import shutil
+import tempfile
 
 from repro.core.metrics import MetricFlavor, MetricSpec
 from repro.hpcprof.experiment import Experiment
@@ -27,8 +29,9 @@ __all__ = ["COLUMNAR_FIXTURE", "DATA_DIR", "ENSEMBLE_DROPPED",
            "ENSEMBLE_PLANTED", "ENSEMBLE_TARGET", "FIXTURES",
            "GOLDEN_QUERIES", "TRACE_CHUNK_DURATION", "TRACE_FIXTURES",
            "VIEW_SLUGS", "build_fixture", "build_trace_fixture",
-           "columnar_table_bytes", "ensemble_members", "ensemble_outputs",
-           "query_outputs", "render_views", "trace_outputs",
+           "alignment_payload", "columnar_table_bytes", "ensemble_members",
+           "ensemble_outputs", "merge_store_outputs", "query_outputs",
+           "render_views", "scale_ranks", "trace_outputs",
            "trace_store_files", "trace_window"]
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -69,6 +72,12 @@ def scale_merged() -> Experiment:
     golden render — the part of the format the out-of-core merge must
     reproduce bit-for-bit.
     """
+    return merge_experiments(scale_ranks(), name="scale-merged",
+                             summarize="all")
+
+
+def scale_ranks() -> list[Experiment]:
+    """The six imbalanced single-rank experiments behind ``scale-merged``."""
     from repro.hpcstruct.synthstruct import build_structure
     from repro.sim.executor import execute
     from repro.sim.scale import scale_program
@@ -80,7 +89,7 @@ def scale_merged() -> Experiment:
         profile = execute(program, rank=rank, nranks=6, seed=99)
         ranks.append(Experiment.from_profile(profile, structure,
                                              name=f"scale-r{rank}"))
-    return merge_experiments(ranks, name="scale-merged", summarize="all")
+    return ranks
 
 
 @_fixture
@@ -257,7 +266,96 @@ def ensemble_outputs() -> dict[str, bytes]:
     out["ensemble.findings.json"] = (
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
     ).encode("utf-8")
+    out["ensemble.align.memory.json"] = _dump_json(
+        alignment_payload(ensemble.alignment))
+    tmp = tempfile.mkdtemp(prefix="golden-ensemble-")
+    try:
+        paths = []
+        for i in range(len(members)):
+            path = os.path.join(tmp, f"ensemble-m{i}.v2.rpdb")
+            with open(path, "wb") as fh:
+                fh.write(out[f"ensemble-m{i}.v2.rpdb"])
+            paths.append(path)
+        from_files = align_experiments(paths, name="golden-ensemble")
+        out["ensemble.align.files.json"] = _dump_json(
+            alignment_payload(from_files.alignment))
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
     return out
+
+
+def _dump_json(payload) -> bytes:
+    import json
+
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            ).encode("utf-8")
+
+
+def alignment_payload(alignment) -> dict:
+    """An alignment's union preorder keys and matrices, as ``float.hex``.
+
+    Each union scope is ``[parent row, kind, static scope, line]`` in
+    preorder, the static scope being its structural key (kind, name,
+    file, line) or null; each matrix is keyed ``<mid>.<flavor>`` and
+    holds one list of hex floats per member.
+    """
+    rows = {node.uid: row for row, node in enumerate(alignment.nodes)}
+    keys = []
+    for node in alignment.nodes:
+        parent = node.parent
+        struct = node.struct
+        keys.append([
+            -1 if parent is None else rows[parent.uid],
+            node.kind.value,
+            None if struct is None else list(struct.key),
+            node.line,
+        ])
+    matrices = {
+        f"{mid}.{flavor}": [[float(x).hex() for x in row] for row in matrix]
+        for (mid, flavor), matrix in sorted(alignment.matrices.items())
+    }
+    return {"names": list(alignment.names), "keys": keys,
+            "matrices": matrices}
+
+
+# --------------------------------------------------------------------- #
+# the golden merged store: the scale ranks folded by merge_rank_files
+# --------------------------------------------------------------------- #
+def merge_store_outputs() -> dict[str, bytes]:
+    """filename -> bytes of the store ``merge_rank_files`` builds from
+    the six :func:`scale_ranks` databases.
+
+    Every file but ``manifest.json`` is pinned, flattened as
+    ``scale-merged.store.<path with '/' as '.'>``: the skeleton, the
+    three engine column files and every rank matrix.  Any drift in the
+    union, its attribution, the per-rank rows or the summaries changes
+    checked-in bytes.
+    """
+    from repro.hpcprof import binio
+    from repro.hpcprof.merge import merge_rank_files
+
+    out: dict[str, bytes] = {}
+    tmp = tempfile.mkdtemp(prefix="golden-store-")
+    try:
+        paths = []
+        for i, rank in enumerate(scale_ranks()):
+            path = os.path.join(tmp, f"scale-r{i}.rpdb")
+            binio.write_binary(rank, path)
+            paths.append(path)
+        store = os.path.join(tmp, "scale-merged.rpstore")
+        merge_rank_files(paths, store, name="scale-merged")
+        for base, _dirs, files in os.walk(store):
+            for fname in files:
+                full = os.path.join(base, fname)
+                rel = os.path.relpath(full, store)
+                if rel == "manifest.json":
+                    continue
+                with open(full, "rb") as fh:
+                    out["scale-merged.store." + rel.replace(os.sep, ".")] = \
+                        fh.read()
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    return dict(sorted(out.items()))
 
 
 # --------------------------------------------------------------------- #

@@ -168,6 +168,14 @@ def test_ensemble_outputs_are_byte_stable() -> None:
             assert fh.read() == content, f"golden drift in {name}"
 
 
+def test_merged_store_is_byte_stable() -> None:
+    """``merge_rank_files`` over the scale ranks still writes every
+    checked-in byte: skeleton, engine columns and rank matrices."""
+    for name, content in corpus.merge_store_outputs().items():
+        with open(_data(name), "rb") as fh:
+            assert fh.read() == content, f"golden drift in {name}"
+
+
 def test_ensemble_diff_from_pinned_files_matches_golden() -> None:
     """Aligning the checked-in ``.rpdb`` members reproduces the golden
     diff renders — the file-path loader and the in-memory path agree."""

@@ -11,6 +11,13 @@ For every fixture in ``tests/golden/corpus.py`` this writes:
 * ``<name>.table.rpcol`` — for the one pinned fixture, the framed
   columnar table bytes the server sends under ``Accept:
   application/x-repro-columnar`` (see ``corpus.columnar_table_bytes``);
+* ``ensemble.align.{memory,files}.json`` — the golden ensemble's union
+  preorder keys and align matrices as ``float.hex``, aligned from the
+  in-memory members and from their ``.v2.rpdb`` files (see
+  ``corpus.alignment_payload``);
+* ``scale-merged.store.<file>`` — every file but the manifest of the
+  store ``merge_rank_files`` folds from the six scale ranks (see
+  ``corpus.merge_store_outputs``);
 * ``<name>.trace.<file>`` — for every trace fixture, the exact bytes of
   its time-partitioned chunked store (manifest, skeleton, per-chunk
   event/slab files) plus JSON renders of a pinned window query, flame
@@ -57,6 +64,7 @@ def generate() -> dict[str, bytes]:
             )
     out.update(corpus.query_outputs())
     out.update(corpus.ensemble_outputs())
+    out.update(corpus.merge_store_outputs())
     out.update(corpus.trace_outputs())
     return out
 
