@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 
 import numpy as np
 
@@ -86,16 +87,19 @@ def _rank_file(mid: int, flavor: str) -> str:
 class StoreWriter:
     """Builds a store directory file by file; ``finish`` seals it.
 
-    The manifest is written last, so a crashed or aborted build leaves a
-    directory that :func:`is_store_path` rejects rather than a store
-    that opens half-populated.  ``overwrite`` accepts such a leftover,
+    The manifest is written last, so a crashed build leaves a directory
+    that :func:`is_store_path` rejects rather than a store that opens
+    half-populated; a build that fails in process calls :meth:`abort`.  ``overwrite`` accepts such a leftover,
     a sealed store or an empty directory — any directory holding only
     a store's own entries — and refuses everything else.
     """
 
     def __init__(self, path: str, overwrite: bool = False) -> None:
         self.path = path
-        if os.path.exists(path):
+        #: whether this build made the directory (:meth:`abort` then
+        #: removes it too)
+        self.created = not os.path.exists(path)
+        if not self.created:
             if not overwrite:
                 raise DatabaseError(
                     f"store path already exists: {path} (pass overwrite)"
@@ -120,6 +124,21 @@ class StoreWriter:
             if os.path.isdir(full):
                 for name in os.listdir(full):
                     os.unlink(os.path.join(full, name))
+
+    def abort(self) -> None:
+        """Remove what this build wrote: every store entry, and the
+        directory itself when the build created it."""
+        for rel in (MANIFEST_NAME, SKELETON_NAME):
+            full = os.path.join(self.path, rel)
+            if os.path.isfile(full):
+                os.unlink(full)
+        for sub in (_COLUMNS_DIR, _RANKS_DIR):
+            shutil.rmtree(os.path.join(self.path, sub), ignore_errors=True)
+        if self.created:
+            try:
+                os.rmdir(self.path)
+            except OSError:
+                pass
 
     # ------------------------------------------------------------------ #
     def write_skeleton(self, experiment: Experiment) -> int:

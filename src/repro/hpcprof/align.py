@@ -190,12 +190,12 @@ def align_members(
             )
         names.append(exp.name or f"member-{i}")
 
-    with _Reducer(FLAVORS, working_set_bytes) as reducer:
-        reducer.graft(members, lambda _first: StructureModel(name), admit,
-                      strict=strict)
+    with _Reducer(FLAVORS, working_set_bytes,
+                  model=StructureModel(name)) as reducer:
+        reducer.graft(members, admit, strict=strict)
         n = len(reducer.nodes)
         matrices = {
-            key: np.empty((len(members), n)) for key in reducer.records.columns
+            key: np.empty((len(members), n)) for key in reducer.columns
         }
         matrix_bytes = len(matrices) * len(members) * n * 8
         for i, rows in enumerate(reducer.rows(matrix_bytes)):

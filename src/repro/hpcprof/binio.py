@@ -75,6 +75,11 @@ __all__ = [
     "loads_binary",
     "loads_basis",
     "StreamingDatabase",
+    "DatabaseRecords",
+    "StructureRecords",
+    "CCTRecords",
+    "parse_structure",
+    "parse_cct",
     "FORMAT_VERSION",
     "section_frames",
 ]
@@ -112,6 +117,16 @@ _SUMMARY_ENTRY = 13  # u8 flavor, u32 mid, f64 value
 def _entries(fmt: str, count: int) -> struct.Struct:
     """A precompiled struct for *count* consecutive *fmt* entries."""
     return struct.Struct("<" + fmt * count)
+
+
+@functools.lru_cache(maxsize=64)
+def _struct(fmt: str) -> struct.Struct:
+    """A precompiled struct for one format string."""
+    return struct.Struct(fmt)
+
+
+_STRUCT_HEADER = struct.Struct("<BIIII")  # kind, name, file, line, end line
+_U16 = struct.Struct("<H")
 
 _STRUCT_KINDS = list(StructKind)
 _CCT_KINDS = list(CCTKind)
@@ -168,11 +183,11 @@ class _Reader:
         return self.end - self.pos
 
     def unpack(self, fmt: str):
-        size = struct.calcsize(fmt)
-        if self.pos + size > self.end:
+        compiled = _struct(fmt)
+        if self.pos + compiled.size > self.end:
             raise DatabaseError("truncated binary database")
-        out = struct.unpack_from(fmt, self.data, self.pos)
-        self.pos += size
+        out = compiled.unpack_from(self.data, self.pos)
+        self.pos += compiled.size
         return out
 
     def read_str(self) -> str:
@@ -378,75 +393,393 @@ def read_one_metric(
     )
 
 
+class StructureRecords:
+    """The structure stream parsed into per-record lists, in preorder.
+
+    Record *i* has static kind ``kinds[i]``, ``names[i]``, source
+    ``files[i]`` / ``lines[i]`` / ``end_lines[i]``, its call targets
+    ``calls[i]`` as ``((line, callee name), ...)`` and its parent record
+    ``parents[i]`` (-1 for the root, record 0).  ``ends[i]`` is the
+    stream offset just past the record.  ``error`` is the exception
+    that stopped the parse (None when it ran to the end); the lists then
+    hold the clean prefix before the failing record.
+    """
+
+    __slots__ = ("kinds", "names", "files", "lines", "end_lines", "calls",
+                 "parents", "ends", "error")
+
+    def __init__(self) -> None:
+        self.kinds: list[StructKind] = []
+        self.names: list[str] = []
+        self.files: list[str] = []
+        self.lines: list[int] = []
+        self.end_lines: list[int] = []
+        self.calls: list[tuple] = []
+        self.parents: list[int] = []
+        self.ends: list[int] = []
+        self.error: Exception | None = None
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def children(self) -> list[list[int]]:
+        """Each record's child records, in stream (child) order."""
+        out: list[list[int]] = [[] for _ in self.kinds]
+        for row, parent in enumerate(self.parents):
+            if parent >= 0:
+                out[parent].append(row)
+        return out
+
+
+def parse_structure(reader: _Reader, strings: list[str]) -> StructureRecords:
+    """Parse the preorder structure stream; the one structure parser.
+
+    Every record is bounds- and count-checked, its kind and string
+    references resolved, and the root placement enforced (one root,
+    first).  The first malformed record stops the parse: the exception
+    lands in ``error`` and :attr:`_Reader.pos` stays where the failing
+    read left it, exactly as a record-at-a-time reader would.
+    """
+    out = StructureRecords()
+    data, end = reader.data, reader.end
+    kinds, names, files, lines = out.kinds, out.names, out.files, out.lines
+    end_lines, calls, parents, ends = (out.end_lines, out.calls,
+                                       out.parents, out.ends)
+    header, u16, u32 = _STRUCT_HEADER, _U16, _U32
+    stack: list[list[int]] = []  # [record, children still to read]
+    try:
+        while True:
+            if stack:
+                top = stack[-1]
+                if top[1] == 0:
+                    stack.pop()
+                    if not stack:
+                        break
+                    continue
+                top[1] -= 1
+                parent = top[0]
+            else:
+                parent = -1
+            pos = reader.pos
+            if pos + header.size > end:
+                raise DatabaseError("truncated binary database")
+            kind_idx, sname, sfile, line, end_line = header.unpack_from(data, pos)
+            reader.pos = pos = pos + header.size
+            kind = _STRUCT_KINDS[kind_idx]
+            name = strings[sname]
+            file = strings[sfile]
+            if pos + u16.size > end:
+                raise DatabaseError("truncated binary database")
+            (ncalls,) = u16.unpack_from(data, pos)
+            reader.pos = pos = pos + u16.size
+            record_calls: tuple = ()
+            if ncalls:
+                reader.check_count(ncalls, 8, "call-edge")
+                pairs = []
+                for _ in range(ncalls):
+                    cline, callee = reader.unpack("<II")
+                    pairs.append((cline, strings[callee]))
+                record_calls = tuple(pairs)
+                pos = reader.pos
+            if pos + u32.size > end:
+                raise DatabaseError("truncated binary database")
+            (nchildren,) = u32.unpack_from(data, pos)
+            reader.pos = pos = pos + u32.size
+            reader.check_count(nchildren, 23, "structure child")
+            if kind is StructKind.ROOT:
+                if parent >= 0:
+                    raise DatabaseError("structure root below the root")
+            elif parent < 0:
+                raise DatabaseError("structure stream does not start at a root")
+            stack.append([len(kinds), nchildren])
+            kinds.append(kind)
+            names.append(name)
+            files.append(file)
+            lines.append(line)
+            end_lines.append(end_line)
+            calls.append(record_calls)
+            parents.append(parent)
+            ends.append(pos)
+    except (DatabaseError, *MALFORMED_EXCEPTIONS) as exc:
+        out.error = exc
+    return out
+
+
+def build_structure(
+    records: StructureRecords,
+) -> tuple[StructureModel, list[StructureNode], Exception | None]:
+    """A :class:`StructureModel` from parsed structure records.
+
+    Returns the model, its nodes by record index, and the error that
+    ended the clean prefix: the parse's own, or a scope duplicating a
+    sibling's key, which stops the build at that record.
+    """
+    model = StructureModel()
+    by_id: list[StructureNode] = []
+    for row, kind in enumerate(records.kinds):
+        try:
+            if kind is StructKind.ROOT:
+                node = model.root
+                node.name = records.names[row]
+            else:
+                node = StructureNode(
+                    kind,
+                    name=records.names[row],
+                    location=SourceLocation(
+                        file=records.files[row],
+                        line=records.lines[row],
+                        end_line=records.end_lines[row],
+                    ),
+                    parent=by_id[records.parents[row]],
+                )
+        except StructureError as exc:  # a duplicate sibling scope
+            return model, by_id, exc
+        node.calls = records.calls[row]
+        if kind is StructKind.PROCEDURE:
+            model._register_procedure(node)
+        by_id.append(node)
+    return model, by_id, records.error
+
+
 def read_structure(
     reader: _Reader,
     strings: list[str],
     *,
     errors: list[str] | None = None,
 ) -> tuple[StructureModel, list[StructureNode]]:
-    """Read the preorder structure stream iteratively.
+    """Read the preorder structure stream into a :class:`StructureModel`.
 
-    When *errors* is given the reader runs in salvage mode: the first
-    malformed record stops the parse with a message appended to *errors*
-    and the clean prefix read so far is returned.  Records are parsed
-    completely before any node is constructed, so the prefix never
-    contains a half-read scope.
+    :func:`parse_structure` then :func:`build_structure`.  When *errors*
+    is given the reader runs in salvage mode: the first malformed record
+    stops the read with a message appended to *errors*, and the clean
+    prefix before it is returned.
     """
-    model = StructureModel()
-    by_id: list[StructureNode] = []
-
-    def read_one(parent: StructureNode | None) -> tuple[StructureNode, int]:
-        kind_idx, sname, sfile, line, end_line = reader.unpack("<BIIII")
-        kind = _STRUCT_KINDS[kind_idx]
-        name = strings[sname]
-        file = strings[sfile]
-        (ncalls,) = reader.unpack("<H")
-        reader.check_count(ncalls, 8, "call-edge")
-        calls = []
-        for _ in range(ncalls):
-            cline, callee = reader.unpack("<II")
-            calls.append((cline, strings[callee]))
-        (nchildren,) = reader.unpack("<I")
-        reader.check_count(nchildren, 23, "structure child")
-        # record fully parsed — only now mutate the model
-        if kind is StructKind.ROOT:
-            if parent is not None:
-                raise DatabaseError("structure root below the root")
-            node = model.root
-            node.name = name
-        else:
-            if parent is None:
-                raise DatabaseError("structure stream does not start at a root")
-            node = StructureNode(
-                kind,
-                name=name,
-                location=SourceLocation(file=file, line=line, end_line=end_line),
-                parent=parent,
-            )
-        node.calls = tuple(calls)
-        if kind is StructKind.PROCEDURE:
-            model._register_procedure(node)
-        by_id.append(node)
-        return node, nchildren
-
-    # stack of [node, remaining children to read]
-    stack: list[list] = []
-    try:
-        root, nchildren = read_one(None)
-        stack.append([root, nchildren])
-        while stack:
-            top = stack[-1]
-            if top[1] == 0:
-                stack.pop()
-                continue
-            top[1] -= 1
-            child, n = read_one(top[0])
-            stack.append([child, n])
-    except (DatabaseError, *MALFORMED_EXCEPTIONS) as exc:
+    records = parse_structure(reader, strings)
+    model, by_id, error = build_structure(records)
+    if len(by_id) < len(records):  # the build stopped: leave the cursor
+        reader.pos = records.ends[len(by_id)]  # past the refused record
+    if error is not None:
         if errors is None:
-            raise
-        errors.append(f"structure: {exc!r}")
+            raise error
+        errors.append(f"structure: {error!r}")
     return model, by_id
+
+
+class CCTRecords:
+    """The CCT stream parsed into per-record lists, in preorder.
+
+    Record *i* has kind code ``kinds[i]`` (the index into
+    :class:`~repro.core.cct.CCTKind`, which is also the engine's kind
+    code), structure reference ``sids[i]`` (structure record + 1, 0 for
+    none), call line ``lines[i]``, parent record ``parents[i]`` (-1 for
+    the root) and depth ``depths[i]``.  ``raws[i]`` is its raw run as a
+    flat ``(mid, value, mid, value, ...)`` tuple in stream order and
+    ``summaries[i]`` its stored overlays as ``(flavor, mid, value,
+    ...)``.  ``error`` is as in :class:`StructureRecords`.
+    """
+
+    __slots__ = ("kinds", "sids", "lines", "parents", "depths", "raws",
+                 "summaries", "error")
+
+    def __init__(self) -> None:
+        self.kinds: list[int] = []
+        self.sids: list[int] = []
+        self.lines: list[int] = []
+        self.parents: list[int] = []
+        self.depths: list[int] = []
+        self.raws: list[tuple] = []
+        self.summaries: list[tuple] = []
+        self.error: Exception | None = None
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def raw_run(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every record's raw values as ``(rows, mids, values)`` arrays.
+
+        Row-major in preorder and, within a record, in the order a dict
+        built from the run holds them: a mid repeated within one record
+        keeps its first position and its last value.
+        """
+        rows: list[int] = []
+        flat: list = []
+        for row, run in enumerate(self.raws):
+            if run:
+                rows.extend([row] * (len(run) // 2))
+                flat.extend(run)
+        values = np.array(flat, dtype=np.float64)
+        mids = values[0::2].astype(np.int64)
+        return dict_run(np.array(rows, dtype=np.int64), mids,
+                        values[1::2].copy())
+
+
+def dict_run(rows: np.ndarray, mids: np.ndarray,
+             values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-major ``(row, mid, value)`` entries reduced as dicts reduce them.
+
+    Per row, a repeated mid keeps the position of its first entry and
+    the value of its last.  Entries of one row must be contiguous.  A
+    stream whose keys strictly increase (every writer's) passes through
+    untouched.
+    """
+    if len(rows) < 2:
+        return rows, mids, values
+    width = int(mids.max()) + 1
+    key = rows * width + mids
+    if (np.diff(key) > 0).all():
+        return rows, mids, values
+    _, first = np.unique(key, return_index=True)
+    _, last = np.unique(key[::-1], return_index=True)
+    last = len(key) - 1 - last
+    order = np.argsort(first, kind="stable")
+    first, last = first[order], last[order]
+    return rows[first], mids[first], values[last]
+
+
+def parse_cct(
+    reader: _Reader,
+    nstructs: int,
+    *,
+    metrics: MetricTable | None = None,
+    offsets: list[int] | None = None,
+) -> CCTRecords:
+    """Parse the preorder CCT stream; the one CCT parser.
+
+    Each record's fixed header and its raw and summary runs are decoded
+    with one precompiled :class:`struct.Struct` each; the bounds and
+    count-plausibility checks are those of :class:`_Reader`, structure
+    references must name one of *nstructs* records, and the root must
+    come first and only there.  With *metrics*, each record's metric
+    ids are checked as it is read: every id must exist, and stored
+    summary overlays may only target SUMMARY metrics (an overlay on any
+    other metric would overwrite an attributed value).  *offsets*, when
+    given, receives each record's start offset in node preorder (see
+    :func:`record_values`).  The first malformed record stops the parse
+    as in :func:`parse_structure`.
+    """
+    out = CCTRecords()
+    data, end = reader.data, reader.end
+    if metrics is not None:
+        metric_ids = frozenset(range(len(metrics)))
+        summary_ids = frozenset(
+            desc.mid for desc in metrics if desc.kind is MetricKind.SUMMARY
+        )
+    kinds, sids, lines, parents = out.kinds, out.sids, out.lines, out.parents
+    depths, raws, summaries_out = out.depths, out.raws, out.summaries
+    header = _CCT_HEADER
+    nkinds = len(_CCT_KINDS)
+    stack: list[list[int]] = []  # [record, children still to read]
+    try:
+        while True:
+            if stack:
+                top = stack[-1]
+                if top[1] == 0:
+                    stack.pop()
+                    if not stack:
+                        break
+                    continue
+                top[1] -= 1
+                parent = top[0]
+            else:
+                parent = -1
+            pos = reader.pos
+            if pos + header.size > end:
+                raise DatabaseError("truncated binary database")
+            if offsets is not None:
+                offsets.append(pos)
+            kind_idx, sid, line, nraw, nsummary = header.unpack_from(data, pos)
+            reader.pos = pos = pos + header.size
+            if kind_idx >= nkinds:
+                raise IndexError("list index out of range")
+            if kind_idx and sid > nstructs:
+                raise DatabaseError(f"CCT references unknown structure id {sid}")
+            # _Reader.check_count, inlined: three per record
+            if nraw * _RAW_ENTRY > end - pos:
+                raise DatabaseError(
+                    f"implausible raw metric count {nraw} for "
+                    f"{end - pos} remaining bytes"
+                )
+            raw: tuple = ()
+            if nraw:
+                raw = _entries("Id", nraw).unpack_from(data, pos)
+                reader.pos = pos = pos + _RAW_ENTRY * nraw
+                if metrics is not None and not metric_ids.issuperset(raw[0::2]):
+                    mid = next(m for m in raw[0::2] if m not in metric_ids)
+                    raise DatabaseError(f"CCT references unknown metric id {mid}")
+            summaries: tuple = ()
+            if nsummary * _SUMMARY_ENTRY > end - pos:
+                raise DatabaseError(
+                    f"implausible summary metric count {nsummary} for "
+                    f"{end - pos} remaining bytes"
+                )
+            if nsummary:
+                summaries = _entries("BId", nsummary).unpack_from(data, pos)
+                reader.pos = pos = pos + _SUMMARY_ENTRY * nsummary
+                mids = summaries[1::3]
+                if metrics is not None and not summary_ids.issuperset(mids):
+                    for mid in mids:
+                        if mid not in metric_ids:
+                            raise DatabaseError(
+                                f"CCT references unknown metric id {mid}"
+                            )
+                        if mid not in summary_ids:
+                            raise DatabaseError(
+                                f"CCT stores a summary overlay on non-summary "
+                                f"metric id {mid}"
+                            )
+            if pos + _U32.size > end:
+                raise DatabaseError("truncated binary database")
+            (nchildren,) = _U32.unpack_from(data, pos)
+            reader.pos = pos = pos + _U32.size
+            if nchildren * 17 > end - pos:
+                raise DatabaseError(
+                    f"implausible CCT child count {nchildren} for "
+                    f"{end - pos} remaining bytes"
+                )
+            # record fully parsed and checked — only now keep it
+            if kind_idx == 0:  # CCTKind.ROOT
+                if parent >= 0:
+                    raise DatabaseError("CCT root below the root")
+            elif parent < 0:
+                raise DatabaseError("CCT stream does not start at a root")
+            depths.append(len(stack))
+            stack.append([len(kinds), nchildren])
+            kinds.append(kind_idx)
+            sids.append(sid)
+            lines.append(line)
+            parents.append(parent)
+            raws.append(raw)
+            summaries_out.append(summaries)
+    except (DatabaseError, *MALFORMED_EXCEPTIONS) as exc:
+        out.error = exc
+    return out
+
+
+def build_cct(
+    records: CCTRecords, by_id: list[StructureNode]
+) -> tuple[CCT, list[tuple[CCTNode, tuple]]]:
+    """A :class:`CCT` from parsed CCT records whose structure references
+    resolve through *by_id*; returns the tree and its stored summary
+    overlays ``(node, (flavor, mid, value, ...))``."""
+    cct = CCT()
+    stored: list[tuple[CCTNode, tuple]] = []
+    nodes: list[CCTNode] = []
+    kinds = _CCT_KINDS
+    for row, kind_idx in enumerate(records.kinds):
+        if kind_idx == 0:
+            node = cct.root
+        else:
+            sid = records.sids[row]
+            node = CCTNode(kinds[kind_idx],
+                           struct=by_id[sid - 1] if sid > 0 else None,
+                           line=records.lines[row],
+                           parent=nodes[records.parents[row]])
+        run = records.raws[row]
+        node.raw = dict(zip(run[0::2], run[1::2])) if run else {}
+        if records.summaries[row]:
+            stored.append((node, records.summaries[row]))
+        nodes.append(node)
+    return cct, stored
 
 
 def read_cct(
@@ -457,7 +790,7 @@ def read_cct(
     offsets: list[int] | None = None,
     errors: list[str] | None = None,
 ) -> tuple[CCT, list[tuple[CCTNode, tuple]], int]:
-    """Read the preorder CCT stream iteratively.
+    """Read the preorder CCT stream into a :class:`CCT`.
 
     Returns the tree, the stored summary overlays ``(node, (flavor, mid,
     value, flavor, mid, value, ...))`` — the caller re-applies them
@@ -465,120 +798,18 @@ def read_cct(
     recomputation — and the number of nodes parsed, so callers need not
     walk the tree to count it.
 
-    With *metrics*, each record's metric ids are checked against the
-    table as it is read: every id must exist, and stored summary
-    overlays may only target SUMMARY metrics (an overlay on any other
-    metric would overwrite an attributed value).  *offsets*, when
-    given, receives each record's start offset in node preorder (see
-    :func:`record_values`).  *errors* enables salvage mode exactly as
-    in :func:`read_structure`: records are parsed completely before the
-    node is attached, and the first malformed record ends the recovered
-    prefix.
-
-    Each record's fixed header and its raw and summary runs are decoded
-    with one precompiled :class:`struct.Struct` each; the bounds and
-    count-plausibility checks are those of :class:`_Reader`.
+    :func:`parse_cct` (*metrics* and *offsets* as there) then
+    :func:`build_cct`.  *errors* enables salvage mode exactly as in
+    :func:`read_structure`: the first malformed record ends the
+    recovered prefix.
     """
-    cct = CCT()
-    stored: list[tuple[CCTNode, tuple]] = []
-    data, end = reader.data, reader.end
-    nstructs = len(by_id)
-    if metrics is not None:
-        metric_ids = frozenset(range(len(metrics)))
-        summary_ids = frozenset(
-            desc.mid for desc in metrics if desc.kind is MetricKind.SUMMARY
-        )
-
-    def read_one(parent: CCTNode | None) -> tuple[CCTNode, int]:
-        pos = reader.pos
-        if pos + _CCT_HEADER.size > end:
-            raise DatabaseError("truncated binary database")
-        if offsets is not None:
-            offsets.append(pos)
-        kind_idx, sid, line, nraw, nsummary = _CCT_HEADER.unpack_from(data, pos)
-        reader.pos = pos = pos + _CCT_HEADER.size
-        kind = _CCT_KINDS[kind_idx]
-        if kind is not CCTKind.ROOT and sid > nstructs:
-            raise DatabaseError(f"CCT references unknown structure id {sid}")
-        # _Reader.check_count, inlined: three per record
-        if nraw * _RAW_ENTRY > end - pos:
-            raise DatabaseError(
-                f"implausible raw metric count {nraw} for "
-                f"{end - pos} remaining bytes"
-            )
-        raw: dict[int, float] = {}
-        if nraw:
-            flat = _entries("Id", nraw).unpack_from(data, pos)
-            reader.pos = pos = pos + _RAW_ENTRY * nraw
-            raw = dict(zip(flat[0::2], flat[1::2]))
-            if metrics is not None and not metric_ids.issuperset(raw):
-                mid = next(m for m in raw if m not in metric_ids)
-                raise DatabaseError(f"CCT references unknown metric id {mid}")
-        summaries: tuple = ()
-        if nsummary * _SUMMARY_ENTRY > end - pos:
-            raise DatabaseError(
-                f"implausible summary metric count {nsummary} for "
-                f"{end - pos} remaining bytes"
-            )
-        if nsummary:
-            summaries = _entries("BId", nsummary).unpack_from(data, pos)
-            reader.pos = pos = pos + _SUMMARY_ENTRY * nsummary
-            mids = summaries[1::3]
-            if metrics is not None and not summary_ids.issuperset(mids):
-                for mid in mids:
-                    if mid not in metric_ids:
-                        raise DatabaseError(
-                            f"CCT references unknown metric id {mid}"
-                        )
-                    if mid not in summary_ids:
-                        raise DatabaseError(
-                            f"CCT stores a summary overlay on non-summary "
-                            f"metric id {mid}"
-                        )
-        if pos + _U32.size > end:
-            raise DatabaseError("truncated binary database")
-        (nchildren,) = _U32.unpack_from(data, pos)
-        reader.pos = pos = pos + _U32.size
-        if nchildren * 17 > end - pos:
-            raise DatabaseError(
-                f"implausible CCT child count {nchildren} for "
-                f"{end - pos} remaining bytes"
-            )
-        # record fully parsed — only now attach the node to the tree
-        if kind is CCTKind.ROOT:
-            if parent is not None:
-                raise DatabaseError("CCT root below the root")
-            node = cct.root
-        else:
-            if parent is None:
-                raise DatabaseError("CCT stream does not start at a root")
-            struct_ref = by_id[sid - 1] if sid > 0 else None
-            node = CCTNode(kind, struct=struct_ref, line=line, parent=parent)
-        node.raw = raw
-        if summaries:
-            stored.append((node, summaries))
-        return node, nchildren
-
-    stack: list[list] = []
-    count = 0
-    try:
-        root, nchildren = read_one(None)
-        count = 1
-        stack.append([root, nchildren])
-        while stack:
-            top = stack[-1]
-            if top[1] == 0:
-                stack.pop()
-                continue
-            top[1] -= 1
-            child, n = read_one(top[0])
-            count += 1
-            stack.append([child, n])
-    except (DatabaseError, *MALFORMED_EXCEPTIONS) as exc:
+    records = parse_cct(reader, len(by_id), metrics=metrics, offsets=offsets)
+    cct, stored = build_cct(records, by_id)
+    if records.error is not None:
         if errors is None:
-            raise
-        errors.append(f"cct: {exc!r}")
-    return cct, stored, count
+            raise records.error
+        errors.append(f"cct: {records.error!r}")
+    return cct, stored, len(records)
 
 
 _RAW_DTYPE = np.dtype([("mid", "<u4"), ("value", "<f8")])  # packed: 12 bytes
@@ -700,56 +931,86 @@ def section_frames(data: bytes) -> list[tuple[int, int, int, int]]:
     return frames
 
 
-def _decode_v1(reader: _Reader, offsets: list[int] | None = None) -> tuple:
-    """Decode the unframed v1 payload from a positioned reader.
+class DatabaseRecords:
+    """A strictly parsed database before any object is built: its name,
+    metric table, and structure and CCT records."""
 
-    Returns the unattributed parts ``(name, metrics, structure, cct,
-    stored overlays, node count)``, like :func:`_decode_v2`.
-    """
+    __slots__ = ("name", "metrics", "structure", "cct")
+
+    def __init__(self, name: str, metrics: MetricTable,
+                 structure: StructureRecords, cct: CCTRecords) -> None:
+        self.name = name
+        self.metrics = metrics
+        self.structure = structure
+        self.cct = cct
+
+    def build(self) -> tuple:
+        """The unattributed parts ``(name, metrics, structure, cct,
+        stored overlays, node count)``; :func:`_finish_experiment`
+        attributes them."""
+        model, by_id, error = build_structure(self.structure)
+        if error is not None:
+            raise error
+        cct, stored = build_cct(self.cct, by_id)
+        return self.name, self.metrics, model, cct, stored, len(self.cct)
+
+
+def _strict(records):
+    """*records*, or the error that stopped their parse."""
+    if records.error is not None:
+        raise records.error
+    return records
+
+
+def _records_v1(reader: _Reader,
+                offsets: list[int] | None = None) -> DatabaseRecords:
+    """Strictly parse the unframed v1 payload from a positioned reader."""
     name = reader.read_str()
     strings = read_strings(reader)
     metrics = read_metrics(reader, strings)
-    model, by_id = read_structure(reader, strings)
-    cct, stored, count = read_cct(reader, by_id, metrics=metrics,
-                                  offsets=offsets)
-    return name, metrics, model, cct, stored, count
+    structure = _strict(parse_structure(reader, strings))
+    cct = _strict(parse_cct(reader, len(structure), metrics=metrics,
+                            offsets=offsets))
+    return DatabaseRecords(name, metrics, structure, cct)
 
 
-def _decode_v2(sections, offsets: list[int] | None = None) -> tuple:
-    """Decode framed v2 sections; *sections* maps section id → _Reader.
+def _records_v2(sections,
+                offsets: list[int] | None = None) -> DatabaseRecords:
+    """Strictly parse framed v2 sections; *sections* maps section id →
+    :class:`_Reader`.
 
     Works for both eager slicing (:func:`_read_v2_sections`) and the
     lazy, CRC-on-demand access of :class:`StreamingDatabase` — anything
-    with a ``__getitem__`` yielding positioned readers.  Returns the
-    unattributed parts ``(name, metrics, structure, cct, stored
-    overlays, node count)``; :func:`_finish_experiment` attributes them.
+    with a ``__getitem__`` yielding positioned readers.  The declared
+    node counts must match the parsed ones.
     """
     name = sections[SEC_NAME].read_str()
-    strings, metrics, model, by_id = _decode_v2_basis(sections)
+    strings, metrics, structure = _records_v2_basis(sections)
     cct_reader = sections[SEC_CCT]
     (declared_cct,) = cct_reader.unpack("<I")
-    cct, stored, count = read_cct(cct_reader, by_id, metrics=metrics,
-                                  offsets=offsets)
-    if count != declared_cct:
+    cct = _strict(parse_cct(cct_reader, len(structure), metrics=metrics,
+                            offsets=offsets))
+    if len(cct) != declared_cct:
         raise DatabaseError(
-            f"CCT section declares {declared_cct} nodes, parsed {count}"
+            f"CCT section declares {declared_cct} nodes, parsed {len(cct)}"
         )
-    return name, metrics, model, cct, stored, count
+    return DatabaseRecords(name, metrics, structure, cct)
 
 
-def _decode_v2_basis(sections):
-    """The string table, metric table and structure of framed sections."""
+def _records_v2_basis(sections):
+    """The string table, metric table and structure records of framed
+    sections."""
     strings = read_strings(sections[SEC_STRINGS])
     metrics = read_metrics(sections[SEC_METRICS], strings)
     struct_reader = sections[SEC_STRUCTURE]
     (declared_struct,) = struct_reader.unpack("<I")
-    model, by_id = read_structure(struct_reader, strings)
-    if len(by_id) != declared_struct:
+    structure = _strict(parse_structure(struct_reader, strings))
+    if len(structure) != declared_struct:
         raise DatabaseError(
             f"structure section declares {declared_struct} nodes, "
-            f"parsed {len(by_id)}"
+            f"parsed {len(structure)}"
         )
-    return strings, metrics, model, by_id
+    return strings, metrics, structure
 
 
 def loads_basis(data: bytes) -> tuple[MetricTable, StructureModel]:
@@ -762,7 +1023,10 @@ def loads_basis(data: bytes) -> tuple[MetricTable, StructureModel]:
     """
     try:
         sections = _read_v2_sections(data, verify_checksums=True)
-        _strings, metrics, model, _by_id = _decode_v2_basis(sections)
+        _strings, metrics, structure = _records_v2_basis(sections)
+        model, _by_id, error = build_structure(structure)
+        if error is not None:
+            raise error
         return metrics, model
     except DatabaseError:
         raise
@@ -785,15 +1049,15 @@ def _loads_binary(
     version = read_header(data)
     if version == _V1:
         reader = _Reader(data, pos=6)
-        parts = _decode_v1(reader)
+        records = _records_v1(reader)
         if exact and reader.remaining:
             raise DatabaseError(
                 f"{reader.remaining} trailing bytes after the database"
             )
-        return _finish_experiment(parts)
-    return _finish_experiment(
-        _decode_v2(_read_v2_sections(data, verify_checksums, exact))
-    )
+    else:
+        records = _records_v2(_read_v2_sections(data, verify_checksums,
+                                                exact))
+    return _finish_experiment(records.build())
 
 
 def _read_v2_sections(
@@ -978,20 +1242,29 @@ class StreamingDatabase:
             return _Reader(self._mm, pos=6).read_str()
         return self.section(SEC_NAME).read_str()
 
-    def decode(self, offsets: list[int] | None = None) -> tuple:
-        """Decode without attributing: ``(name, metrics, structure, cct,
-        stored overlays, node count)``, strict semantics, one section at
-        a time, malformed input converted to :class:`DatabaseError`
-        exactly like :func:`loads_binary`.  *offsets* receives the CCT
-        records' offsets into :attr:`buffer` (see :func:`read_cct`)."""
+    def records(self, offsets: list[int] | None = None) -> DatabaseRecords:
+        """Parse without building objects: the one strict decode of a
+        mapped database, one section at a time, malformed input
+        converted to :class:`DatabaseError` exactly like
+        :func:`loads_binary`.  *offsets* receives the CCT records'
+        offsets into :attr:`buffer` (see :func:`parse_cct`)."""
         if self._mm is None:
             raise DatabaseError(f"database {self.path} is closed")
         try:
             if self.version == _V1:
-                return _decode_v1(_Reader(self._mm, pos=6), offsets)
-            return _decode_v2(_LazySections(self), offsets)
+                return _records_v1(_Reader(self._mm, pos=6), offsets)
+            return _records_v2(_LazySections(self), offsets)
         except DatabaseError:
             raise
+        except MALFORMED_EXCEPTIONS as exc:
+            raise DatabaseError(f"malformed binary database: {exc!r}") from exc
+
+    def decode(self, offsets: list[int] | None = None) -> tuple:
+        """Decode without attributing: ``(name, metrics, structure, cct,
+        stored overlays, node count)`` built from :meth:`records`."""
+        records = self.records(offsets)
+        try:
+            return records.build()
         except MALFORMED_EXCEPTIONS as exc:
             raise DatabaseError(f"malformed binary database: {exc!r}") from exc
 

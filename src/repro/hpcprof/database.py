@@ -74,6 +74,19 @@ def loads(data: bytes, origin: str = "<bytes>", strict: bool = True) -> Experime
     raise DatabaseError(f"{origin}: unrecognized database format")
 
 
+def has_binary_magic(path: str) -> bool:
+    """True when the file at *path* starts with the binary format's magic.
+
+    Unreadable paths answer False, so the caller's regular load raises
+    its canonical error for them.
+    """
+    try:
+        with open(path, "rb") as fh:
+            return fh.read(4) == b"RPDB"
+    except OSError:
+        return False
+
+
 def load(path: str, strict: bool = True, out_of_core: bool = False) -> Experiment:
     """Deserialize an experiment from a file, sniffing the format.
 
@@ -98,14 +111,8 @@ def load(path: str, strict: bool = True, out_of_core: bool = False) -> Experimen
         if is_store_path(path):
             return open_store(path)
         raise DatabaseError(f"database path is a directory: {path}")
-    if out_of_core and strict:
-        try:
-            with open(path, "rb") as fh:
-                magic = fh.read(4)
-        except OSError:
-            magic = b""  # fall through: the eager path raises canonically
-        if magic == b"RPDB":
-            return binio.read_binary_streaming(path)
+    if out_of_core and strict and has_binary_magic(path):
+        return binio.read_binary_streaming(path)
     try:
         with open(path, "rb") as fh:
             data = fh.read()

@@ -137,17 +137,19 @@ def test_each_path_member_decoded_once(tmp_path, monkeypatch):
     in_memory = database.load(paths[0])
 
     opened, stores, decodes = [], [], []
-    real_open, real_decode = binio.StreamingDatabase.__init__, binio._decode_v2
+    real_open = binio.StreamingDatabase.__init__
+    real_decode = binio.StreamingDatabase.records
     real_store = store.open_store
     monkeypatch.setattr(binio.StreamingDatabase, "__init__",
                         lambda db, path: opened.append(path)
                         or real_open(db, path))
-    monkeypatch.setattr(binio, "_decode_v2",
-                        lambda *args: decodes.append(1) or real_decode(*args))
+    monkeypatch.setattr(binio.StreamingDatabase, "records",
+                        lambda db, *args: decodes.append(db.path)
+                        or real_decode(db, *args))
     monkeypatch.setattr(store, "open_store",
                         lambda path: stores.append(path) or real_store(path))
     alignment = align_members(paths + [store_path, in_memory])
     assert alignment.n_members == 5
     assert opened == paths + [store.ColumnStore(store_path).skeleton_path]
     assert stores == [store_path]
-    assert len(decodes) == len(paths) + 1
+    assert decodes == opened

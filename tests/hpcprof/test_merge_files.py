@@ -89,15 +89,17 @@ class TestMergeRankFiles:
         from repro.hpcprof import binio
 
         opened, decodes = [], []
-        real_open, real_decode = binio.read_binary_streaming, binio._decode_v2
-        monkeypatch.setattr(binio, "read_binary_streaming",
-                            lambda path: opened.append(path) or real_open(path))
-        monkeypatch.setattr(binio, "_decode_v2",
-                            lambda *args: decodes.append(1)
-                            or real_decode(*args))
+        real_open = binio.StreamingDatabase.__init__
+        real_decode = binio.StreamingDatabase.records
+        monkeypatch.setattr(binio.StreamingDatabase, "__init__",
+                            lambda db, path: opened.append(path)
+                            or real_open(db, path))
+        monkeypatch.setattr(binio.StreamingDatabase, "records",
+                            lambda db, *args: decodes.append(db.path)
+                            or real_decode(db, *args))
         merge_rank_files(rank_paths, str(tmp_path / "m.rpstore"))
         assert opened == rank_paths
-        assert len(decodes) == len(rank_paths)
+        assert decodes == rank_paths
 
     def test_store_bytes_without_reopening(self, rank_paths, tmp_path,
                                            monkeypatch):
@@ -152,8 +154,8 @@ class TestMergeRankFiles:
         out = str(tmp_path / "m.rpstore")
         with pytest.raises(DatabaseError, match="working-set budget"):
             merge_rank_files(rank_paths, out, working_set_bytes=1024)
-        assert sorted(os.listdir(out)) == ["columns", "ranks"]  # unsealed
-        report = merge_rank_files(rank_paths, out, overwrite=True)
+        assert not os.path.exists(out)  # nothing left behind
+        report = merge_rank_files(rank_paths, out)
         assert report.nranks == 5
         database.load(out).close()
 
