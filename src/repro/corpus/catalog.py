@@ -800,14 +800,15 @@ class CorpusCatalog:
                 )
             pid = f"p{self._seq + 1:06d}"
             token = f"{os.getpid()}-{pid}"
-            sdir = self._staging_dir(token)
-            os.makedirs(sdir, exist_ok=True)
-            self._append_locked(
-                "intent-compact",
-                tenant=tenant, pid=pid, kind="rpstore", staging=token,
-                name=f"{group}.rpstore", group=group,
-                meta={"compacted-from": len(sources)}, sources=sources,
-            )
+            with span("corpus.compact.stage"):
+                sdir = self._staging_dir(token)
+                os.makedirs(sdir, exist_ok=True)
+                self._append_locked(
+                    "intent-compact",
+                    tenant=tenant, pid=pid, kind="rpstore", staging=token,
+                    name=f"{group}.rpstore", group=group,
+                    meta={"compacted-from": len(sources)}, sources=sources,
+                )
             crash_point("corpus.compact.intent")
             staged = os.path.join(sdir, f"{pid}.rpstore")
             paths = [
@@ -817,33 +818,37 @@ class CorpusCatalog:
             kwargs = {}
             if working_set_bytes is not None:
                 kwargs["working_set_bytes"] = working_set_bytes
-            merge_rank_files(paths, staged, name=group, overwrite=True, **kwargs)
-            _fsync_tree(staged)
-            _fsync_dir(sdir)
-            crash_point("corpus.compact.merged")
-            files = _tree_manifest(staged)
-            nbytes = sum(size for size, _crc in files.values())
-            profiles = self._profiles_dir(tenant)
-            final = os.path.join(profiles, f"{pid}.rpstore")
-            os.rename(staged, final)
-            _fsync_dir(profiles)
+            with span("corpus.compact.merge"):
+                merge_rank_files(paths, staged, name=group, overwrite=True,
+                                 **kwargs)
+            with span("corpus.compact.seal"):
+                _fsync_tree(staged)
+                _fsync_dir(sdir)
+                crash_point("corpus.compact.merged")
+                files = _tree_manifest(staged)
+                nbytes = sum(size for size, _crc in files.values())
+                profiles = self._profiles_dir(tenant)
+                final = os.path.join(profiles, f"{pid}.rpstore")
+                os.rename(staged, final)
+                _fsync_dir(profiles)
             crash_point("corpus.compact.renamed")
-            self._append_locked(
-                "commit-compact",
-                tenant=tenant, pid=pid, kind="rpstore",
-                name=f"{group}.rpstore", group=group,
-                meta={"compacted-from": len(sources)},
-                bytes=nbytes, checksum=0, files=files, sources=sources,
-                created_at=self._clock(),
-            )
-            crash_point("corpus.compact.committed")
-            for path in paths:
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
-            crash_point("corpus.compact.cleaned")
-            shutil.rmtree(sdir, ignore_errors=True)
+            with span("corpus.compact.commit"):
+                self._append_locked(
+                    "commit-compact",
+                    tenant=tenant, pid=pid, kind="rpstore",
+                    name=f"{group}.rpstore", group=group,
+                    meta={"compacted-from": len(sources)},
+                    bytes=nbytes, checksum=0, files=files, sources=sources,
+                    created_at=self._clock(),
+                )
+                crash_point("corpus.compact.committed")
+                for path in paths:
+                    try:
+                        os.unlink(path)
+                    except OSError:
+                        pass
+                crash_point("corpus.compact.cleaned")
+                shutil.rmtree(sdir, ignore_errors=True)
             return self._entries[tenant][pid]
 
     # ------------------------------------------------------------------ #

@@ -4,29 +4,33 @@ Where :func:`~repro.hpcprof.merge.merge_rank_files` unions the *ranks of
 one execution* into a single profile, this module aligns *separate
 executions* — an ensemble of runs of the same program (nightly builds,
 configuration sweeps, scaling studies) — into one supergraph.  Both go
-through the same union reducer (:class:`~repro.hpcprof.merge._Reducer`):
+through the same array union reducer
+(:class:`~repro.hpcprof.merge._Reducer`):
 
 * every member's scopes are united into a fresh canonical
   :class:`~repro.hpcstruct.model.StructureModel` by structural key
   (kind, name, file, line), so members built from independently loaded
   databases align by *what* each scope is, tolerant of missing or extra
   subtrees (the union simply contains them all);
-* the union CCT's raw values are the member sums (re-attributed through
-  Eq. 1/2, so the union renders like any experiment);
-* each member's per-scope values become one row of a columnar
-  ``(n_members x n_union_nodes)`` matrix per (metric, flavor) — the
-  raw material for ensemble statistics, pairwise diffs, and regression
-  detection in :mod:`repro.core.ensemble`.
+* each member becomes preorder arrays, and one keyed pass gives each of
+  its rows a union id; the union CCT's raw values are the member sums
+  (re-attributed through Eq. 1/2, so the union renders like any
+  experiment);
+* each member's per-scope values — Eq. 1/2 over its own arrays — become
+  one row of a columnar ``(n_members x n_union_nodes)`` matrix per
+  (metric, flavor): the raw material for ensemble statistics, pairwise
+  diffs, and regression detection in :mod:`repro.core.ensemble`.
 
 Members may be in-memory :class:`~repro.hpcprof.experiment.Experiment`
 objects or paths (``.xml`` / ``.rpdb`` / ``.rpstore``).  Each path is
-decoded exactly once; a ``.rpstore`` member is closed as soon as it is
-grafted, so its file descriptors go back at once.  A hundred-profile
-ensemble never holds more than one decoded member (or one member's
-record) plus the union skeleton and the matrices, checked against the
-same working-set budget as the rank merge.  Member experiments are never
+decoded exactly once: a ``.rpdb`` straight into arrays, a ``.rpstore``
+through its opened engine, closed as soon as its arrays are taken so
+its file descriptors go back at once.  A hundred-profile ensemble never
+holds more than one member's arrays (or one member's spilled values)
+plus the union skeleton and the matrices, checked against the same
+working-set budget as the rank merge.  Member experiments are never
 mutated: the canonical model, the metric table and the union tree are
-built fresh, and structure grafting only grows the canonical side.
+built fresh, and structure matching only grows the canonical side.
 """
 
 from __future__ import annotations
@@ -159,14 +163,14 @@ def align_members(
     """Align N experiments (objects or paths) into one :class:`Alignment`.
 
     The union reducer shared with
-    :func:`~repro.hpcprof.merge.merge_rank_files` grafts every member
+    :func:`~repro.hpcprof.merge.merge_rank_files` keys every member
     into a union tree over a fresh canonical model (raw sums, then one
     Eq. 1/2 attribution pass) and yields each member's
     raw/inclusive/exclusive values, which become that member's row of
     the per-metric matrices.
 
     Path members are decoded exactly once, one at a time, so the
-    working set is one member (or one member's record) plus the union
+    working set is one member's arrays (or spilled values) plus the union
     skeleton and the matrices — checked against *working_set_bytes*,
     failing loudly when exceeded.  All members must carry the same RAW
     metric signature (:class:`~repro.errors.MetricError` otherwise).

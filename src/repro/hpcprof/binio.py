@@ -125,8 +125,8 @@ def _struct(fmt: str) -> struct.Struct:
     return struct.Struct(fmt)
 
 
-_STRUCT_HEADER = struct.Struct("<BIIII")  # kind, name, file, line, end line
-_U16 = struct.Struct("<H")
+_STRUCT_FIXED = struct.Struct("<BIIII")  # kind, name, file, line, end line
+_STRUCT_HEADER = struct.Struct("<BIIIIH")  # the fixed fields, then ncalls
 
 _STRUCT_KINDS = list(StructKind)
 _CCT_KINDS = list(CCTKind)
@@ -364,7 +364,20 @@ def write_binary(experiment: Experiment, path: str,
 def read_strings(reader: _Reader) -> list[str]:
     (nstrings,) = reader.unpack("<I")
     reader.check_count(nstrings, 4, "string")
-    return [reader.read_str() for _ in range(nstrings)]
+    # _Reader.read_str, inlined: one per string
+    data, end, u32 = reader.data, reader.end, _U32
+    out = []
+    for _ in range(nstrings):
+        pos = reader.pos
+        if pos + 4 > end:
+            raise DatabaseError("truncated binary database")
+        (length,) = u32.unpack_from(data, pos)
+        reader.pos = pos = pos + 4
+        if pos + length > end:
+            raise DatabaseError("truncated string in binary database")
+        reader.pos = pos + length
+        out.append(str(data[pos:pos + length], "utf-8"))
+    return out
 
 
 def read_metrics(reader: _Reader, strings: list[str]) -> MetricTable:
@@ -445,7 +458,7 @@ def parse_structure(reader: _Reader, strings: list[str]) -> StructureRecords:
     kinds, names, files, lines = out.kinds, out.names, out.files, out.lines
     end_lines, calls, parents, ends = (out.end_lines, out.calls,
                                        out.parents, out.ends)
-    header, u16, u32 = _STRUCT_HEADER, _U16, _U32
+    header, u32 = _STRUCT_HEADER, _U32
     stack: list[list[int]] = []  # [record, children still to read]
     try:
         while True:
@@ -461,17 +474,22 @@ def parse_structure(reader: _Reader, strings: list[str]) -> StructureRecords:
             else:
                 parent = -1
             pos = reader.pos
-            if pos + header.size > end:
+            if pos + 19 <= end:  # fixed fields and call count in one read
+                kind_idx, sname, sfile, line, end_line, ncalls = \
+                    header.unpack_from(data, pos)
+            elif pos + 17 <= end:
+                kind_idx, sname, sfile, line, end_line = \
+                    _STRUCT_FIXED.unpack_from(data, pos)
+                ncalls = None
+            else:
                 raise DatabaseError("truncated binary database")
-            kind_idx, sname, sfile, line, end_line = header.unpack_from(data, pos)
-            reader.pos = pos = pos + header.size
+            reader.pos = pos + 17
             kind = _STRUCT_KINDS[kind_idx]
             name = strings[sname]
             file = strings[sfile]
-            if pos + u16.size > end:
+            if ncalls is None:
                 raise DatabaseError("truncated binary database")
-            (ncalls,) = u16.unpack_from(data, pos)
-            reader.pos = pos = pos + u16.size
+            reader.pos = pos = pos + 19
             record_calls: tuple = ()
             if ncalls:
                 reader.check_count(ncalls, 8, "call-edge")
@@ -485,7 +503,11 @@ def parse_structure(reader: _Reader, strings: list[str]) -> StructureRecords:
                 raise DatabaseError("truncated binary database")
             (nchildren,) = u32.unpack_from(data, pos)
             reader.pos = pos = pos + u32.size
-            reader.check_count(nchildren, 23, "structure child")
+            if nchildren * 23 > end - pos:  # _Reader.check_count, inlined
+                raise DatabaseError(
+                    f"implausible structure child count {nchildren} for "
+                    f"{end - pos} remaining bytes"
+                )
             if kind is StructKind.ROOT:
                 if parent >= 0:
                     raise DatabaseError("structure root below the root")

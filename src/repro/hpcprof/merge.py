@@ -14,14 +14,26 @@ experiment analyses from the paper:
   large run, attributing scaling loss to individual contexts.
 
 Independently loaded profiles — rank databases, ensemble members — go
-through one union reducer (:class:`_Reducer`): each member is loaded
-once, its structure united into a canonical model by structural key,
-and its CCT grafted into the union while its values are recorded beside
-the union nodes they land on; afterwards each member's values come back
-as rows over the union's preorder.  :func:`merge_rank_files` writes
-those rows into a column store's rank matrices and summary
-accumulators; :func:`repro.hpcprof.align.align_members` keeps them as
-in-memory ensemble matrices.  Only one member is ever resident.
+through one array union reducer (:class:`_Reducer`).  Each member
+becomes preorder arrays once: parent row, kind, static scope, line and
+raw run (:class:`_Member`).  A database file is parsed straight into
+them, with its structure records matched against the canonical model by
+structural key, so a member builds no structure model, tree or
+attribution of its own.  One keyed pass gives every member row its
+union id (:class:`_UnionIndex`); the member's inclusive and exclusive
+values come from Eq. 1/2 over its own arrays; its raw run is summed
+into the union's raw dicts exactly as ``add_into`` would sum them
+(:class:`_RawSums`).  The union :class:`CCT` is built once, after the
+last member, and each member's values come back as rows over its
+preorder.  :func:`merge_rank_files` writes those rows into a column
+store's rank matrices and summary accumulators;
+:func:`repro.hpcprof.align.align_members` keeps them as in-memory
+ensemble matrices; :func:`rank_rows` keys rank trees into an existing
+union the same way.  Only one member is ever resident.
+
+:func:`merge_ccts` and :func:`merge_experiments` keep their own
+node-by-node union over shared structure: the in-memory reference the
+reducer is checked against.
 """
 
 from __future__ import annotations
@@ -998,14 +1010,16 @@ def merge_rank_files(
 ) -> MergeReport:
     """Fold N single-rank databases into one mmap-backed column store.
 
-    The union reducer (:class:`_Reducer`) grafts the databases in rank
-    order, decoding each exactly once, and then yields each rank's
-    values; each is written as one contiguous row of the on-disk
-    ``(nranks x nnodes)`` rank matrices and feeds the summary
-    accumulators (:func:`~repro.hpcprof.summarize.summarize_rows`).
-    Nothing ever holds more than one decoded rank (or one rank's
-    record) plus the combined skeleton and O(scopes x metrics)
-    accumulators, checked against *working_set_bytes*.
+    The union reducer (:class:`_Reducer`) keys the databases into one
+    union in rank order, decoding each exactly once into arrays, and
+    then yields each rank's values; each is written as one contiguous
+    row of the on-disk ``(nranks x nnodes)`` rank matrices and feeds the
+    summary accumulators
+    (:func:`~repro.hpcprof.summarize.summarize_rows`).  Nothing ever
+    holds more than one rank's arrays (or one rank's spilled values)
+    plus the combined skeleton and O(scopes x metrics) accumulators,
+    checked against *working_set_bytes*.  A merge that fails removes
+    what it wrote (:meth:`~repro.core.store.StoreWriter.abort`).
 
     The result is bit-identical to ``merge_experiments(...,
     summarize=...)`` over the same files — the differential suite pins

@@ -156,14 +156,17 @@ class StructureNode:
     @property
     def key(self) -> tuple:
         """Identity of this node among its siblings."""
-        return (self.kind.value, self.name, self.location.file, self.location.line)
+        # ``_value_`` is ``value`` without the enum descriptor's cost
+        return (self.kind._value_, self.name, self.location.file,
+                self.location.line)
 
     def _attach(self, child: "StructureNode") -> None:
-        if child.key in self._child_index:
+        key = child.key
+        if key in self._child_index:
             raise StructureError(
-                f"duplicate structure scope {child.key!r} under {self.describe()}"
+                f"duplicate structure scope {key!r} under {self.describe()}"
             )
-        self._child_index[child.key] = child
+        self._child_index[key] = child
         self.children.append(child)
         child._parent = ref(self)
 
