@@ -281,6 +281,26 @@ class TestCompaction:
         finally:
             exp.close()
 
+    def test_compaction_phases_have_spans(self, corpus, profile_bytes,
+                                          profile_bytes_alt):
+        """A slow compaction is explained by its phases, and the merge
+        phase by the reducer's decode and union steps."""
+        from repro.obs import SpanTracer, install, uninstall
+
+        self._grouped(corpus, [profile_bytes, profile_bytes_alt])
+        tracer = install(SpanTracer())
+        try:
+            corpus.compact_group("t", "nightly")
+        finally:
+            uninstall()
+        paths = set(tracer.snapshot())
+        phases = {path[-1] for path in paths if len(path) == 1}
+        assert {"corpus.compact.stage", "corpus.compact.merge",
+                "corpus.compact.seal", "corpus.compact.commit"} <= phases
+        graft = ("corpus.compact.merge", "hpcprof.reduce.graft")
+        assert graft + ("hpcprof.reduce.decode",) in paths
+        assert graft + ("hpcprof.reduce.union",) in paths
+
     def test_small_group_is_left_alone(self, corpus, profile_bytes):
         self._grouped(corpus, [profile_bytes])
         assert corpus.compact_group("t", "nightly") is None

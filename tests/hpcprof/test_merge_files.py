@@ -196,6 +196,41 @@ class TestMergeExperiments:
         assert bits(again) == bits(first)
 
 
+def _scale_experiment(fanout: int, depth: int) -> Experiment:
+    program = scale_program(fanout=fanout, depth=depth)
+    return Experiment.from_profile(
+        execute(program, rank=0, nranks=1, seed=1), build_structure(program)
+    )
+
+
+def _scopes(exp: Experiment) -> int:
+    return sum(1 for _ in exp.structure.root.walk())
+
+
+class TestMergesLeaveTheirFirstInputAlone:
+    """Uniting structure models grows a fresh canonical model, never the
+    first input's."""
+
+    def test_merge_experiments(self):
+        small, big = _scale_experiment(2, 1), _scale_experiment(3, 2)
+        assert (_scopes(small), _scopes(big)) == (6, 10)
+        merged = merge_experiments([small, big])
+        assert _scopes(small) == 6
+        assert _scopes(merged) == 15
+        assert merged.structure is not small.structure
+
+    def test_merge_rank_files_of_experiments(self, tmp_path):
+        small, big = _scale_experiment(2, 1), _scale_experiment(3, 2)
+        out = str(tmp_path / "m.rpstore")
+        merge_rank_files([small, big], out)
+        assert _scopes(small) == 6
+        merged = database.load(out)
+        try:
+            assert _scopes(merged) == 15
+        finally:
+            merged.close()
+
+
 class TestStructureMapping:
     def test_map_structure_bridges_uids(self):
         prog = scale_program(fanout=2, depth=2)
