@@ -631,11 +631,11 @@ class CCTRecords:
                 flat.extend(run)
         values = np.array(flat, dtype=np.float64)
         mids = values[0::2].astype(np.int64)
-        return dict_run(np.array(rows, dtype=np.int64), mids,
+        return _dict_run(np.array(rows, dtype=np.int64), mids,
                         values[1::2].copy())
 
 
-def dict_run(rows: np.ndarray, mids: np.ndarray,
+def _dict_run(rows: np.ndarray, mids: np.ndarray,
              values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row-major ``(row, mid, value)`` entries reduced as dicts reduce them.
 

@@ -257,3 +257,29 @@ def test_deep_chain_member_reduces_without_recursion():
         for sources in ([chain, other], [path, other]):
             assert_alignment_matches_oracle(sources)
         assert_merge_matches_oracle([path, other], directory)
+
+
+def test_duplicate_sibling_scopes_sum_into_one_union_node():
+    """A member holding two sibling scopes with one key (a database can
+    carry them; the tree builders never make them) lands both on one
+    union node, summing their values as the graft does."""
+    from repro.core.cct import CCTKind, CCTNode
+
+    scopes = _structure(random.Random(2), extra=False)
+    model = scopes.pop(None)
+    cct = CCT(model)
+    proc = scopes["main"][0]
+    frame = cct.root.ensure_frame(proc)
+    for value in (0.1, 0.2):
+        twin = CCTNode(CCTKind.STATEMENT, struct=proc, line=102, parent=frame)
+        twin.raw = {0: value, 1: 1.0}
+    attribute(cct)
+    dup = Experiment("dup", _metrics(), model, cct)
+    members = [dup, _single("b", {0: 0.3})]
+    assert_alignment_matches_oracle(members)
+    alignment = align_members(members)
+    assert len(alignment.nodes) == 3
+    with tempfile.TemporaryDirectory() as directory:
+        path = _on_backend(dup, "rpdb", directory, 0)
+        assert_alignment_matches_oracle([path, members[1]])
+        assert_merge_matches_oracle([path, members[1]], directory)
