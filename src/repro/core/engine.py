@@ -429,34 +429,15 @@ def attribute_arrays(
     parent row happen in child order (``ufunc.at`` applies updates in
     index order, and rows within a level are in preorder) — exactly the
     dict path's evaluation order.  No :class:`CCTNode` is needed.
-
-    The inclusive sums and the within-frame raw subtotals (the Eq. 1
-    barrier: frame rows do not pass theirs up) live side by side in one
-    ``(rows x 2 metrics)`` matrix, and every level's source and target
-    cells are computed up front, so a level costs one gather and one
-    ``np.add.at`` over the flat matrix.
     """
-    n, width = raw.shape
-    both = np.empty((n, 2 * width))
-    both[:, :width] = raw
-    both[:, width:] = raw
-    flat = both.reshape(-1)
-    if levels:
-        rows = np.concatenate(levels[::-1])  # deepest level first
-        cols = np.arange(2 * width)
-        # a frame row adds its inclusive cells only; any other row its
-        # within-frame subtotal cells too
-        keep = ((kinds[rows] != KIND_FRAME)[:, None]
-                | (cols < width)[None, :]).ravel()
-        src = (rows[:, None] * (2 * width) + cols).ravel()[keep]
-        dst = (parent_rows[rows][:, None] * (2 * width) + cols).ravel()[keep]
-        ends = np.cumsum(keep.reshape(len(rows), -1).sum(axis=1))
-        bounds = [0] + ends[np.cumsum([len(r) for r in levels[::-1]]) - 1
-                            ].tolist()
-        for lo, hi in zip(bounds, bounds[1:]):
-            np.add.at(flat, dst[lo:hi], flat[src[lo:hi]])
-    inclusive = both[:, :width].copy()
-    within = both[:, width:]
+    inclusive = raw.copy()
+    within = raw.copy()  # within-frame raw subtotals (Eq. 1 barrier)
+    nonframe = kinds != KIND_FRAME
+    for rows in reversed(levels):
+        np.add.at(inclusive, parent_rows[rows], inclusive[rows])
+        inner = rows[nonframe[rows]]
+        if len(inner):
+            np.add.at(within, parent_rows[inner], within[inner])
 
     exclusive = raw.copy()  # statements, call sites, and the root
     frames = kinds == KIND_FRAME
