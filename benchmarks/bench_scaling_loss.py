@@ -1,11 +1,11 @@
-"""Benchmark §VI-A: the scale-and-difference derived metric."""
+"""Benchmark §VI-A: the scaling-loss diff of a weak-scaled pair."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.ensemble import align_experiments
 from repro.experiments import scaling_loss
-from repro.hpcprof.merge import scale_and_difference
 from repro.hpcrun.counters import CYCLES
 
 
@@ -14,17 +14,10 @@ def pair():
     return scaling_loss.build_pair(small=8, big=32)
 
 
-def test_bench_scale_and_difference(benchmark, pair, print_report):
-    exp_small, exp_big = pair
-    mid = exp_big.metric_id(CYCLES)
-
+def test_bench_scaling_loss_diff(benchmark, pair, print_report):
     def run_once():
-        metrics = exp_big.metrics.copy()
-        return scale_and_difference(
-            exp_small.cct, exp_big.cct, metrics, mid, factor=4.0,
-            name="scaling loss",
-        )
+        return align_experiments(list(pair)).diff(0, 1, factor=4.0)
 
-    loss_mid = benchmark(run_once)
-    assert loss_mid > mid
+    loss = benchmark(run_once)
+    assert loss.total(CYCLES) > 0.0
     print_report(scaling_loss.run())

@@ -57,7 +57,6 @@ from repro.hpcstruct.pystruct import build_python_structure
 from repro.hpcstruct.synthstruct import build_structure
 from repro.sim.executor import execute
 from repro.sim.spmd import run_spmd, spmd_experiment
-from repro.viewer.diff import DiffRow, ExperimentDiff
 from repro.viewer.html import render_html
 from repro.viewer.session import ViewerSession
 from repro.viewer.table import TableOptions, render_table, render_view
@@ -118,8 +117,6 @@ __all__ = [
     "render_table",
     "render_html",
     "TableOptions",
-    "ExperimentDiff",
-    "DiffRow",
     # advisor
     "advise",
     "Advisor",

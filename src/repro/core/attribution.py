@@ -29,6 +29,7 @@ no ancestor instance in the same set contribute.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterable, Sequence
 
 from repro.core.cct import CCT, CCTKind, CCTNode
@@ -66,7 +67,10 @@ def attribute(cct: CCT) -> None:
     call :func:`attribute_dicts` or
     :func:`~repro.core.engine.attribute_columnar` to pin a backend.
     """
-    if len(cct) >= COLUMNAR_MIN_NODES:
+    # count no further than the threshold: the choice walks at most
+    # COLUMNAR_MIN_NODES scopes, however large the tree
+    last = next(islice(cct.walk(), COLUMNAR_MIN_NODES - 1, None), None)
+    if last is not None:
         from repro.core.engine import attribute_columnar  # lazy: import cycle
 
         attribute_columnar(cct)

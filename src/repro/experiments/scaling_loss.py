@@ -3,15 +3,18 @@
 The paper pinpoints scalability bottlenecks by scaling and differencing
 call path profiles from a pair of executions [Coarfa et al.].  We run the
 PFLOTRAN model at two scales with a deliberately non-scaling component
-(the synchronization idleness grows with rank count), compute the
-scaling-loss metric, and check it attributes the loss to the
-synchronization contexts rather than the compute kernels.
+(the synchronization idleness grows with rank count), align the pair
+into a two-member ensemble and take its diff ``big - (big/small) *
+small`` per context (:meth:`repro.core.ensemble.EnsembleView.diff`).
+The diff experiment's cycles are the scaling loss; we check it lands on
+the synchronization contexts rather than the compute kernels.  Neither
+run is modified.
 """
 
 from __future__ import annotations
 
+from repro.core.ensemble import align_experiments
 from repro.experiments.report import ExperimentReport
-from repro.hpcprof.merge import scale_and_difference
 from repro.hpcrun.counters import CYCLES
 from repro.sim.spmd import spmd_experiment
 from repro.sim.workloads import pflotran
@@ -39,23 +42,22 @@ def run(small: int = 8, big: int = 32) -> ExperimentReport:
         "§VI-A", f"Scaling loss by scale-and-difference ({small} -> {big} ranks)"
     )
 
-    mid = exp_big.metric_id(CYCLES)
     # weak scaling: a perfectly scaling code costs (big/small)x the total
-    loss_mid = scale_and_difference(
-        exp_small.cct, exp_big.cct, exp_big.metrics, mid,
-        factor=big / small, name="scaling loss",
+    loss = align_experiments([exp_small, exp_big]).diff(
+        0, 1, factor=big / small,
     )
-    total_loss = exp_big.cct.root.inclusive.get(loss_mid, 0.0)
-    total_big = exp_big.cct.root.inclusive.get(mid, 0.0)
+    mid = loss.metric_id(CYCLES)
+    total_loss = loss.total(CYCLES)
+    total_big = exp_big.total(CYCLES)
     report.add("scaling loss share of big-run cycles", None,
                100 * total_loss / total_big, unit="%")
 
     # the loss must sort synchronization above the compute kernels
-    callers = exp_big.callers_view()
+    callers = loss.callers_view()
 
     def loss_of(name: str) -> float:
         row = next(r for r in callers.roots if r.name == name)
-        return row.inclusive.get(loss_mid, 0.0)
+        return row.inclusive.get(mid, 0.0)
 
     sync_loss = loss_of("MPI_Allreduce")
     matmult_loss = loss_of("MatMult")

@@ -2,16 +2,14 @@
 
 Per-rank profiles are correlated into per-rank CCTs (sharing one static
 structure model); this module unions them into a single canonical CCT —
-scope identity is the path of node keys — and supports two cross-
-experiment analyses from the paper:
-
-* :func:`collect_rank_vectors` — per-node vectors of one metric across all
-  ranks, the raw material for load-imbalance presentation (Figure 7);
-  :func:`rank_rows` yields the same values rank by rank for statistical
-  summarization (:mod:`repro.hpcprof.summarize`);
-* :func:`scale_and_difference` — the derived scaling-loss metric of
-  Section VI-A: scale the profile of a small run and subtract it from a
-  large run, attributing scaling loss to individual contexts.
+scope identity is the path of node keys.  :func:`collect_rank_vectors`
+gives per-node vectors of one metric across all ranks, the raw material
+for load-imbalance presentation (Figure 7); :func:`rank_rows` yields the
+same values rank by rank for statistical summarization
+(:mod:`repro.hpcprof.summarize`).  Comparing separate runs — Section
+VI-A's scaling loss among them — is the ensemble diff's job
+(:meth:`repro.core.ensemble.EnsembleView.diff`), over the union built by
+the reducer below.
 
 Independently loaded profiles — rank databases, ensemble members — go
 through one array union reducer (:class:`_Reducer`).  Each member
@@ -62,7 +60,6 @@ __all__ = [
     "collect_rank_matrix",
     "rank_rows",
     "collect_rank_vectors",
-    "scale_and_difference",
     "map_structure",
     "remap_cct",
     "merge_experiments",
@@ -179,75 +176,6 @@ def collect_rank_vectors(
     """
     nodes, matrix = collect_rank_matrix(combined, rank_ccts, mid, inclusive)
     return {node.uid: matrix[row] for row, node in enumerate(nodes)}
-
-
-def structural_key(node: CCTNode) -> tuple:
-    """Identity of a scope that survives across structure models.
-
-    ``CCTNode.key`` embeds structure-node uids, which only align when two
-    trees share one :class:`StructureModel`; cross-experiment analyses
-    (scale-and-difference between separate runs) need identity by *what*
-    the scope is — kind, static scope signature, and line.
-    """
-    if node.struct is None:
-        sig = None
-    else:
-        sig = (
-            node.struct.kind.value,
-            node.struct.name,
-            node.struct.location.file,
-            node.struct.location.line,
-        )
-    return (node.kind.value, sig, node.line)
-
-
-def scale_and_difference(
-    base: CCT,
-    scaled_run: CCT,
-    metrics: MetricTable,
-    mid: int,
-    factor: float,
-    name: str = "scaling loss",
-) -> int:
-    """Attribute scaling loss to contexts (Section VI-A; Coarfa et al.).
-
-    Registers a new raw metric on *metrics* whose per-scope raw value is
-    ``raw_scaled - factor * raw_base``: the cost the larger run incurred
-    beyond perfect scaling of the smaller one.  Writes values into
-    *scaled_run* (matching scopes by structural identity, so the two runs
-    may come from independently built structure models; scopes absent
-    from the base run contribute their full cost as loss) and
-    re-attributes.  Returns the new metric id.
-    """
-    if factor <= 0:
-        raise MetricError(f"scaling factor must be positive, got {factor}")
-    loss = metrics.add(name, unit=metrics.by_id(mid).unit, description=(
-        f"scaling loss = {metrics.by_id(mid).name} - {factor} x base run"
-    ))
-
-    base_raw: dict[tuple, float] = {}
-
-    stack: list[tuple[CCTNode, tuple]] = [(base.root, ())]
-    while stack:
-        node, path = stack.pop()
-        key = path + (structural_key(node),)
-        if mid in node.raw:
-            base_raw[key] = base_raw.get(key, 0.0) + node.raw[mid]
-        stack.extend((child, key) for child in node.children)
-
-    stack = [(scaled_run.root, ())]
-    while stack:
-        node, path = stack.pop()
-        key = path + (structural_key(node),)
-        expected = factor * base_raw.pop(key, 0.0)
-        measured = node.raw.get(mid, 0.0)
-        delta = measured - expected
-        if delta != 0.0:
-            node.raw[loss.mid] = delta
-        stack.extend((child, key) for child in node.children)
-
-    attribute(scaled_run)
-    return loss.mid
 
 
 # --------------------------------------------------------------------- #

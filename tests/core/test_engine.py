@@ -17,12 +17,13 @@ from repro.core.attribution import (
     attribute,
     attribute_dicts,
 )
-from repro.core.cct import CCTKind
+from repro.core.cct import CCT, CCTKind
 from repro.core.engine import MetricEngine, attribute_columnar, engine_for
 from repro.errors import MetricError
 from repro.core.hotpath import hot_path
 from repro.core.metrics import MetricFlavor, MetricSpec
 from repro.hpcprof.experiment import Experiment
+from repro.hpcstruct.model import StructureModel
 from repro.sim.spmd import spmd_experiment
 from repro.sim.workloads import fig1, moab, pflotran, s3d
 from repro.sim.workloads.synthetic import (
@@ -100,6 +101,29 @@ class TestBitwiseParity:
         assert len(large.cct) >= COLUMNAR_MIN_NODES
         attribute(large.cct)  # large tree: the engine path
         assert isinstance(large.cct._engine, MetricEngine)
+        # the boundary itself: 127 scopes stay on the dicts, 128 take
+        # the engine (each tree first forced onto the other backend)
+        below = exact_size_cct(COLUMNAR_MIN_NODES - 1)
+        attribute_columnar(below)
+        attribute(below)
+        assert below._engine is None
+        at = exact_size_cct(COLUMNAR_MIN_NODES)
+        attribute_dicts(at)
+        attribute(at)
+        assert isinstance(at._engine, MetricEngine)
+
+
+def exact_size_cct(nodes: int) -> CCT:
+    """``root -> main -> statements``: exactly *nodes* scopes."""
+    model = StructureModel("exact")
+    file_scope = model.add_file(model.add_load_module("exact.x"), "exact.c")
+    model.add_procedure(file_scope, "main", 1, nodes + 1)
+    cct = CCT()
+    frame = cct.root.ensure_frame(model.procedure("main"))
+    for line in range(2, nodes):
+        frame.ensure_statement(line).add_raw({0: 1.0})
+    assert len(cct) == nodes
+    return cct
 
 
 @pytest.fixture(scope="module")

@@ -119,6 +119,68 @@ def test_diff_scale_and_subtract(ensemble):
         ensemble.diff(0, 1, factor=0.0)
 
 
+def _chain(structure, depth: int) -> Experiment:
+    """``rec -> rec -> ...`` *depth* frames, 1.0 per statement, 2.0 leaf."""
+    from repro.core.cct import CCT
+    from repro.core.metrics import MetricTable
+
+    cct = CCT()
+    proc = structure.procedure("rec")
+    node = cct.root.ensure_frame(proc)
+    for _ in range(depth - 1):
+        node.ensure_statement(2).add_raw({0: 1.0})
+        node = node.ensure_call_site(5).ensure_frame(proc)
+    node.ensure_statement(2).add_raw({0: 2.0})
+    attribute(cct)
+    metrics = MetricTable()
+    metrics.add("cycles")
+    return Experiment(f"rec x{depth}", metrics, structure, cct)
+
+
+def test_diff_charges_baseline_only_scopes():
+    """A scope only the baseline has reads ``-factor * baseline``, so the
+    root is exactly ``target total - factor * baseline total``."""
+    from repro.hpcstruct.model import StructureModel
+
+    structure = StructureModel("chain")
+    file_scope = structure.add_file(structure.add_load_module("chain.x"),
+                                    "chain.c")
+    structure.add_procedure(file_scope, "rec", 1, 20)
+    baseline, target = _chain(structure, 3), _chain(structure, 2)
+    factor = 2.0
+    diff = align_experiments([baseline, target]).diff(0, 1, factor=factor)
+    mid = diff.metric_id("cycles")
+    assert diff.total("cycles") == (
+        target.total("cycles") - factor * baseline.total("cycles")
+    ) == -5.0
+
+    def deepest_frame(exp):
+        return max(exp.cct.frames(), key=lambda f: f.depth)
+
+    only_in_baseline = deepest_frame(diff)
+    assert only_in_baseline.depth == deepest_frame(baseline).depth
+    assert only_in_baseline.inclusive[mid] == (
+        -factor * deepest_frame(baseline).inclusive[mid]
+    ) == -4.0
+
+
+def test_scaling_loss_run_leaves_its_inputs_unchanged(monkeypatch):
+    from repro.experiments import scaling_loss
+
+    pair = scaling_loss.build_pair(2, 4)
+    monkeypatch.setattr(scaling_loss, "build_pair", lambda small, big: pair)
+
+    def snapshot(exp):
+        return (
+            list(exp.metrics),
+            [(node.uid, dict(node.raw)) for node in exp.cct.walk()],
+        )
+
+    before = [snapshot(exp) for exp in pair]
+    assert scaling_loss.run(2, 4).all_ok
+    assert [snapshot(exp) for exp in pair] == before
+
+
 def test_diff_views_render(ensemble):
     """The diff is a first-class experiment: all three views build."""
     diff = ensemble.diff("mean", -1, name="drift")

@@ -16,9 +16,11 @@ import pytest
 from repro.core.attribution import attribute, attribute_dicts
 from repro.core.engine import attribute_columnar
 from repro.core.cct import CCT
+from repro.core.ensemble import align_experiments
 from repro.core.metrics import MetricTable
 from repro.hpcprof.correlate import correlate
-from repro.hpcprof.merge import merge_ccts, scale_and_difference
+from repro.hpcprof.experiment import Experiment
+from repro.hpcprof.merge import merge_ccts
 from repro.hpcrun.profile_data import Frame, ProfileData
 from repro.hpcstruct.model import StructureModel
 
@@ -85,13 +87,16 @@ class TestDeepChain:
         assert not cct.root.children
 
     def test_scale_and_difference_deep(self, structure):
-        base = deep_chain_cct(structure, DEPTH, leaf_cost=2.0)
-        scaled = deep_chain_cct(structure, DEPTH, leaf_cost=10.0)
-        metrics = MetricTable()
-        metrics.add("cycles")
-        loss_mid = scale_and_difference(base, scaled, metrics, 0, factor=1.0)
+        runs = []
+        for leaf_cost in (2.0, 10.0):
+            metrics = MetricTable()
+            metrics.add("cycles")
+            cct = deep_chain_cct(structure, DEPTH, leaf_cost=leaf_cost)
+            runs.append(Experiment(f"leaf {leaf_cost:g}", metrics,
+                                   structure, cct))
+        diff = align_experiments(runs).diff(0, 1, factor=1.0)
         # interior statements cancel exactly; only the leaf lost ground
-        assert scaled.root.inclusive[loss_mid] == 8.0
+        assert diff.cct.root.inclusive[diff.metric_id("cycles")] == 8.0
 
     def test_rank_vectors_deep(self, structure):
         from repro.hpcprof.merge import collect_rank_vectors

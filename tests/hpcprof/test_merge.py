@@ -6,7 +6,9 @@ import pytest
 
 from repro.core.attribution import attribute
 from repro.hpcprof.correlate import correlate
-from repro.hpcprof.merge import collect_rank_vectors, merge_ccts, scale_and_difference
+from repro.core.ensemble import align_experiments
+from repro.hpcprof.experiment import Experiment
+from repro.hpcprof.merge import collect_rank_vectors, merge_ccts
 from repro.hpcstruct.synthstruct import build_structure
 from repro.sim.executor import execute
 from repro.sim.program import Call, Loop, Module, Procedure, Program, Work
@@ -117,15 +119,23 @@ class TestRankVectors:
 
 
 class TestScaleAndDifference:
+    """§VI-A scale and difference, as the ensemble diff computes it."""
+
+    @staticmethod
+    def _pair(structure, base, big):
+        small_run = Experiment("small", _table_copy(), structure, base)
+        big_run = Experiment("big", _table_copy(), structure, big)
+        diff = align_experiments([small_run, big_run]).diff(0, 1, factor=2.0)
+        return diff, diff.metric_id("cycles")
+
     def test_perfect_scaling_has_zero_loss(self):
         program = fig1.build()
         structure = build_structure(program)
         base = correlate(execute(program), structure)
         attribute(base)
         big = merge_ccts([base, base])  # exactly 2x everywhere
-        metrics = _table_copy()
-        loss_mid = scale_and_difference(base, big, metrics, mid=0, factor=2.0)
-        assert big.root.inclusive.get(loss_mid, 0.0) == 0.0
+        diff, loss_mid = self._pair(structure, base, big)
+        assert diff.cct.root.inclusive.get(loss_mid, 0.0) == 0.0
 
     def test_excess_cost_is_attributed_in_context(self):
         program = fig1.build()
@@ -137,16 +147,24 @@ class TestScaleAndDifference:
         h = next(f for f in big.frames() if f.name == "h")
         stmt = next(n for n in h.walk() if n.kind.value == "statement")
         stmt.raw[0] = stmt.raw.get(0, 0.0) + 5.0
-        metrics = _table_copy()
-        loss_mid = scale_and_difference(base, big, metrics, mid=0, factor=2.0)
-        assert big.root.inclusive.get(loss_mid) == 5.0
-        assert stmt.exclusive.get(loss_mid) == 5.0
+        diff, loss_mid = self._pair(structure, base, big)
+        assert diff.cct.root.inclusive.get(loss_mid) == 5.0
+        # the loss lands on the planted statement and nowhere else
+        lossy = [n for n in diff.cct.walk() if n.raw.get(loss_mid, 0.0)]
+        assert [_context(n) for n in lossy] == [_context(stmt)]
+        assert lossy[0].exclusive.get(loss_mid) == 5.0
         # contexts without excess show no loss
         g3 = next(
-            f for f in big.frames()
+            f for f in diff.cct.frames()
             if f.name == "g" and f.parent.enclosing_frame.name == "m"
         )
         assert g3.inclusive.get(loss_mid, 0.0) == 0.0
+
+
+def _context(node):
+    """A scope's identity across trees: (kind, name, line) from the root."""
+    path = [node, *node.ancestors()]
+    return [(n.kind, n.name, n.line) for n in reversed(path)]
 
 
 def _table_copy():

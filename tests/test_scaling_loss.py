@@ -3,15 +3,16 @@
 ``build_pair(8, 32)`` weak-scales PFLOTRAN from 8 to 32 ranks; with
 factor 4.0 the loss is ``big - 4 * small`` per context.  The values are
 ``float.hex`` strings, so any change in how the difference is formed or
-attributed shows here.
+attributed shows here.  The loss is the cycles of the pair's ensemble
+diff, as :func:`repro.experiments.scaling_loss.run` computes it.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.ensemble import align_experiments
 from repro.experiments import scaling_loss
-from repro.hpcprof.merge import scale_and_difference
 from repro.hpcrun.counters import CYCLES
 
 FACTOR = 4.0
@@ -35,14 +36,12 @@ CALLERS_LOSS = {
 def loss():
     """``(root loss, {callers root name: loss})`` at (8, 32), factor 4."""
     exp_small, exp_big = scaling_loss.build_pair(8, 32)
-    mid = exp_big.metric_id(CYCLES)
-    loss_mid = scale_and_difference(
-        exp_small.cct, exp_big.cct, exp_big.metrics, mid, factor=FACTOR,
-    )
-    root = exp_big.cct.root.inclusive.get(loss_mid, 0.0)
+    diff = align_experiments([exp_small, exp_big]).diff(0, 1, factor=FACTOR)
+    mid = diff.metric_id(CYCLES)
+    root = diff.cct.root.inclusive.get(mid, 0.0)
     callers = {
-        row.name: row.inclusive.get(loss_mid, 0.0)
-        for row in exp_big.callers_view().roots
+        row.name: row.inclusive.get(mid, 0.0)
+        for row in diff.callers_view().roots
     }
     return root, callers
 
