@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.attribution import attribute
-from repro.hpcprof.correlate import correlate
 from repro.core.ensemble import align_experiments
+from repro.hpcprof.correlate import correlate
 from repro.hpcprof.experiment import Experiment
 from repro.hpcprof.merge import collect_rank_vectors, merge_ccts
 from repro.hpcstruct.synthstruct import build_structure
