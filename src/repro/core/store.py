@@ -141,19 +141,16 @@ class StoreWriter:
                 pass
 
     # ------------------------------------------------------------------ #
-    def write_skeleton(self, experiment: Experiment) -> int:
-        from repro.hpcprof import binio
-
-        data = binio.dumps_binary(experiment)
+    def write_skeleton(self, data: bytes) -> int:
+        """Write the encoded skeleton database; returns its size."""
         with open(os.path.join(self.path, SKELETON_NAME), "wb") as fh:
             fh.write(data)
         return len(data)
 
-    def write_matrices(self, engine: MetricEngine) -> None:
-        """Persist the engine's three matrices as raw column files."""
-        for name, matrix in zip(
-            _MATRIX_NAMES, (engine.raw, engine.inclusive, engine.exclusive)
-        ):
+    def write_matrices(self, matrices: tuple[np.ndarray, ...]) -> None:
+        """Persist the ``(raw, inclusive, exclusive)`` matrices as raw
+        column files."""
+        for name, matrix in zip(_MATRIX_NAMES, matrices):
             out = os.path.join(self.path, _COLUMNS_DIR, f"{name}.f64")
             np.ascontiguousarray(matrix, dtype=_DTYPE).tofile(out)
 
@@ -460,10 +457,12 @@ def create_store(
     """
     if not len(experiment.metrics):
         raise DatabaseError("cannot build a store for a metric-less experiment")
+    from repro.hpcprof import binio
+
     engine = experiment.engine
     writer = StoreWriter(path, overwrite=overwrite)
-    skeleton_bytes = writer.write_skeleton(experiment)
-    writer.write_matrices(engine)
+    skeleton_bytes = writer.write_skeleton(binio.dumps_binary(experiment))
+    writer.write_matrices((engine.raw, engine.inclusive, engine.exclusive))
     nodes = engine.nodes
     rank_mids: list[int] = []
     if experiment.rank_ccts:

@@ -339,7 +339,8 @@ class CorpusCatalog:
 
     def _append_locked(self, op: str, **fields) -> dict:
         record = {"op": op, "seq": self._seq + 1, **fields}
-        self._offset += self._journal.append(record)
+        with span("corpus.journal.append"):
+            self._offset += self._journal.append(record)
         self._apply(record)
         return record
 
@@ -565,15 +566,19 @@ class CorpusCatalog:
         return dict(meta)
 
     def _validated_payload(self, data: bytes, salvage: bool) -> bytes:
-        """Upload admission: one strict decode is the gatekeeper.
+        """Upload admission: one strict record parse is the gatekeeper.
 
-        A binary upload is stored verbatim iff it decodes strictly and
-        ends exactly at its last frame (``loads_binary(exact=True)``) —
-        the streams a salvage load would report clean.  Anything else
-        is refused with the salvage loader's report (strict default)
-        or — with *salvage* — re-serialized from whatever the salvage
-        loader recovered, so the corpus never stores a payload that a
-        strict load cannot open.
+        A binary upload is stored verbatim iff ``loads_binary(data,
+        exact=True)`` would accept it — it parses strictly and ends
+        exactly at its last frame, the streams a salvage load would
+        report clean.  The verdict is reached on the parsed records
+        (``binio._check_exact``): frames, CRCs, the exact end, every
+        record check and unique sibling structure keys; no structure
+        model, tree or attribution is built to accept an upload.
+        Anything else is refused with the salvage loader's report
+        (strict default) or — with *salvage* — re-serialized from
+        whatever the salvage loader recovered, so the corpus never
+        stores a payload that a strict load cannot open.
         """
         from repro.hpcprof import binio, recovery
 
@@ -585,7 +590,7 @@ class CorpusCatalog:
             return binio.dumps_binary(exp)
         with span("corpus.admit"):
             try:
-                binio.loads_binary(data, exact=True)
+                binio._check_exact(data)
                 return data
             except DatabaseError:
                 salvaged = recovery.salvage_loads(data, origin="<upload>")
@@ -666,38 +671,40 @@ class CorpusCatalog:
     ) -> ProfileEntry:
         pid = f"p{self._seq + 1:06d}"
         token = f"{os.getpid()}-{pid}"
-        sdir = self._staging_dir(token)
-        os.makedirs(sdir, exist_ok=True)
-        spath = os.path.join(sdir, f"{pid}.rpdb")
-        with open(spath, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        _fsync_dir(sdir)
-        crash_point("corpus.ingest.staged")
-        checksum = zlib.crc32(data) & 0xFFFFFFFF
-        self._append_locked(
-            "intent-ingest",
-            tenant=tenant, pid=pid, kind="rpdb", staging=token,
-            name=name, group=group, meta=meta,
-            bytes=len(data), checksum=checksum,
-        )
+        with span("corpus.ingest.stage"):
+            sdir = self._staging_dir(token)
+            os.makedirs(sdir, exist_ok=True)
+            spath = os.path.join(sdir, f"{pid}.rpdb")
+            with open(spath, "wb") as fh:
+                fh.write(data)
+                fh.flush()
+                os.fsync(fh.fileno())
+            _fsync_dir(sdir)
+            crash_point("corpus.ingest.staged")
+            checksum = zlib.crc32(data) & 0xFFFFFFFF
+            self._append_locked(
+                "intent-ingest",
+                tenant=tenant, pid=pid, kind="rpdb", staging=token,
+                name=name, group=group, meta=meta,
+                bytes=len(data), checksum=checksum,
+            )
         crash_point("corpus.ingest.intent")
-        profiles = self._profiles_dir(tenant)
-        os.makedirs(profiles, exist_ok=True)
-        final = os.path.join(profiles, f"{pid}.rpdb")
-        os.rename(spath, final)
-        _fsync_dir(profiles)
-        crash_point("corpus.ingest.renamed")
-        self._append_locked(
-            "commit-profile",
-            tenant=tenant, pid=pid, kind="rpdb",
-            name=name, group=group, meta=meta,
-            bytes=len(data), checksum=checksum,
-            created_at=self._clock(),
-        )
-        crash_point("corpus.ingest.committed")
-        shutil.rmtree(sdir, ignore_errors=True)
+        with span("corpus.ingest.commit"):
+            profiles = self._profiles_dir(tenant)
+            os.makedirs(profiles, exist_ok=True)
+            final = os.path.join(profiles, f"{pid}.rpdb")
+            os.rename(spath, final)
+            _fsync_dir(profiles)
+            crash_point("corpus.ingest.renamed")
+            self._append_locked(
+                "commit-profile",
+                tenant=tenant, pid=pid, kind="rpdb",
+                name=name, group=group, meta=meta,
+                bytes=len(data), checksum=checksum,
+                created_at=self._clock(),
+            )
+            crash_point("corpus.ingest.committed")
+            shutil.rmtree(sdir, ignore_errors=True)
         return self._entries[tenant][pid]
 
     def _ingest_store(

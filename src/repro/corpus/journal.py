@@ -165,22 +165,26 @@ class Journal:
             os.close(fd)
         return len(blob)
 
-    def read_bytes(self) -> bytes:
+    def replay(self, start: int = 0) -> Replay:
+        """Replay the committed prefix (all valid records from *start*).
+
+        Only the bytes from *start* on are read: a catalog refreshing
+        from its last offset reads what was appended since, not the
+        whole journal.
+        """
+        start = max(0, start)
         try:
             with open(self.path, "rb") as fh:
-                return fh.read()
+                fh.seek(start)
+                data = fh.read()
         except FileNotFoundError:
-            return b""
-
-    def replay(self, start: int = 0) -> Replay:
-        """Replay the committed prefix (all valid records from *start*)."""
-        data = self.read_bytes()
+            data = b""
         records: list[dict] = []
         valid_end = start
-        for end, record in scan_records(data, start):
+        for end, record in scan_records(data):
             records.append(record)
-            valid_end = end
-        return Replay(records, valid_end, len(data))
+            valid_end = start + end
+        return Replay(records, valid_end, start + len(data))
 
     def truncate(self, valid_end: int) -> None:
         """Drop a torn tail: cut the journal to *valid_end* bytes.

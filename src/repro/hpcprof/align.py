@@ -197,7 +197,7 @@ def align_members(
     with _Reducer(FLAVORS, working_set_bytes,
                   model=StructureModel(name)) as reducer:
         reducer.graft(members, admit, strict=strict)
-        n = len(reducer.nodes)
+        n = len(reducer)
         matrices = {
             key: np.empty((len(members), n)) for key in reducer.columns
         }

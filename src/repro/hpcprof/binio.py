@@ -2,10 +2,11 @@
 
 The paper's ongoing work includes "replacing our XML format for profiles
 with a more compact binary format"; this module implements it.  Two
-on-disk versions exist (all integers little-endian):
+on-disk versions exist (all integers little-endian); both are read, and
+only v2 is written:
 
-**v1 (legacy, unframed)** — magic ``RPDB``, u16 version, then the
-payload sections concatenated with no framing:
+**v1 (legacy, unframed, read-only)** — magic ``RPDB``, u16 version,
+then the payload sections concatenated with no framing:
 
 * header: length-prefixed experiment name;
 * string table: u32 count, then length-prefixed UTF-8 strings — every
@@ -19,8 +20,8 @@ payload sections concatenated with no framing:
   [u32 mid, f64]..., u16 nsummary [u8 flavor, u32 mid, f64]..., u32
   nchildren)``.
 
-**v2 (framed, default)** — the same record encodings, but each section
-is wrapped in a checksummed frame ``(u8 section id, u32 payload length,
+**v2 (framed)** — the same record encodings, but each section is
+wrapped in a checksummed frame ``(u8 section id, u32 payload length,
 u32 crc32(payload))`` and the structure/CCT payloads lead with a u32
 total node count.  The framing is what makes fault-tolerant ingestion
 possible (see :mod:`repro.hpcprof.recovery`): a flipped bit is caught
@@ -29,6 +30,16 @@ section can be skipped without losing the sections after it, and the
 declared node counts let a salvage load report exactly how much of a
 truncated tree it recovered.  A zero-length ``END`` frame terminates
 the stream so truncation after the last section is detectable.
+
+One packer writes every CCT section (:func:`_pack_cct`): it takes the
+records as preorder arrays — kind, static scope, line, child count, raw
+run, overlay run — and packs each record with one precompiled struct.
+:func:`dumps_binary` projects a tree onto those arrays in one walk; the
+bounded merge (:func:`repro.hpcprof.merge.merge_rank_files`) hands over
+its union's arrays without building a tree.  On the read side, one
+strict record parse (:func:`parse_structure`, :func:`parse_cct`) serves
+every loader and corpus admission, and objects are built from the
+records only when a caller needs them.
 
 Readers and writers are iterative (explicit stacks), so arbitrarily
 deep call chains — e.g. the 5000-frame recursion regressions — survive
@@ -47,6 +58,7 @@ import mmap
 import os
 import struct
 import zlib
+from itertools import chain
 
 import numpy as np
 
@@ -130,6 +142,7 @@ _STRUCT_HEADER = struct.Struct("<BIIIIH")  # the fixed fields, then ncalls
 
 _STRUCT_KINDS = list(StructKind)
 _CCT_KINDS = list(CCTKind)
+_KIND_CODE = {kind: code for code, kind in enumerate(_CCT_KINDS)}
 _METRIC_KINDS = list(MetricKind)
 
 #: exceptions that single-byte corruption can surface as, converted to
@@ -208,7 +221,7 @@ class _Reader:
 
 
 # --------------------------------------------------------------------- #
-# section writers (shared by v1 and v2: identical record encodings)
+# writing (v2 only; v1 streams are read, never written)
 # --------------------------------------------------------------------- #
 def _dump_metrics(body: io.BytesIO, metrics: MetricTable, strings: _StringTable) -> None:
     body.write(struct.pack("<I", len(metrics)))
@@ -254,68 +267,114 @@ def _dump_structure(
     return struct_ids
 
 
-def _dump_cct(
-    body: io.BytesIO,
-    root: CCTNode,
-    metrics: MetricTable,
-    struct_ids: dict[int, int],
-) -> int:
-    """Write the CCT preorder; returns the number of nodes written."""
-    count = 0
+def _kept(values, kind: MetricKind, wanted: frozenset, known: frozenset,
+          metrics: MetricTable) -> list:
+    """*values*' ``(mid, value)`` items of metrics of *kind* (ids
+    *wanted*), sorted by id; *known* is every id of *metrics*.  An
+    unknown id raises :class:`~repro.errors.MetricError`, as resolving
+    it through the table does."""
+    if wanted.issuperset(values):
+        return sorted(values.items())
+    if known.issuperset(values):
+        return sorted(item for item in values.items() if item[0] in wanted)
+    return [(mid, value) for mid, value in sorted(values.items())
+            if metrics.by_id(mid).kind is kind]
+
+
+def _cct_arrays(root: CCTNode, metrics: MetricTable) -> tuple:
+    """A tree projected onto the CCT record arrays, in one preorder walk.
+
+    Returns ``(kinds, structs, lines, nchildren, raws, overlays)``: per
+    node its kind code, static scope (or None), line and child count,
+    its RAW metric values as a flat ``(mid, value, ...)`` run and its
+    SUMMARY values as a flat ``(flavor, mid, value, ...)`` overlay run
+    (inclusive before exclusive), both sorted by metric id.  The metric
+    kinds are resolved once per table.
+    """
+    known = frozenset(range(len(metrics)))
+    raw_ids = frozenset(d.mid for d in metrics if d.kind is MetricKind.RAW)
+    summary_ids = frozenset(d.mid for d in metrics
+                            if d.kind is MetricKind.SUMMARY)
+    raw_kind, summary_kind = MetricKind.RAW, MetricKind.SUMMARY
+    codes = _KIND_CODE
+    kinds: list[int] = []
+    structs: list = []
+    lines: list[int] = []
+    nchildren: list[int] = []
+    raws: list[tuple] = []
+    overlays: list[tuple] = []
+    flat = chain.from_iterable
     stack = [root]
     while stack:
         node = stack.pop()
-        count += 1
-        sid = struct_ids.get(node.struct.uid, -1) if node.struct is not None else -1
-        raw_items = [
-            (mid, v)
-            for mid, v in sorted(node.raw.items())
-            if metrics.by_id(mid).kind is MetricKind.RAW
-        ]
-        summary_items = [
-            (0, mid, v)
-            for mid, v in sorted(node.inclusive.items())
-            if metrics.by_id(mid).kind is MetricKind.SUMMARY
-        ] + [
-            (1, mid, v)
-            for mid, v in sorted(node.exclusive.items())
-            if metrics.by_id(mid).kind is MetricKind.SUMMARY
-        ]
-        body.write(
-            struct.pack(
-                "<BIIHH",
-                _CCT_KINDS.index(node.kind),
-                sid + 1,
-                node.line,
-                len(raw_items),
-                len(summary_items),
-            )
-        )
-        for mid, value in raw_items:
-            body.write(struct.pack("<Id", mid, value))
-        for flavor, mid, value in summary_items:
-            body.write(struct.pack("<BId", flavor, mid, value))
-        body.write(struct.pack("<I", len(node.children)))
-        stack.extend(reversed(node.children))
-    return count
+        kinds.append(codes[node.kind])
+        structs.append(node.struct)
+        lines.append(node.line)
+        children = node.children
+        nchildren.append(len(children))
+        raw = node.raw
+        if not raw:
+            raws.append(())
+        elif raw_ids.issuperset(raw):
+            raws.append(tuple(flat(sorted(raw.items()))))
+        else:
+            raws.append(tuple(flat(_kept(raw, raw_kind, raw_ids, known,
+                                         metrics))))
+        inclusive, exclusive = node.inclusive, node.exclusive
+        if (not summary_ids and known.issuperset(inclusive)
+                and known.issuperset(exclusive)):
+            overlays.append(())
+        else:
+            overlays.append(tuple(flat(
+                (flavor, mid, value)
+                for flavor, values in ((0, inclusive), (1, exclusive))
+                for mid, value in _kept(values, summary_kind, summary_ids,
+                                        known, metrics)
+            )))
+        stack.extend(reversed(children))
+    return kinds, structs, lines, nchildren, raws, overlays
 
 
-def dumps_binary(experiment: Experiment, version: int = FORMAT_VERSION) -> bytes:
-    """Serialize to the framed v2 format (or legacy v1 on request)."""
-    if version not in (_V1, _V2):
-        raise DatabaseError(f"cannot write binary database version {version}")
+@functools.lru_cache(maxsize=256)
+def _record(nraw: int, nsummary: int) -> struct.Struct:
+    """One whole CCT record: header, raw run, summary run, child count."""
+    return struct.Struct("<BIIHH" + "Id" * nraw + "BId" * nsummary + "I")
+
+
+def _pack_cct(arrays: tuple, struct_ids: dict[int, int]) -> bytes:
+    """The CCT section payload from preorder record arrays.
+
+    *arrays* is ``(kinds, structs, lines, nchildren, raws, overlays)``
+    as :func:`_cct_arrays` returns them; *struct_ids* maps a static
+    scope's uid to its structure record (a scope outside the model is
+    written as no scope).  Each record is one precompiled pack.
+    """
+    kinds, structs, lines, nchildren, raws, overlays = arrays
+    out = [_U32.pack(len(kinds))]
+    append = out.append
+    for kind, scope, line, count, raw, overlay in zip(
+        kinds, structs, lines, nchildren, raws, overlays
+    ):
+        sid = 0 if scope is None else struct_ids.get(scope.uid, -1) + 1
+        nraw, nsummary = len(raw) >> 1, len(overlay) // 3
+        append(_record(nraw, nsummary).pack(kind, sid, line, nraw, nsummary,
+                                            *raw, *overlay, count))
+    return b"".join(out)
+
+
+def _pack_database(name: str, metrics: MetricTable,
+                   structure: StructureModel, cct: tuple) -> bytes:
+    """A framed v2 database from its parts; *cct* is the CCT's record
+    arrays (see :func:`_pack_cct`)."""
     strings = _StringTable()
 
     metrics_body = io.BytesIO()
-    _dump_metrics(metrics_body, experiment.metrics, strings)
+    _dump_metrics(metrics_body, metrics, strings)
 
     struct_body = io.BytesIO()
-    struct_ids = _dump_structure(struct_body, experiment.structure.root, strings)
+    struct_ids = _dump_structure(struct_body, structure.root, strings)
 
-    cct_body = io.BytesIO()
-    node_count = _dump_cct(
-        cct_body, experiment.cct.root, experiment.metrics, struct_ids
-    )
+    cct_payload = _pack_cct(cct, struct_ids)
 
     # the string table is complete only after every section interned into it
     strings_body = io.BytesIO()
@@ -323,19 +382,12 @@ def dumps_binary(experiment: Experiment, version: int = FORMAT_VERSION) -> bytes
     for s in strings.strings:
         _pack_str(strings_body, s)
 
+    name_body = io.BytesIO()
+    _pack_str(name_body, name)
+
     out = io.BytesIO()
     out.write(_MAGIC)
-    out.write(struct.pack("<H", version))
-    if version == _V1:
-        _pack_str(out, experiment.name)
-        out.write(strings_body.getvalue())
-        out.write(metrics_body.getvalue())
-        out.write(struct_body.getvalue())
-        out.write(cct_body.getvalue())
-        return out.getvalue()
-
-    name_body = io.BytesIO()
-    _pack_str(name_body, experiment.name)
+    out.write(struct.pack("<H", _V2))
 
     def frame(section_id: int, payload: bytes) -> None:
         out.write(_FRAME_HEADER.pack(section_id, len(payload),
@@ -347,15 +399,22 @@ def dumps_binary(experiment: Experiment, version: int = FORMAT_VERSION) -> bytes
     frame(SEC_METRICS, metrics_body.getvalue())
     frame(SEC_STRUCTURE,
           struct.pack("<I", len(struct_ids)) + struct_body.getvalue())
-    frame(SEC_CCT, struct.pack("<I", node_count) + cct_body.getvalue())
+    frame(SEC_CCT, cct_payload)
     frame(SEC_END, b"")
     return out.getvalue()
 
 
-def write_binary(experiment: Experiment, path: str,
-                 version: int = FORMAT_VERSION) -> None:
+def dumps_binary(experiment: Experiment) -> bytes:
+    """Serialize to the framed v2 format."""
+    return _pack_database(
+        experiment.name, experiment.metrics, experiment.structure,
+        _cct_arrays(experiment.cct.root, experiment.metrics),
+    )
+
+
+def write_binary(experiment: Experiment, path: str) -> None:
     with open(path, "wb") as fh:
-        fh.write(dumps_binary(experiment, version=version))
+        fh.write(dumps_binary(experiment))
 
 
 # --------------------------------------------------------------------- #
@@ -908,8 +967,9 @@ def loads_binary(
     exactly the streams a salvage load reports clean.
     """
     try:
-        return _loads_binary(data, verify_checksums=verify_checksums,
-                             exact=exact)
+        return _finish_experiment(
+            _strict_records(data, verify_checksums, exact).build()
+        )
     except DatabaseError:
         raise
     except MALFORMED_EXCEPTIONS as exc:
@@ -984,13 +1044,30 @@ def _strict(records):
     return records
 
 
+def _strict_structure(reader: _Reader, strings: list[str]) -> StructureRecords:
+    """The strictly parsed structure stream, refusing two sibling records
+    with one key — the one check a model build adds to the parse."""
+    records = _strict(parse_structure(reader, strings))
+    seen: set[tuple] = set()
+    for row, key in enumerate(zip(records.parents, records.kinds,
+                                  records.names, records.files,
+                                  records.lines)):
+        if key in seen:
+            raise DatabaseError(
+                f"duplicate structure scope {key[1:]!r} under structure "
+                f"record {key[0]} (record {row})"
+            )
+        seen.add(key)
+    return records
+
+
 def _records_v1(reader: _Reader,
                 offsets: list[int] | None = None) -> DatabaseRecords:
     """Strictly parse the unframed v1 payload from a positioned reader."""
     name = reader.read_str()
     strings = read_strings(reader)
     metrics = read_metrics(reader, strings)
-    structure = _strict(parse_structure(reader, strings))
+    structure = _strict_structure(reader, strings)
     cct = _strict(parse_cct(reader, len(structure), metrics=metrics,
                             offsets=offsets))
     return DatabaseRecords(name, metrics, structure, cct)
@@ -1026,7 +1103,7 @@ def _records_v2_basis(sections):
     metrics = read_metrics(sections[SEC_METRICS], strings)
     struct_reader = sections[SEC_STRUCTURE]
     (declared_struct,) = struct_reader.unpack("<I")
-    structure = _strict(parse_structure(struct_reader, strings))
+    structure = _strict_structure(struct_reader, strings)
     if len(structure) != declared_struct:
         raise DatabaseError(
             f"structure section declares {declared_struct} nodes, "
@@ -1065,9 +1142,10 @@ def _finish_experiment(parts: tuple) -> Experiment:
     return Experiment(name, metrics, model, cct)
 
 
-def _loads_binary(
-    data: bytes, verify_checksums: bool = True, exact: bool = False
-) -> Experiment:
+def _strict_records(data: bytes, verify_checksums: bool = True,
+                    exact: bool = False) -> DatabaseRecords:
+    """The strict record parse of a whole database (see
+    :func:`loads_binary` for *verify_checksums* and *exact*)."""
     version = read_header(data)
     if version == _V1:
         reader = _Reader(data, pos=6)
@@ -1076,10 +1154,24 @@ def _loads_binary(
             raise DatabaseError(
                 f"{reader.remaining} trailing bytes after the database"
             )
-    else:
-        records = _records_v2(_read_v2_sections(data, verify_checksums,
-                                                exact))
-    return _finish_experiment(records.build())
+        return records
+    return _records_v2(_read_v2_sections(data, verify_checksums, exact))
+
+
+def _check_exact(data: bytes) -> None:
+    """Refuse, as :class:`DatabaseError`, exactly the streams that
+    ``loads_binary(data, exact=True)`` refuses — decided on the records.
+
+    Once the strict parse passes (sibling structure keys included),
+    building, attributing and overlaying cannot fail, so no structure
+    model, tree or engine is built.  This is corpus admission.
+    """
+    try:
+        _strict_records(data, exact=True)
+    except DatabaseError:
+        raise
+    except MALFORMED_EXCEPTIONS as exc:
+        raise DatabaseError(f"malformed binary database: {exc!r}") from exc
 
 
 def _read_v2_sections(

@@ -22,6 +22,12 @@ Fusion rules (Section III-A, III-D of the paper):
   e.g. libc or interpreter internals) are attached to a synthetic
   ``<unknown>`` load module, mirroring hpcviewer's plain-black entries
   "with no associated source code".
+
+Both entry points walk the profile's call-path trie once
+(:meth:`Correlator._frame_scopes`): a trie node's frame scope is
+resolved when the first context below it is, instead of re-inserting
+every path from the root, and the scopes come out in the order a
+path-by-path insertion would create them.
 """
 
 from __future__ import annotations
@@ -62,9 +68,15 @@ class Correlator:
 
     # ------------------------------------------------------------------ #
     def add_profile(self, profile: ProfileData) -> None:
-        """Fuse one profile's call paths into the CCT."""
-        for frames, leaf_line, costs in profile.paths():
-            self.leaf_scope(self._insert_path(frames), leaf_line).add_raw(costs)
+        """Fuse one profile's call paths into the CCT.
+
+        Walks the call-path trie (:meth:`_frame_scopes`), so each trie
+        node's frame scope is resolved once, not once per path through
+        it; costs land on their leaf scopes in ``profile.paths()``
+        order.
+        """
+        for scope, leaf_line, costs in self._frame_scopes(profile):
+            self.leaf_scope(scope, leaf_line).add_raw(costs)
         self.cct.invalidate_caches()  # shape and raw values changed
 
     def add_rank(self, profile: ProfileData) -> list[tuple[CCTNode, MetricValues]]:
@@ -149,15 +161,6 @@ class Correlator:
             node = node.ensure_loop(scope)
         return node
 
-    def _insert_path(self, frames: list[Frame]) -> CCTNode:
-        """Insert a dynamic call path; return the innermost frame scope."""
-        if not frames:
-            raise CorrelationError("empty call path")
-        node = None
-        for frame in frames:
-            node = self.frame_scope(node, frame)
-        return node
-
     def frame_scope(self, caller: CCTNode | None, frame: Frame) -> CCTNode:
         """Create/visit the scope of *frame* called from frame scope *caller*.
 
@@ -179,7 +182,8 @@ class Correlator:
         Walks the call-path trie instead of re-inserting every path: a
         trie node's frame scope is resolved once, when the first context
         below it is, so scopes are created in the order and with the
-        procedure resolutions :meth:`_insert_path` would produce.
+        procedure resolutions a path-by-path insertion from the root
+        would produce.  A context with no frame is an empty call path.
         """
         if profile.root.leaf_costs:
             raise CorrelationError("empty call path")

@@ -20,14 +20,19 @@ structural key, so a member builds no structure model, tree or
 attribution of its own.  One keyed pass gives every member row its
 union id (:class:`_UnionIndex`); the member's inclusive and exclusive
 values come from Eq. 1/2 over its own arrays; its raw run is summed
-into the union's raw dicts exactly as ``add_into`` would sum them
-(:class:`_RawSums`).  The union :class:`CCT` is built once, after the
-last member, and each member's values come back as rows over its
+into the union's raw cells exactly as ``add_into`` would sum them
+(:class:`_RawSums`).  The union stays arrays — its preorder, raw cells
+and held mask — and each member's values come back as rows over that
 preorder.  :func:`merge_rank_files` writes those rows into a column
-store's rank matrices and summary accumulators;
-:func:`repro.hpcprof.align.align_members` keeps them as in-memory
-ensemble matrices; :func:`rank_rows` keys rank trees into an existing
-union the same way.  Only one member is ever resident.
+store's rank matrices and summary accumulators, then writes the store
+itself from the arrays: Eq. 1/2 over the union's raw matrix, the
+summary statistics, and the skeleton packed by the one CCT record
+packer (:func:`repro.hpcprof.binio._pack_cct`) — no union tree,
+attribution pass or engine is built to serialize it.
+:func:`repro.hpcprof.align.align_members` keeps the rows as in-memory
+ensemble matrices and reads the union :class:`CCT`, built on first use;
+:func:`rank_rows` keys rank trees into an existing union the same way.
+Only one member is ever resident.
 
 :func:`merge_ccts` and :func:`merge_experiments` keep their own
 node-by-node union over shared structure: the in-memory reference the
@@ -396,14 +401,13 @@ def _tree_arrays(root: CCTNode) -> _Member:
 def _map_records(canonical: StructureModel, records) -> list[StructureNode]:
     """:func:`map_structure` for parsed structure records: each record's
     canonical scope, by record index, creating the missing ones in the
-    same order.  Two sibling records with one key are refused, as the
-    model build refuses them."""
+    same order.  The records come from a strict parse, which has
+    refused two sibling records with one key."""
     kinds, names, files, lines = (records.kinds, records.names,
                                   records.files, records.lines)
     children = records.children()
     scopes: list = [None] * len(kinds)
     scopes[0] = canonical.root
-    claimed: set[int] = set()
     stack = [0]
     while stack:
         row = stack.pop()
@@ -422,12 +426,6 @@ def _map_records(canonical: StructureModel, records) -> list[StructureNode]:
                 mine.calls = records.calls[child]
                 if kind is StructKind.PROCEDURE:
                     canonical._register_procedure(mine)
-            elif mine.uid in claimed:
-                raise DatabaseError(
-                    f"malformed binary database: duplicate structure scope "
-                    f"{key!r} under {dst.describe()}"
-                )
-            claimed.add(mine.uid)
             scopes[child] = mine
             stack.append(child)
     return scopes
@@ -682,20 +680,22 @@ class _Spill:
 
 
 class _Reducer:
-    """One union CCT reduced from N members, one member resident at a time.
+    """One union reduced from N members, one member resident at a time.
 
     :meth:`graft` turns each member into preorder arrays once
     (:func:`_load`), unites its structure into the canonical model, and
     keys its rows into the union (:class:`_UnionIndex`).  Its values per
     column ``(mid, flavor)`` come from its own arrays
     (:func:`_member_values`) and are spilled beside its union ids
-    (:class:`_Spill`); its raw run is summed into the union's raw dicts
-    (:class:`_RawSums`).  The union :class:`CCT` is materialized once,
-    after the last member, and attributed.  :meth:`rows` then yields
-    each member's values scattered into rows over the union's preorder.
-    Both passes check one working-set estimate against the budget: the
-    union skeleton, the largest decoded member, the largest member
-    record, and what the caller keeps per node.
+    (:class:`_Spill`); its raw run is summed into the union's raw cells
+    (:class:`_RawSums`).  The union stays arrays: :attr:`index`,
+    :attr:`sums` and the union's preorder (:attr:`preorder`,
+    :attr:`depths`, :attr:`nchildren`).  :meth:`rows` then yields each
+    member's values scattered into rows over that preorder.  The union
+    :class:`CCT` (:attr:`tree`, :attr:`nodes`) is built and attributed
+    only when first read.  Both passes check one working-set estimate
+    against the budget: the union skeleton, the largest decoded member,
+    the largest member record, and what the caller keeps per node.
 
     The union equals ``merge_ccts`` over remapped trees, bit for bit and
     key for key.  Used as a context manager: the spill file goes on
@@ -710,20 +710,30 @@ class _Reducer:
         #: the union's structure model; None: a copy of the first
         #: member's root scope
         self.model = model
-        self.tree: CCT | None = None
         self.metrics: MetricTable | None = None
         self.signature: tuple | None = None
         self.columns: list[tuple[int, str]] = []
-        self.nodes: list[CCTNode] = []
+        self.index = _UnionIndex()
+        self.sums = _RawSums()
+        #: union ids in preorder, and each preorder row's depth and
+        #: child count
+        self.preorder: list[int] = []
+        self.depths: list[int] = []
+        self.nchildren: list[int] = []
         self._spill = _Spill()
         self._max_record = 0
         self._pre_of_id: np.ndarray | None = None
+        self._tree: CCT | None = None
+        self._nodes: list[CCTNode] = []
 
     def __enter__(self) -> "_Reducer":
         return self
 
     def __exit__(self, *exc) -> None:
         self._spill.close()
+
+    def __len__(self) -> int:
+        return len(self.preorder)
 
     def _charge(self, estimate: int, stage: str) -> None:
         self.peak = max(self.peak, estimate)
@@ -738,16 +748,15 @@ class _Reducer:
         """Reduce every source into the union, in order.
 
         The union's metric table is a copy of the first member's.
-        ``admit(i, member)`` vets each member (its ``name``, ``metrics``
-        and ``nranks``) before its scopes are united, raising the
-        caller's own error to refuse it (:attr:`signature` is the
-        union's RAW metric signature).
+        ``admit(i, member)`` vets each member (its ``name``, ``metrics``,
+        ``nranks`` and raw ``run``) before its scopes are united,
+        raising the caller's own error to refuse it (:attr:`signature`
+        is the union's RAW metric signature).
         """
         from repro.obs.spans import span
 
         with span("hpcprof.reduce.graft"):
-            index = _UnionIndex()
-            sums = _RawSums()
+            index, sums = self.index, self.sums
             mids: list[int] = []
             max_file = 0
             for i, source in enumerate(sources):
@@ -781,38 +790,73 @@ class _Reducer:
                     "graft",
                 )
             with span("hpcprof.reduce.union"):
-                self._materialize(index, sums.dicts(len(index)))
+                self._order()
 
-    def _materialize(self, index: _UnionIndex, raws: list[dict]) -> None:
-        """Build the union CCT in id order, attribute it, and index its
-        preorder."""
-        tree = CCT(self.model)
-        tree.root.raw = raws[0]
-        nodes = [tree.root]
-        children: list[list[int]] = [[] for _ in raws]
-        kinds, structs, lines = index.kinds, index.structs, index.lines
-        for uid, parent in enumerate(index.parents):
-            if parent < 0:
-                continue
-            node = CCTNode(_CCT_KINDS[kinds[uid]], struct=structs[uid],
-                           line=lines[uid], parent=nodes[parent])
-            node.raw = raws[uid]
-            nodes.append(node)
-            children[parent].append(uid)
-        attribute(tree)
-        preorder: list[int] = []
-        stack = [0]
+    def _order(self) -> None:
+        """The union's preorder (children in id order), with each row's
+        depth and child count."""
+        parents = self.index.parents
+        children: list[list[int]] = [[] for _ in parents]
+        for uid in range(1, len(parents)):
+            children[parents[uid]].append(uid)
+        preorder, depths, nchildren = self.preorder, self.depths, self.nchildren
+        stack = [(0, 0)]
         while stack:
-            uid = stack.pop()
+            uid, depth = stack.pop()
             preorder.append(uid)
-            stack.extend(reversed(children[uid]))
+            depths.append(depth)
+            kids = children[uid]
+            nchildren.append(len(kids))
+            depth += 1
+            stack.extend([(kid, depth) for kid in reversed(kids)])
         self._pre_of_id = np.empty(len(preorder), dtype=np.int64)
         self._pre_of_id[preorder] = np.arange(len(preorder))
-        self.tree = tree
-        self.nodes = [nodes[uid] for uid in preorder]
+
+    def parent_rows(self) -> np.ndarray:
+        """Each preorder row's parent row (-1 for the root)."""
+        parents = np.asarray(self.index.parents, dtype=np.int64)[self.preorder]
+        rows = np.full(len(parents), -1, dtype=np.int64)
+        rows[1:] = self._pre_of_id[parents[1:]]
+        return rows
+
+    @property
+    def tree(self) -> CCT:
+        """The union :class:`CCT`, attributed (built on first read)."""
+        if self._tree is None:
+            self._materialize()
+        return self._tree
+
+    @property
+    def nodes(self) -> list[CCTNode]:
+        """:attr:`tree`'s nodes in preorder."""
+        if self._tree is None:
+            self._materialize()
+        return self._nodes
+
+    def _materialize(self) -> None:
+        """Build the union CCT in id order and attribute it."""
+        from repro.obs.spans import span
+
+        with span("hpcprof.reduce.union"):
+            index = self.index
+            raws = self.sums.dicts(len(index))
+            tree = CCT(self.model)
+            tree.root.raw = raws[0]
+            nodes = [tree.root]
+            kinds, structs, lines = index.kinds, index.structs, index.lines
+            for uid, parent in enumerate(index.parents):
+                if parent < 0:
+                    continue
+                node = CCTNode(_CCT_KINDS[kinds[uid]], struct=structs[uid],
+                               line=lines[uid], parent=nodes[parent])
+                node.raw = raws[uid]
+                nodes.append(node)
+            attribute(tree)
+            self._tree = tree
+            self._nodes = [nodes[uid] for uid in self.preorder]
 
     def rows(self, resident_bytes: int):
-        """Yield each member's values as rows over :attr:`nodes`.
+        """Yield each member's values as rows over the union preorder.
 
         One float64 row per column of :attr:`columns`, member by member
         in input order; the rows are reused, so read each before the
@@ -821,7 +865,7 @@ class _Reducer:
         """
         from repro.obs.spans import span
 
-        n = len(self.nodes)
+        n = len(self.preorder)
         width = len(self.columns)
         with span("hpcprof.reduce.measure"):
             self._charge(
@@ -941,13 +985,16 @@ def merge_rank_files(
     The union reducer (:class:`_Reducer`) keys the databases into one
     union in rank order, decoding each exactly once into arrays, and
     then yields each rank's values; each is written as one contiguous
-    row of the on-disk ``(nranks x nnodes)`` rank matrices and feeds the
-    summary accumulators
-    (:func:`~repro.hpcprof.summarize.summarize_rows`).  Nothing ever
-    holds more than one rank's arrays (or one rank's spilled values)
-    plus the combined skeleton and O(scopes x metrics) accumulators,
-    checked against *working_set_bytes*.  A merge that fails removes
-    what it wrote (:meth:`~repro.core.store.StoreWriter.abort`).
+    row of the on-disk ``(nranks x nnodes)`` rank matrices and steps the
+    summary accumulators (:class:`~repro.hpcprof.summarize.RowMoments`).
+    The skeleton and column files are then written from the union's
+    arrays (:func:`_store_arrays`).  Nothing ever holds more than one
+    rank's arrays (or one rank's spilled values) plus the combined
+    skeleton and O(scopes x metrics) accumulators, checked against
+    *working_set_bytes*.  A merge that fails removes what it wrote
+    (:meth:`~repro.core.store.StoreWriter.abort`); an input with raw
+    values on a metric that is not RAW is refused, since the store's
+    raw column and its skeleton would disagree.
 
     The result is bit-identical to ``merge_experiments(...,
     summarize=...)`` over the same files — the differential suite pins
@@ -972,8 +1019,13 @@ def _merge_into(writer, paths, name, working_set_bytes, summarize,
                 strict) -> MergeReport:
     """:func:`merge_rank_files` once its store writer exists."""
     from repro.core.store import store_size_bytes
-    from repro.hpcprof.experiment import Experiment
-    from repro.hpcprof.summarize import FLAVORS, summarize_rows
+    from repro.hpcprof import binio
+    from repro.hpcprof.summarize import (
+        FLAVORS,
+        RowMoments,
+        register_summary_ids,
+    )
+    from repro.obs.spans import span
 
     names: list[str] = []
 
@@ -987,12 +1039,19 @@ def _merge_into(writer, paths, name, working_set_bytes, summarize,
             raise DatabaseError(
                 f"{paths[i]}: metric table differs from {paths[0]}"
             )
+        # a store's raw column holds what its skeleton's raw runs hold
+        stray = set(exp.run[1].tolist()).difference(
+            entry[0] for entry in reducer.signature)
+        if stray:
+            raise DatabaseError(
+                f"{paths[i]}: raw values on non-raw metric id {min(stray)}"
+            )
         names.append(exp.name)
 
     with _Reducer(FLAVORS, working_set_bytes) as reducer:
         reducer.graft(paths, admit, strict=strict)
-        combined, metrics = reducer.tree, reducer.metrics
-        n, nranks = len(reducer.nodes), len(paths)
+        metrics = reducer.metrics
+        n, nranks = len(reducer), len(paths)
         summary_mids = _summary_mids(metrics, summarize)
         columns = reducer.columns
         maps = [
@@ -1003,29 +1062,27 @@ def _merge_into(writer, paths, name, working_set_bytes, summarize,
             columns.index((mid, flavor))
             for mid in summary_mids for flavor in FLAVORS
         ]
-
-        def measured():
-            # five accumulator arrays per summarized column
-            rows = reducer.rows(5 * len(picks) * n * 8)
-            for r, row in enumerate(rows):
-                for mm, x in zip(maps, row):
-                    mm[r, :] = x
-                yield [row[j] for j in picks]
-
-        summaries = summarize_rows(combined, metrics, summary_mids,
-                                   measured())
+        moments = [RowMoments(n) for _ in picks]
+        # five accumulator arrays per summarized column
+        for r, row in enumerate(reducer.rows(5 * len(picks) * n * 8)):
+            for mm, x in zip(maps, row):
+                mm[r, :] = x
+            for accumulator, j in zip(moments, picks):
+                accumulator.step(row[j])
         for mm in maps:
             mm.flush()
         del maps
 
-    merged = Experiment(
-        (names[0] if name is None else name) or "merged",
-        metrics, combined.structure, combined,
-    )
-    skeleton_bytes = writer.write_skeleton(merged)
-    writer.write_matrices(merged.engine)
+    summaries = {mid: register_summary_ids(metrics, mid)
+                 for mid in summary_mids}
+    name = (names[0] if name is None else name) or "merged"
+    with span("hpcprof.merge.store"):
+        cct, matrices = _store_arrays(reducer, metrics, summaries, moments)
+        skeleton_bytes = writer.write_skeleton(
+            binio._pack_database(name, metrics, reducer.model, cct))
+        writer.write_matrices(matrices)
     writer.finish(
-        name=merged.name,
+        name=name,
         nnodes=n,
         num_metrics=len(metrics),
         nranks=nranks,
@@ -1048,3 +1105,75 @@ def _merge_into(writer, paths, name, working_set_bytes, summarize,
         skeleton_bytes=skeleton_bytes,
         store_bytes=store_size_bytes(writer.path),
     )
+
+
+def _store_arrays(reducer: _Reducer, metrics: MetricTable,
+                  summaries: dict, moments: list) -> tuple[tuple, tuple]:
+    """The merged store's skeleton CCT records and column matrices,
+    straight from the reduced union.
+
+    Rows are the union preorder.  The raw matrix holds the raw cells
+    the union holds (:class:`_RawSums`); inclusive and exclusive are
+    Eq. 1/2 over it (:func:`~repro.core.engine.attribute_arrays`), and
+    each summarized column's statistics overwrite their metric's cells
+    at the rows its :class:`~repro.hpcprof.summarize.RowMoments` saw
+    nonzero — what ``RowMoments.write`` puts into a tree.  The skeleton
+    records carry the held raw cells and those summary cells, sorted by
+    metric id.  Returns ``((kinds, structs, lines, nchildren, raws,
+    overlays), (raw, inclusive, exclusive))``, as
+    :func:`~repro.hpcprof.binio._pack_cct` and
+    :meth:`~repro.core.store.StoreWriter.write_matrices` take them.
+    """
+    from repro.core.engine import attribute_arrays, level_rows
+    from repro.hpcprof.summarize import FLAVORS
+
+    index, sums, order = reducer.index, reducer.sums, reducer.preorder
+    n, width = len(order), len(metrics)
+    kinds = np.asarray(index.kinds, dtype=np.int8)[order]
+
+    cells, cols = np.nonzero(sums.held[:n])
+    rows = reducer._pre_of_id[cells]
+    mids = np.asarray(sums._mids, dtype=np.int64)[cols]
+    raw = np.zeros((n, width))
+    raw[rows, mids] = sums.value[cells, cols]
+    held = np.zeros((n, width), dtype=bool)
+    held[rows, mids] = True
+    inclusive, exclusive = attribute_arrays(
+        reducer.parent_rows(), kinds,
+        level_rows(np.asarray(reducer.depths, dtype=np.int64))[1:], raw,
+    )
+
+    present = {flavor: np.zeros((n, width), dtype=bool) for flavor in FLAVORS}
+    matrix = {"inclusive": inclusive, "exclusive": exclusive}
+    columns = iter(moments)
+    for mid, ids in summaries.items():
+        for flavor in FLAVORS:
+            accumulator = next(columns)
+            at = np.flatnonzero(accumulator.nonzero)
+            for sid, stat in zip(ids.all(), (
+                accumulator.mean, accumulator.minimum, accumulator.maximum,
+                accumulator.stddev,
+            )):
+                matrix[flavor][at, sid] = stat[at]
+                present[flavor][at, sid] = True
+
+    raws = _runs(n, [((), raw, held)])
+    overlays = _runs(n, [((0,), inclusive, present["inclusive"]),
+                         ((1,), exclusive, present["exclusive"])])
+    cct = (kinds.tolist(), [index.structs[uid] for uid in order],
+           [index.lines[uid] for uid in order], reducer.nchildren,
+           raws, overlays)
+    return cct, (raw, inclusive, exclusive)
+
+
+def _runs(n: int, parts: list) -> list[tuple]:
+    """Per row, one flat run of the marked cells of every ``(prefix,
+    matrix, mask)`` part, in part order: each cell adds ``prefix + (mid,
+    value)``, sorted by metric id within a part."""
+    runs: list[list] = [[] for _ in range(n)]
+    for prefix, matrix, mask in parts:
+        rows, mids = np.nonzero(mask)  # row-major: sorted by (row, mid)
+        for row, mid, value in zip(rows.tolist(), mids.tolist(),
+                                   matrix[rows, mids].tolist()):
+            runs[row].extend((*prefix, mid, value))
+    return [tuple(run) for run in runs]

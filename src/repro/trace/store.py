@@ -145,7 +145,7 @@ def create_trace_store(
     from repro.hpcprof import binio
 
     whole = traces.window_experiment(None, None)
-    skeleton = binio.dumps_binary(whole, version=2)
+    skeleton = binio.dumps_binary(whole)
     skeleton_path = os.path.join(path, SKELETON_NAME)
     _write_file(skeleton_path, skeleton)
     crash_point("trace.write.skeleton")

@@ -300,6 +300,27 @@ class TestCompaction:
         graft = ("corpus.compact.merge", "hpcprof.reduce.graft")
         assert graft + ("hpcprof.reduce.decode",) in paths
         assert graft + ("hpcprof.reduce.union",) in paths
+        # the store is written from the union's arrays, in its own step
+        assert ("corpus.compact.merge", "hpcprof.merge.store") in paths
+        for phase in ("corpus.compact.stage", "corpus.compact.commit"):
+            assert (phase, "corpus.journal.append") in paths
+
+    def test_ingest_phases_have_spans(self, corpus, profile_bytes):
+        """A slow ingest is explained by admission, staging (payload
+        fsync and intent record) and commit (rename and commit record)."""
+        from repro.obs import SpanTracer, install, uninstall
+
+        tracer = install(SpanTracer())
+        try:
+            corpus.ingest_bytes("t", profile_bytes, name="r.rpdb")
+        finally:
+            uninstall()
+        paths = set(tracer.snapshot())
+        phases = {path[-1] for path in paths if len(path) == 1}
+        assert {"corpus.admit", "corpus.ingest.stage",
+                "corpus.ingest.commit"} <= phases
+        for phase in ("corpus.ingest.stage", "corpus.ingest.commit"):
+            assert (phase, "corpus.journal.append") in paths
 
     def test_small_group_is_left_alone(self, corpus, profile_bytes):
         self._grouped(corpus, [profile_bytes])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.corpus.journal import (
@@ -81,6 +83,15 @@ class TestJournal:
         journal.append({"seq": 2})
         replay = journal.replay(start=first)
         assert [r["seq"] for r in replay.records] == [2]
+        # offsets stay absolute although only the tail is read
+        size = os.path.getsize(journal.path)
+        assert replay.valid_end == replay.total == size
+        assert not replay.torn
+        with open(journal.path, "ab") as fh:
+            fh.write(encode_record({"seq": 3})[:-3])
+        torn = journal.replay(start=first)
+        assert torn.torn and torn.valid_end == size
+        assert torn.total == os.path.getsize(journal.path)
 
     def test_torn_tail_detected_and_truncated(self, tmp_path):
         journal = Journal(str(tmp_path))

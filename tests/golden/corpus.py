@@ -6,8 +6,9 @@ corpus and (b) exactly how they are rendered to text, so the generator
 (``tests/golden/test_golden_corpus.py``) can never disagree about what
 "the golden output" means.
 
-Every fixture is checked in twice — as a legacy v1 ``.rpdb`` and a
-framed v2 ``.rpdb`` — plus one golden text file per view.  The test
+Every fixture is checked in twice — as a framed v2 ``.rpdb`` and a
+frozen legacy v1 ``.rpdb`` (written by the retired v1 encoder, kept to
+pin the v1 reader) — plus one golden text file per view.  The test
 loads each binary through every reader path (eager, mmap-streaming,
 salvage) and asserts the rendered views match the golden text
 byte-for-byte, which pins the whole decode → attribute → view →
@@ -252,7 +253,7 @@ def ensemble_outputs() -> dict[str, bytes]:
     members = ensemble_members()
     out: dict[str, bytes] = {}
     for i, member in enumerate(members):
-        out[f"ensemble-m{i}.v2.rpdb"] = binio.dumps_binary(member, version=2)
+        out[f"ensemble-m{i}.v2.rpdb"] = binio.dumps_binary(member)
     ensemble = align_experiments(members, name="golden-ensemble")
     diff = ensemble.diff("mean", ENSEMBLE_TARGET)
     for slug, text in render_views(diff).items():

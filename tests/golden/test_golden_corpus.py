@@ -4,8 +4,8 @@ The checked-in ``.rpdb`` fixtures are decoded through every reader path
 — eager strict, mmap streaming, and salvage — and the three rendered
 views are compared **byte-for-byte** against the checked-in golden
 text.  Any drift anywhere in decode → attribution (Eq. 1/2) → view
-construction → table formatting fails here, on both the legacy v1 and
-framed v2 formats.
+construction → table formatting fails here, on both the legacy v1
+(frozen fixtures: only v2 is written) and framed v2 formats.
 
 Regenerate intentionally with::
 
@@ -71,23 +71,23 @@ def test_salvage_of_intact_file_renders_golden(name: str,
 
 @pytest.mark.parametrize("name", NAMES)
 def test_reserialization_is_byte_stable(name: str) -> None:
-    """decode → encode reproduces the checked-in bytes exactly, both
-    formats — pins the encoders, string-table interning order and all."""
+    """decode → encode reproduces the checked-in v2 bytes exactly, from
+    either format — pins the encoder, string-table interning order and
+    all.  The v1 files are frozen: only v2 is written."""
+    with open(_data(f"{name}.v2.rpdb"), "rb") as fh:
+        v2 = fh.read()
     for version in (1, 2):
-        path = _data(f"{name}.v{version}.rpdb")
-        with open(path, "rb") as fh:
+        with open(_data(f"{name}.v{version}.rpdb"), "rb") as fh:
             blob = fh.read()
-        exp = binio.loads_binary(blob)
-        assert binio.dumps_binary(exp, version=version) == blob
+        assert binio.dumps_binary(binio.loads_binary(blob)) == v2
 
 
 @pytest.mark.parametrize("name", NAMES)
 def test_fixture_builders_still_match_corpus(name: str) -> None:
     """The deterministic builders still produce the checked-in bytes."""
     exp = corpus.build_fixture(name)
-    for version in (1, 2):
-        with open(_data(f"{name}.v{version}.rpdb"), "rb") as fh:
-            assert binio.dumps_binary(exp, version=version) == fh.read()
+    with open(_data(f"{name}.v2.rpdb"), "rb") as fh:
+        assert binio.dumps_binary(exp) == fh.read()
 
 
 def test_columnar_table_frame_is_byte_stable() -> None:

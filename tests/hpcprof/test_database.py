@@ -144,6 +144,30 @@ class TestDispatch:
             xmlio.loads_xml(b"<SomethingElse/>")
 
 
+def unframed_v1(blob: bytes) -> bytes:
+    """The legacy unframed v1 stream of a framed v2 *blob*: the same
+    section payloads, concatenated without frames, the structure and CCT
+    payloads without their leading node counts.  Only v2 is written; this
+    gives the v1 reader streams of any experiment."""
+    payloads = {sid: blob[at:end]
+                for sid, _header, at, end in binio.section_frames(blob)}
+    return (blob[:4] + struct.pack("<H", 1) + payloads[binio.SEC_NAME]
+            + payloads[binio.SEC_STRINGS] + payloads[binio.SEC_METRICS]
+            + payloads[binio.SEC_STRUCTURE][4:] + payloads[binio.SEC_CCT][4:])
+
+
+def test_unframed_v1_reproduces_the_frozen_v1_fixtures():
+    """The v1 streams the tests derive are the checked-in v1 fixtures,
+    byte for byte, wherever a frozen one exists."""
+    from tests.golden import corpus
+
+    for name in corpus.FIXTURES:
+        with open(f"{corpus.DATA_DIR}/{name}.v2.rpdb", "rb") as fh:
+            v2 = fh.read()
+        with open(f"{corpus.DATA_DIR}/{name}.v1.rpdb", "rb") as fh:
+            assert unframed_v1(v2) == fh.read(), name
+
+
 # --------------------------------------------------------------------- #
 # crafted, CRC-valid payloads the strict loader must refuse
 # --------------------------------------------------------------------- #
@@ -202,8 +226,8 @@ class TestCraftedPayloads:
 
     def test_exact_end_refuses_trailing_bytes(self):
         exp = Experiment.from_program(fig1.build())
-        for version in (1, 2):
-            blob = binio.dumps_binary(exp, version=version)
+        v2 = binio.dumps_binary(exp)
+        for blob in (unframed_v1(v2), v2):
             binio.loads_binary(blob, exact=True)
             binio.loads_binary(blob + b"\0")  # lenient by default
             with pytest.raises(DatabaseError, match="trailing|END frame"):

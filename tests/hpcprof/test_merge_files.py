@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.core.metrics import MetricKind
 from repro.errors import DatabaseError
 from repro.hpcprof import database
 from repro.hpcprof.experiment import Experiment
@@ -136,6 +137,18 @@ class TestMergeRankFiles:
         with pytest.raises(DatabaseError, match="metric"):
             merge_rank_files(rank_paths + [odd_path],
                              str(tmp_path / "m.rpstore"))
+
+    def test_raw_values_on_a_non_raw_metric_rejected(self, tmp_path):
+        # the writer drops such values, so only an in-memory experiment
+        # (or crafted bytes) carries them; a store built from one would
+        # hold them in its raw column but not in its skeleton
+        exp = Experiment.from_program(fig1.build())
+        mid = exp.metrics.add("odd", kind=MetricKind.SUMMARY).mid
+        next(node for node in exp.cct.walk() if node.raw).raw[mid] = 1.0
+        out = tmp_path / "m.rpstore"
+        with pytest.raises(DatabaseError, match="non-raw metric"):
+            merge_rank_files([exp, exp], str(out))
+        assert not out.exists()
 
     def test_no_inputs_rejected(self, tmp_path):
         with pytest.raises(DatabaseError):

@@ -287,6 +287,7 @@ def oracle_merge_rank_files(paths, out_path, name=None, summarize="all",
     byte."""
     from repro.core.metrics import MetricKind
     from repro.core.store import StoreWriter
+    from repro.hpcprof import binio
     from repro.hpcprof.experiment import Experiment
     from repro.hpcprof.merge import _summary_mids
     from repro.hpcprof.summarize import FLAVORS, summarize_rows
@@ -314,8 +315,9 @@ def oracle_merge_rank_files(paths, out_path, name=None, summarize="all",
     merged = Experiment((union.names[0] if name is None else name)
                         or "merged",
                         metrics, tree.structure, tree)
-    skeleton_bytes = writer.write_skeleton(merged)
-    writer.write_matrices(merged.engine)
+    engine = merged.engine
+    skeleton_bytes = writer.write_skeleton(binio.dumps_binary(merged))
+    writer.write_matrices((engine.raw, engine.inclusive, engine.exclusive))
     writer.finish(
         name=merged.name, nnodes=n, num_metrics=len(metrics),
         nranks=nranks,

@@ -14,6 +14,8 @@ property-based checks of the two loading modes:
 
 from __future__ import annotations
 
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +26,7 @@ from repro.hpcprof.experiment import Experiment
 from repro.hpcprof.recovery import salvage_loads, validate_experiment
 from repro.sim.workloads import fig1
 from repro.testing import bit_flip, frame_boundaries, truncate
+from tests.golden import corpus
 
 
 @pytest.fixture(scope="module")
@@ -37,8 +40,14 @@ def blob(experiment):
 
 
 @pytest.fixture(scope="module")
-def blob_v1(experiment):
-    return binio.dumps_binary(experiment, version=1)
+def blob_v1():
+    """A frozen legacy v1 stream (only v2 is written)."""
+    return _golden("fig1-serial.v1.rpdb")
+
+
+def _golden(name: str) -> bytes:
+    with open(os.path.join(corpus.DATA_DIR, name), "rb") as fh:
+        return fh.read()
 
 
 def _strict_must_contain(data: bytes) -> None:
@@ -178,15 +187,12 @@ class TestFrameBoundaries:
 # version compatibility
 # --------------------------------------------------------------------- #
 class TestV1Compatibility:
-    def test_v1_round_trip_bit_identical(self, blob_v1):
-        """An unframed v1 database loads and re-serializes to the very
-        same bytes — backward compatibility is exact, not approximate."""
-        exp = binio.loads_binary(blob_v1)
-        assert binio.dumps_binary(exp, version=1) == blob_v1
-
-    def test_v1_and_v2_load_identically(self, blob, blob_v1):
-        e2, e1 = binio.loads_binary(blob), binio.loads_binary(blob_v1)
-        assert binio.dumps_binary(e1) == binio.dumps_binary(e2)
+    def test_v1_and_v2_load_identically(self, blob_v1):
+        """A frozen v1 database re-encodes as exactly its v2 twin —
+        backward compatibility is exact, not approximate."""
+        twin = _golden("fig1-serial.v2.rpdb")
+        e1, e2 = binio.loads_binary(blob_v1), binio.loads_binary(twin)
+        assert binio.dumps_binary(e1) == binio.dumps_binary(e2) == twin
 
     def test_v2_round_trip_stable(self, blob):
         assert binio.dumps_binary(binio.loads_binary(blob)) == blob

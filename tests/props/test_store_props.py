@@ -27,6 +27,7 @@ from repro.hpcprof.merge import merge_experiments, merge_rank_files
 from repro.sim.scale import generate_rank_files
 from repro.viewer.table import TableOptions, render_view
 from tests.file_backing import is_file_backed
+from tests.hpcprof.test_database import unframed_v1
 from tests.props.strategies import NUM_METRICS, cct_experiments
 
 _OPTS = TableOptions(max_rows=200, name_width=56)
@@ -97,8 +98,8 @@ def test_salvage_of_intact_dump_matches_strict(data):
     strict=True, for both binary format versions."""
     cct, model, metrics = data
     exp = Experiment("prop", metrics, model, cct)
-    for version in (1, 2):
-        blob = binio.dumps_binary(exp, version=version)
+    v2 = binio.dumps_binary(exp)
+    for blob in (unframed_v1(v2), v2):
         strict = database.loads(blob, strict=True)
         salvaged = database.loads(blob, strict=False)
         assert _renders(strict) == _renders(salvaged)

@@ -3,9 +3,7 @@
 
 For every fixture in ``tests/golden/corpus.py`` this writes:
 
-* ``<name>.v1.rpdb`` — the experiment in the legacy unframed binary
-  format;
-* ``<name>.v2.rpdb`` — the same experiment in the framed v2 format;
+* ``<name>.v2.rpdb`` — the experiment in the framed v2 format;
 * ``<name>.<view>.txt`` — the canonical rendering of each of the three
   presentation views (see ``corpus.render_views``);
 * ``<name>.table.rpcol`` — for the one pinned fixture, the framed
@@ -22,6 +20,11 @@ For every fixture in ``tests/golden/corpus.py`` this writes:
   its time-partitioned chunked store (manifest, skeleton, per-chunk
   event/slab files) plus JSON renders of a pinned window query, flame
   slab, and idleness series (see ``corpus.trace_outputs``).
+
+The ``<name>.v1.rpdb`` files are frozen fixtures of the legacy unframed
+format, which is read but no longer written: this script never writes
+or removes them, and checks that each one decodes and re-encodes as v2
+to exactly its ``.v2.rpdb`` twin.
 
 ``tests/golden/test_golden_corpus.py`` re-renders the checked-in
 binaries through every reader path and compares byte-for-byte, so this
@@ -54,8 +57,7 @@ def generate() -> dict[str, bytes]:
     out: dict[str, bytes] = {}
     for name in sorted(corpus.FIXTURES):
         experiment = corpus.build_fixture(name)
-        out[f"{name}.v1.rpdb"] = binio.dumps_binary(experiment, version=1)
-        out[f"{name}.v2.rpdb"] = binio.dumps_binary(experiment, version=2)
+        out[f"{name}.v2.rpdb"] = binio.dumps_binary(experiment)
         for slug, text in corpus.render_views(experiment).items():
             out[f"{name}.{slug}.txt"] = text.encode("utf-8")
         if name == corpus.COLUMNAR_FIXTURE:
@@ -69,6 +71,22 @@ def generate() -> dict[str, bytes]:
     return out
 
 
+def frozen_v1_drift(files: dict[str, bytes]) -> list[str]:
+    """Each frozen ``<name>.v1.rpdb`` fixture must decode and re-encode
+    as v2 to exactly its ``<name>.v2.rpdb`` twin in *files*."""
+    drift = []
+    for name in sorted(corpus.FIXTURES):
+        path = Path(corpus.DATA_DIR) / f"{name}.v1.rpdb"
+        if not path.exists():
+            drift.append(f"missing frozen v1 fixture: {path.name}")
+            continue
+        v1 = binio.loads_binary(path.read_bytes(), exact=True)
+        if binio.dumps_binary(v1) != files[f"{name}.v2.rpdb"]:
+            drift.append(f"frozen v1 fixture differs from its v2 twin: "
+                         f"{path.name}")
+    return drift
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--write", action="store_true",
@@ -77,9 +95,10 @@ def main(argv: list[str] | None = None) -> int:
 
     files = generate()
     data_dir = Path(corpus.DATA_DIR)
+    frozen = {f"{name}.v1.rpdb" for name in corpus.FIXTURES}
     if args.write:
         data_dir.mkdir(parents=True, exist_ok=True)
-        stale = set(os.listdir(data_dir)) - set(files)
+        stale = set(os.listdir(data_dir)) - set(files) - frozen
         for name in sorted(stale):
             (data_dir / name).unlink()
             print(f"removed stale {name}")
@@ -88,7 +107,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"wrote {len(files)} corpus files to {data_dir}")
         return 0
 
-    drift = []
+    drift = frozen_v1_drift(files)
     for name, content in sorted(files.items()):
         path = data_dir / name
         if not path.exists():
@@ -100,7 +119,8 @@ def main(argv: list[str] | None = None) -> int:
     if drift:
         print("golden corpus drifted; if intentional rerun with --write")
         return 1
-    print(f"golden corpus clean ({len(files)} files)")
+    print(f"golden corpus clean ({len(files)} files, "
+          f"{len(frozen)} frozen v1 fixtures)")
     return 0
 
 

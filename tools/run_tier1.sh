@@ -14,7 +14,9 @@
 #   4. pool smoke: a 2-worker pre-forked pool serves one JSON and one
 #      columnar render (decoded and cross-checked) and shuts down;
 #   5. corpus smoke: an ingest subprocess is kill -9'd mid-commit and
-#      the reopened corpus recovers it bit-identically;
+#      the reopened corpus recovers it bit-identically; a compaction is
+#      kill -9'd after its merge and the reopened corpus converges to a
+#      store that renders like merge_experiments over the sources;
 #   6. query smoke: one composed query runs bit-identically across the
 #      in-memory / .rpdb / .rpstore backends and over /v1/query
 #      (JSON == columnar; a repeat is a byte-identical cache hit, a
